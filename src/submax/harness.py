@@ -111,8 +111,7 @@ def matroid_from_dict(
     if kind == "partition":
         return PartitionMatroid(spec["blocks"], spec["capacities"], ledger)
     if kind == "graphic":
-        edges = [(a, b) for a, b in spec["edges"]]
-        return GraphicMatroid(spec["vertices"], edges, ledger)
+        return GraphicMatroid(spec["vertices"], spec["edges"], ledger)
     if kind == "explicit":
         return ExplicitMatroid(spec["n"], spec["independent"], ledger)
     raise InvalidInputError(f"unknown matroid kind {kind!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -120,7 +121,21 @@ class PartitionMatroid(Matroid):
 
 
 class GraphicMatroid(Matroid):
-    """Forests of an undirected multigraph; ground set elements are edge ids."""
+    """Forests of an undirected multigraph; ground set elements are edge ids.
+
+    Each instance caches the union-find result of the previous query's
+    prefix (all members but the last): a component label per vertex, or
+    ``None`` when the prefix holds a cycle. A query that extends the cached
+    prefix by one edge is answered in O(1) by comparing the labels of that
+    edge's endpoints; a query equal to the prefix reads the cached flag; any
+    other query runs the union-find from scratch and replaces the cache.
+    Answers and charges are unchanged: every call still charges one query
+    and independence does not depend on member order. An id outside the
+    ground set raises wherever it sits in the query, and a prefix is cached
+    only after all of its ids passed that check. The cache is one
+    tuple, replaced whole and never mutated, so clones sharing it and
+    threads sharing the instance never see a torn state.
+    """
 
     def __init__(
         self,
@@ -128,17 +143,55 @@ class GraphicMatroid(Matroid):
         edges: Sequence[tuple[int, int]],
         ledger: Optional[QueryLedger] = None,
     ):
-        super().__init__(len(edges), ledger)
+        try:
+            num_vertices = operator.index(num_vertices)
+        except TypeError:
+            raise InvalidInputError(
+                f"vertices must be an integer, got {num_vertices!r}"
+            ) from None
         if num_vertices < 0:
-            raise InvalidInputError("vertex count must be non-negative")
-        for (a, b) in edges:
+            raise InvalidInputError("vertices must be non-negative")
+        checked = []
+        for i, edge in enumerate(edges):
+            try:
+                a, b = map(operator.index, edge)
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    f"edges[{i}] must be a pair of integer vertex ids, got {edge!r}"
+                ) from None
             if not (0 <= a < num_vertices and 0 <= b < num_vertices):
-                raise InvalidInputError("edge endpoint out of range")
+                raise InvalidInputError(f"edges[{i}] endpoint out of range")
+            checked.append((a, b))
+        super().__init__(len(checked), ledger)
         self.num_vertices = num_vertices
-        self.edges = [(int(a), int(b)) for (a, b) in edges]
+        self.edges = checked
+        self._prefix_labels: tuple[tuple[int, ...], Optional[tuple[int, ...]]] = (
+            (),
+            tuple(range(num_vertices)),
+        )
 
     def _indep(self, members: Iterable[int]) -> bool:
-        # Union-find rebuilt per query keeps the oracle stateless.
+        query = tuple(members)
+        if not query:
+            return True
+        prefix, labels = self._prefix_labels
+        if query[:-1] != prefix:
+            if query == prefix:
+                return labels is not None
+            prefix = query[:-1]
+            labels = self._component_labels(prefix)
+            self._prefix_labels = (prefix, labels)
+        last = query[-1]
+        self._check_id(last)
+        if labels is None:
+            return False
+        a, b = self.edges[last]
+        return labels[a] != labels[b]
+
+    def _component_labels(self, prefix: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """Union-find over ``prefix``: each vertex's root, or None on a cycle."""
+        for e in prefix:
+            self._check_id(e)
         parent = list(range(self.num_vertices))
 
         def find(x: int) -> int:
@@ -147,14 +200,13 @@ class GraphicMatroid(Matroid):
                 x = parent[x]
             return x
 
-        for e in members:
-            self._check_id(e)
+        for e in prefix:
             a, b = self.edges[e]
             ra, rb = find(a), find(b)
             if ra == rb:
-                return False
+                return None
             parent[ra] = rb
-        return True
+        return tuple(find(v) for v in range(self.num_vertices))
 
 
 class ExplicitMatroid(Matroid):
@@ -185,7 +237,12 @@ class ExplicitMatroid(Matroid):
 
 
 class ContractedMatroid(Matroid):
-    """The matroid M / S: T is independent iff S + T is independent in M."""
+    """The matroid M / S: T is independent iff S + T is independent in M.
+
+    Queries reach the base anchor first, as ``S + T``, so that queries which
+    grow T by one element extend one prefix; the graphic oracle answers
+    those from its cache.
+    """
 
     def __init__(self, base: Matroid, S: Subset):
         contracted = sorted(set(S))
@@ -201,8 +258,8 @@ class ContractedMatroid(Matroid):
         self._contracted_set = set(contracted)
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        combined = list(members)
-        combined.extend(self._contracted)
+        combined = list(self._contracted)
+        combined.extend(members)
         return self._base.is_independent(combined)
 
     def with_ledger(self, ledger: QueryLedger) -> "ContractedMatroid":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from collections.abc import Collection, Iterable
 from typing import Optional, Sequence
 
@@ -110,8 +111,8 @@ class CoverageOracle(ValueOracle):
         else:
             if len(weights) != universe_size:
                 raise InvalidInputError("need one weight per universe item")
-            if any(w < 0 for w in weights):
-                raise InvalidInputError("coverage weights must be non-negative")
+            if any(not 0.0 <= w < math.inf for w in weights):
+                raise InvalidInputError("coverage weights must be finite and non-negative")
             w = [float(x) for x in weights]
             # popcount fast path when the weighting is trivial
             self._weights = None if all(x == 1.0 for x in w) else w
@@ -153,8 +154,8 @@ class DirectedCutOracle(ValueOracle):
         for (a, b, w) in arcs:
             if not (0 <= a < n and 0 <= b < n):
                 raise InvalidInputError("arc endpoint out of range")
-            if w < 0:
-                raise InvalidInputError("arc weights must be non-negative")
+            if not 0.0 <= w < math.inf:
+                raise InvalidInputError("arc weights must be finite and non-negative")
             if a != b:
                 out[a].append((b, float(w)))
         self._out = out
@@ -184,8 +185,8 @@ class FacilityLocationOracle(ValueOracle):
         mat = np.asarray(values, dtype=float)
         if mat.ndim != 2:
             raise InvalidInputError("facility values must be a clients x facilities matrix")
-        if (mat < 0).any():
-            raise InvalidInputError("facility values must be non-negative")
+        if not ((mat >= 0.0) & (mat < math.inf)).all():
+            raise InvalidInputError("facility values must be finite and non-negative")
         super().__init__(mat.shape[1], ledger)
         self._values = mat
 
@@ -208,8 +209,8 @@ class ModularOracle(ValueOracle):
 
     def __init__(self, weights: Sequence[float], ledger: Optional[QueryLedger] = None):
         super().__init__(len(weights), ledger)
-        if any(w < 0 for w in weights):
-            raise InvalidInputError("modular weights must be non-negative")
+        if any(not 0.0 <= w < math.inf for w in weights):
+            raise InvalidInputError("modular weights must be finite and non-negative")
         self._weights = [float(w) for w in weights]
 
     def _value(self, members: Iterable[int]) -> float:
@@ -243,8 +244,8 @@ class TableOracle(ValueOracle):
             table[key] = float(value)
         if len(table) != 2 ** n:
             raise InvalidInputError("table must define every subset")
-        if any(v < 0 for v in table.values()):
-            raise InvalidInputError("table values must be non-negative")
+        if any(not 0.0 <= v < math.inf for v in table.values()):
+            raise InvalidInputError("table values must be finite and non-negative")
         self._table = table
         self.monotone = self._is_monotone()
 

@@ -135,6 +135,7 @@ def test_criterion_2_nonmonotone_cardinality_approximation():
 # criterion 3: matroid approximation via the combined algorithm
 
 
+@pytest.mark.slow
 def test_criterion_3_combined_algorithm_approximation():
     opt, _ = brute_force_opt(oracle_from_dict(COV12), matroid_from_dict(PART12))
     details = []
@@ -182,6 +183,7 @@ def lambda_sweep_records():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_4_value_query_tradeoff(lambda_sweep_records):
     medians = {
         lam: statistics.median(r.value_queries for r in records)
@@ -194,6 +196,7 @@ def test_criterion_4_value_query_tradeoff(lambda_sweep_records):
     )
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=False,
     reason=(
@@ -435,6 +438,7 @@ def test_criterion_9_sampling_lemma_suites():
 # criterion 10: byte-level reproducibility of every registered config
 
 
+@pytest.mark.slow
 def test_criterion_10_reproducibility():
     # cover the remaining algorithm families too
     extra = {

@@ -99,6 +99,23 @@ class TestGeneration:
             generate_instance("mystery", 5, seed=0)
 
 
+class TestGraphicSpecValidation:
+    def test_edge_with_one_endpoint_rejected(self):
+        spec = {"kind": "graphic", "vertices": 3, "edges": [[0, 1], [1]]}
+        with pytest.raises(InvalidInputError, match=r"edges\[1\]"):
+            matroid_from_dict(spec)
+
+    def test_edge_with_three_endpoints_rejected(self):
+        spec = {"kind": "graphic", "vertices": 3, "edges": [[0, 1, 2]]}
+        with pytest.raises(InvalidInputError, match=r"edges\[0\]"):
+            matroid_from_dict(spec)
+
+    def test_non_integer_vertex_count_rejected(self):
+        spec = {"kind": "graphic", "vertices": 2.5, "edges": [[0, 1]]}
+        with pytest.raises(InvalidInputError, match="vertices"):
+            matroid_from_dict(spec)
+
+
 class TestRunExperiment:
     def test_csv_reproducibility(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

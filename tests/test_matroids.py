@@ -265,3 +265,97 @@ def test_random_partition_matroids_satisfy_the_axioms(caps, data):
     if next_id > 8:
         return
     assert check_exchange_axiom(PartitionMatroid(blocks, caps))
+
+
+# ---------------------------------------------------------------------------
+# graphic prefix cache and anchor-first contraction
+
+
+@st.composite
+def small_multigraphs(draw, max_edges=8):
+    """(vertex count, edge list) with self-loops and parallel edges allowed."""
+    v = draw(st.integers(min_value=1, max_value=5))
+    vertex = st.integers(min_value=0, max_value=v - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=max_edges))
+    return v, edges
+
+
+def _reference_independent(v, edges, members):
+    return not uf_has_cycle(v, [edges[e] for e in members])
+
+
+_SHAPES = (list, tuple, set, iter)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=small_multigraphs(), data=st.data())
+def test_graphic_cache_matches_from_scratch_union_find(graph, data):
+    v, edges = graph
+    n = len(edges)
+    ledger = QueryLedger()
+    M = GraphicMatroid(v, edges, ledger)
+    clone_ledger = QueryLedger()
+    clone = M.with_ledger(clone_ledger)
+    ids = st.integers(min_value=0, max_value=n - 1)
+    prefix: list[int] = []
+    last: list[int] = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        op = data.draw(st.sampled_from(["extend", "repeat", "unrelated", "clone", "bad"]))
+        if op == "extend":
+            query = prefix + [data.draw(ids)]
+        elif op == "repeat":
+            # the previous query's prefix, independent or not
+            query = last[:-1]
+        elif op == "bad":
+            query = list(prefix)
+        else:
+            query = data.draw(st.lists(ids, max_size=n))
+        handle, charged = (clone, clone_ledger) if op == "clone" else (M, ledger)
+        shape = data.draw(st.sampled_from(_SHAPES))
+        before = charged.independence_queries
+        if op == "bad":
+            # an out-of-range id inside the prefix; the rejected prefix must
+            # not be cached, so extending it a second time raises again
+            bad = data.draw(st.sampled_from([-1, n, n + 3]))
+            query.insert(data.draw(st.integers(min_value=0, max_value=len(query))), bad)
+            for _ in range(2):
+                with pytest.raises(InvalidInputError):
+                    handle.is_independent(shape(query + [data.draw(ids)]))
+            calls = 2
+        else:
+            expected = _reference_independent(v, edges, set(query) if shape is set else query)
+            assert handle.is_independent(shape(query)) == expected
+            calls = 1
+            last = query
+            # the callers' pattern: keep the extension when it stays independent
+            if op == "extend" and expected and data.draw(st.booleans()):
+                prefix = query
+        assert charged.independence_queries == before + calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=small_multigraphs(max_edges=7), data=st.data())
+def test_contracted_graphic_matches_explicit_contraction(graph, data):
+    v, edges = graph
+    n = len(edges)
+    S: list[int] = []
+    for u in data.draw(st.permutations(range(n))):
+        if data.draw(st.booleans()) and _reference_independent(v, edges, S + [u]):
+            S.append(u)
+    ledger = QueryLedger()
+    view = contract(GraphicMatroid(v, edges, ledger), S)
+    rest = [u for u in range(n) if u not in S]
+    explicit = ExplicitMatroid(n, [
+        combo
+        for r in range(len(rest) + 1)
+        for combo in itertools.combinations(rest, r)
+        if _reference_independent(v, edges, S + list(combo))
+    ])
+    before = ledger.independence_queries
+    queries = 0
+    for r in range(n + 1):
+        for combo in itertools.combinations(range(n), r):
+            assert view.is_independent(combo) == explicit.is_independent(combo)
+            queries += 1
+    assert ledger.independence_queries == before + queries
+    assert check_exchange_axiom(view)

@@ -15,6 +15,7 @@ from submax import (
     check_submodular,
     make_coverage,
     make_directed_cut,
+    make_facility_location,
     make_modular,
     make_table,
     marginal,
@@ -101,6 +102,27 @@ class TestConstructors:
             make_coverage([[0]], 1, weights=[-1.0])
         with pytest.raises(InvalidInputError):
             make_directed_cut(2, [(0, 1, -3.0)])
+
+    def test_modular_nan_weight_rejected(self):
+        with pytest.raises(InvalidInputError, match="modular weights"):
+            make_modular((1.0, math.nan))
+
+    def test_coverage_inf_weight_rejected(self):
+        with pytest.raises(InvalidInputError, match="coverage weights"):
+            make_coverage([[0], [1]], 2, weights=[1.0, math.inf])
+
+    def test_facility_nan_value_rejected(self):
+        with pytest.raises(InvalidInputError, match="facility values"):
+            make_facility_location([[1.0, math.nan], [0.5, 2.0]])
+
+    def test_cut_nan_weight_rejected(self):
+        with pytest.raises(InvalidInputError, match="arc weights"):
+            make_directed_cut(2, [(0, 1, math.nan)])
+
+    def test_table_inf_value_rejected(self):
+        entries = {frozenset(): 0.0, frozenset({0}): math.inf}
+        with pytest.raises(InvalidInputError, match="table values"):
+            make_table(1, entries)
 
     def test_monotone_flags(self):
         assert coverage4().monotone
