@@ -32,6 +32,7 @@ from .matroid_algos import (
     choose_lambda,
     combined_algorithm,
     combined_parameters,
+    crude_opt_estimate,
     linear_greedy,
     linear_greedy_partition,
     random_lazy_greedy,
@@ -56,7 +57,6 @@ from .matroids import (
 from .multilinear import (
     FractionalPoint,
     continuous_greedy,
-    crude_opt_estimate,
     estimate_marginal_F,
     estimator_sample_count,
     swap_round,

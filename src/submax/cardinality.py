@@ -16,13 +16,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .matroids import DummyAugmentedProblem, augment_with_dummies
-from .oracles import ValueOracle
-
-
-def _members_with(solution: set[int], ordered: list[int], u: int) -> list[int]:
-    if u in solution:
-        return ordered
-    return ordered + [u]
+from .matroid_algos import geometric_level_count
+from .oracles import ValueOracle, members_with
 
 
 def standard_greedy(f: ValueOracle, k: int) -> set[int]:
@@ -119,7 +114,7 @@ def random_sampling(
         sample = _sample_without_replacement(n, sample_size, rng)
         gains = []
         for u in sample:
-            gains.append((f.evaluate(_members_with(solution, ordered, u)) - current, u))
+            gains.append((f.evaluate(members_with(solution, ordered, u)) - current, u))
         gains.sort(key=lambda t: (-t[0], t[1]))
         rank = min(draw_rank(s, rng), len(gains))
         gain, u = gains[rank - 1]
@@ -239,8 +234,6 @@ class FillState:
         self.delta = delta
         self.W = float(W)
         if W > 0.0:
-            from .matroid_algos import geometric_level_count
-
             self.num_levels = geometric_level_count(delta, delta / k)
         else:
             self.num_levels = 0
@@ -267,7 +260,7 @@ class FillState:
             while self.pos < len(self.real_ids):
                 u = self.real_ids[self.pos]
                 self.pos += 1
-                gain = self.f.evaluate(_members_with(solution, ordered, u)) - solution_value
+                gain = self.f.evaluate(members_with(solution, ordered, u)) - solution_value
                 if gain > bar:
                     if u not in pool:
                         pool.add(u)
@@ -317,7 +310,7 @@ def lazy_greedy_simple(
         bar = filler.current_w() * (1.0 - delta)
         ordered = sorted(solution)
         for u in sorted(pool):
-            gain = fa.evaluate(_members_with(solution, ordered, u)) - current
+            gain = fa.evaluate(members_with(solution, ordered, u)) - current
             if gain <= bar:
                 pool.discard(u)
         if trace is not None:
@@ -354,7 +347,7 @@ def lazy_greedy_improved(
         if aug.is_dummy(candidate):
             pick, pick_gain = candidate, 0.0
         else:
-            gain = fa.evaluate(_members_with(solution, ordered, candidate)) - current
+            gain = fa.evaluate(members_with(solution, ordered, candidate)) - current
             if gain > (1.0 - delta) * filler.current_w():
                 pick, pick_gain = candidate, gain
             else:
@@ -366,7 +359,7 @@ def lazy_greedy_improved(
                 for u in sorted(pool):
                     if aug.is_dummy(u):
                         continue
-                    if fa.evaluate(_members_with(solution, ordered, u)) - current <= bar:
+                    if fa.evaluate(members_with(solution, ordered, u)) - current <= bar:
                         pool.discard(u)
                 fresh, fresh_gains = filler.fill(pool, solution, current)
                 slot = int(rng.integers(len(fresh)))

@@ -30,9 +30,7 @@ import io
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -82,20 +80,28 @@ CSV_COLUMNS = [
 # instance (de)serialization and generation
 
 
+def _field(spec: dict, key: str):
+    try:
+        return spec[key]
+    except KeyError:
+        raise InvalidInputError(f"{spec.get('kind')} spec needs the key {key!r}") from None
+
+
 def oracle_from_dict(spec: dict, ledger: Optional[QueryLedger] = None) -> ValueOracle:
     kind = spec.get("kind")
     if kind == "coverage":
-        return CoverageOracle(spec["sets"], spec["universe"], spec.get("weights"), ledger)
+        return CoverageOracle(
+            _field(spec, "sets"), _field(spec, "universe"), spec.get("weights"), ledger
+        )
     if kind == "cut":
-        arcs = [(a, b, w) for a, b, w in spec["arcs"]]
-        return DirectedCutOracle(spec["n"], arcs, ledger)
+        return DirectedCutOracle(_field(spec, "n"), _field(spec, "arcs"), ledger)
     if kind == "facility":
-        return FacilityLocationOracle(spec["values"], ledger)
+        return FacilityLocationOracle(_field(spec, "values"), ledger)
     if kind == "modular":
-        return ModularOracle(spec["weights"], ledger)
+        return ModularOracle(_field(spec, "weights"), ledger)
     if kind == "table":
-        entries = {frozenset(members): value for members, value in spec["entries"]}
-        return TableOracle(spec["n"], entries, ledger)
+        entries = {frozenset(members): value for members, value in _field(spec, "entries")}
+        return TableOracle(_field(spec, "n"), entries, ledger)
     raise InvalidInputError(f"unknown instance kind {kind!r}")
 
 
@@ -107,13 +113,13 @@ def matroid_from_dict(
         n = spec.get("n", default_n)
         if n is None:
             raise InvalidInputError("uniform matroid needs n (or an instance to infer it)")
-        return UniformMatroid(n, spec["k"], ledger)
+        return UniformMatroid(n, _field(spec, "k"), ledger)
     if kind == "partition":
-        return PartitionMatroid(spec["blocks"], spec["capacities"], ledger)
+        return PartitionMatroid(_field(spec, "blocks"), _field(spec, "capacities"), ledger)
     if kind == "graphic":
-        return GraphicMatroid(spec["vertices"], spec["edges"], ledger)
+        return GraphicMatroid(_field(spec, "vertices"), _field(spec, "edges"), ledger)
     if kind == "explicit":
-        return ExplicitMatroid(spec["n"], spec["independent"], ledger)
+        return ExplicitMatroid(_field(spec, "n"), _field(spec, "independent"), ledger)
     raise InvalidInputError(f"unknown matroid kind {kind!r}")
 
 
@@ -484,11 +490,7 @@ def _req(value, name: str):
 
 
 def run_experiment(config: RunConfig) -> list[RunRecord]:
-    """Run all trials of a config; trial t uses seed = base seed + t.
-
-    Trials run in a worker pool capped by SUBMAX_THREADS (default 1); each
-    trial owns its ledger and generator, and records land in trial order.
-    """
+    """Run all trials of a config; trial t uses seed = base seed + t."""
     if config.trials < 1:
         raise InvalidInputError("need at least one trial")
     instance_spec = _resolve(config.instance)
@@ -503,19 +505,10 @@ def run_experiment(config: RunConfig) -> list[RunRecord]:
         else:
             opt_value, _ = brute_force_opt(probe_oracle, _req(config.k, "k"))
 
-    workers = max(1, int(os.environ.get("SUBMAX_THREADS", "1")))
-    if workers == 1:
-        records = [
-            run_trial(config, instance_spec, matroid_spec, t, opt_value)
-            for t in range(config.trials)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_trial, config, instance_spec, matroid_spec, t, opt_value)
-                for t in range(config.trials)
-            ]
-            records = [fut.result() for fut in futures]
+    records = [
+        run_trial(config, instance_spec, matroid_spec, t, opt_value)
+        for t in range(config.trials)
+    ]
     if config.out is not None:
         write_csv(records, config.out)
     return records

@@ -8,7 +8,11 @@ ever increase; ``reset`` replaces the ledger for a new run instead.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Optional
+
+from .errors import InvalidInputError
 
 
 @dataclass
@@ -28,3 +32,56 @@ class QueryLedger:
 
     def snapshot(self) -> tuple[int, int]:
         return (self.value_queries, self.independence_queries)
+
+
+class Counted:
+    """A counted oracle handle over ground set ``{0, ..., n - 1}``.
+
+    Holds the ledger its queries charge; clones share the instance data and
+    differ only in the ledger they charge.
+    """
+
+    def __init__(self, n: int, ledger: Optional[QueryLedger] = None):
+        if n < 0:
+            raise InvalidInputError("ground set size must be non-negative")
+        self.n = n
+        self.ledger = ledger if ledger is not None else QueryLedger()
+
+    def _check_id(self, u: int) -> None:
+        if not 0 <= u < self.n:
+            raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
+
+    def with_ledger(self, ledger: QueryLedger):
+        """Shallow clone bound to another ledger (instance data is shared)."""
+        clone = copy.copy(self)
+        clone.ledger = ledger
+        return clone
+
+    def uncounted(self):
+        """Clone whose queries are not visible to the run's ledger."""
+        return self.with_ledger(QueryLedger())
+
+    def ground(self) -> range:
+        return range(self.n)
+
+
+class View(Counted):
+    """A handle that answers through another handle, ``_base``.
+
+    The accounting rule for every view: a query answers with exactly one
+    query to its base, or, when the view decides alone, charges one query to
+    its own ledger. Either way one call costs one tick, through any
+    composition of views. The view shares its base's ledger, and a clone
+    rebinds the whole chain below it to the new ledger.
+    """
+
+    def __init__(self, base: Counted, n: Optional[int] = None):
+        self._base = base
+        self.n = base.n if n is None else n
+        self.ledger = base.ledger
+
+    def with_ledger(self, ledger: QueryLedger):
+        clone = copy.copy(self)
+        clone._base = self._base.with_ledger(ledger)
+        clone.ledger = ledger
+        return clone

@@ -17,16 +17,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .ledger import QueryLedger
 from .matroids import (
     ContractedMatroid,
     Matroid,
+    PartitionMatroid,
     RankCappedMatroid,
     augment_with_dummies,
     matroid_rank,
 )
-from .multilinear import continuous_greedy, crude_opt_estimate, swap_round
-from .oracles import ResidualOracle, ValueOracle
+from .multilinear import continuous_greedy, swap_round
+from .oracles import ResidualOracle, ValueOracle, members_with
 
 
 def geometric_level_count(delta: float, ratio: float) -> int:
@@ -43,13 +43,6 @@ def geometric_level_count(delta: float, ratio: float) -> int:
         count += 1
         w *= 1.0 - delta
     return count
-
-
-def _marginal_members(solution: set[int], ordered: list[int], u: int) -> list[int]:
-    """Distinct member list for f(S + u); ordered is a cached list of S."""
-    if u in solution:
-        return ordered
-    return ordered + [u]
 
 
 def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
@@ -72,14 +65,7 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
     w_max = max(f.evaluate([u]) for u in ground)
     if w_max <= 0.0:
         return set(), f_empty
-    rank = 0
-    probe: list[int] = []
-    for u in ground:
-        probe.append(u)
-        if M.is_independent(probe):
-            rank += 1
-        else:
-            probe.pop()
+    rank = matroid_rank(M)
     if rank == 0:
         return set(), f_empty
 
@@ -90,7 +76,7 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
     floor = eps * w_max / rank
     while w > floor:
         for u in ground:
-            members = _marginal_members(solution, ordered, u)
+            members = members_with(solution, ordered, u)
             if not M.is_independent(members):
                 continue
             gain = f.evaluate(members) - current
@@ -100,6 +86,16 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
                 current += gain
         w *= 1.0 - eps
     return solution, current
+
+
+def crude_opt_estimate(f: ValueOracle, M: Matroid) -> float:
+    """A value opt with f(OPT) <= opt <= 3 f(OPT) for monotone f.
+
+    Runs the deterministic thresholding greedy at accuracy 1/6, whose output
+    is a 1/3-approximation, and returns three times its value.
+    """
+    _, value = _thresholding_greedy_value(f, M, 1.0 / 6.0)
+    return 3.0 * value
 
 
 class LazyGreedyState:
@@ -171,7 +167,7 @@ def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int
                 continue
             if u not in S:
                 work.pop()
-            gain = f.evaluate(_marginal_members(S, ordered, u)) - f_S
+            gain = f.evaluate(members_with(S, ordered, u)) - f_S
             if gain <= bar:
                 state.level[u] = t + 1
                 state.decays += 1
@@ -458,7 +454,8 @@ def combined_algorithm(
         blocks, caps = M.partition_structure()
         res_blocks = [[u for u in blk if u not in S] for blk in blocks]
         res_caps = [c - sum(1 for u in blk if u in S) for blk, c in zip(blocks, caps)]
-        residual = _ReindexedPartition(res_blocks, res_caps, f.n, M.ledger)
+        # contracted ids form one block of capacity zero: loops of the residual
+        residual = PartitionMatroid(res_blocks + [sorted(S)], res_caps + [0], M.ledger)
     else:
         residual = RankCappedMatroid(ContractedMatroid(M, sorted(S)), cap)
     shifted = ResidualOracle(f, S)
@@ -476,37 +473,6 @@ def combined_algorithm(
     return CombinedResult(
         frozenset(S | rounded), False, outcome.iterations, frozenset(S), params
     )
-
-
-class _ReindexedPartition(Matroid):
-    """Partition residual on the original id space (contracted ids become loops)."""
-
-    def __init__(self, blocks: list[list[int]], caps: list[int], n: int, ledger: QueryLedger):
-        self.n = n
-        self.ledger = ledger
-        self._blocks = [sorted(b) for b in blocks]
-        self._caps = list(caps)
-        self._block_of: dict[int, int] = {}
-        for j, blk in enumerate(self._blocks):
-            for u in blk:
-                self._block_of[u] = j
-
-    def is_independent(self, members) -> bool:
-        self.ledger.charge_independence(1)
-        counts = [0] * len(self._caps)
-        for u in members:
-            if not 0 <= u < self.n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
-            j = self._block_of.get(u)
-            if j is None:
-                return False
-            counts[j] += 1
-            if counts[j] > self._caps[j]:
-                return False
-        return True
-
-    def partition_structure(self):
-        return ([list(b) for b in self._blocks], list(self._caps))
 
 
 def choose_lambda(n: int, k: int, eps: float) -> float:

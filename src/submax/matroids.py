@@ -1,16 +1,12 @@
 """Counted matroid independence oracles.
 
 Every ``is_independent`` call charges exactly one independence query to the
-attached ledger. Views (contraction, rank caps, dummy augmentation) never
-double-charge: a view query costs exactly one underlying query, and answers
-that a view can decide from bookkeeping alone (size caps, dummy logic) are
-still charged one query so that measured counts upper-bound real oracle
-usage.
+attached ledger. Views (contraction, rank caps, dummy augmentation) follow
+the one accounting rule of :class:`~submax.ledger.View`.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import operator
 from collections.abc import Iterable
@@ -18,38 +14,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidInputError
-from .ledger import QueryLedger
+from .ledger import Counted, QueryLedger, View
 from .oracles import Subset, ValueOracle
 
 
-class Matroid:
-    def __init__(self, n: int, ledger: Optional[QueryLedger] = None):
-        if n < 0:
-            raise InvalidInputError("ground set size must be non-negative")
-        self.n = n
-        self.ledger = ledger if ledger is not None else QueryLedger()
-
+class Matroid(Counted):
     def is_independent(self, members: Iterable[int]) -> bool:
         self.ledger.charge_independence(1)
         return self._indep(members)
 
     def _indep(self, members: Iterable[int]) -> bool:
         raise NotImplementedError
-
-    def _check_id(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
-
-    def with_ledger(self, ledger: QueryLedger) -> "Matroid":
-        clone = copy.copy(self)
-        clone.ledger = ledger
-        return clone
-
-    def uncounted(self) -> "Matroid":
-        return self.with_ledger(QueryLedger())
-
-    def ground(self) -> range:
-        return range(self.n)
 
     def partition_structure(self) -> Optional[tuple[list[list[int]], list[int]]]:
         """(blocks, capacities) when this handle is a generalized partition matroid."""
@@ -59,6 +34,10 @@ class Matroid:
 class UniformMatroid(Matroid):
     def __init__(self, n: int, k: int, ledger: Optional[QueryLedger] = None):
         super().__init__(n, ledger)
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise InvalidInputError(f"k must be an integer, got {k!r}") from None
         if k < 0:
             raise InvalidInputError("rank bound must be non-negative")
         self.k = k
@@ -88,7 +67,15 @@ class PartitionMatroid(Matroid):
         blocks = [sorted(b) for b in blocks]
         if len(blocks) != len(capacities):
             raise InvalidInputError("need one capacity per block")
-        if any(c < 0 for c in capacities):
+        caps = []
+        for j, c in enumerate(capacities):
+            try:
+                caps.append(operator.index(c))
+            except TypeError:
+                raise InvalidInputError(
+                    f"capacities[{j}] must be an integer, got {c!r}"
+                ) from None
+        if any(c < 0 for c in caps):
             raise InvalidInputError("capacities must be non-negative")
         all_ids = [u for b in blocks for u in b]
         n = len(all_ids)
@@ -96,7 +83,7 @@ class PartitionMatroid(Matroid):
             raise InvalidInputError("blocks must partition {0, ..., n-1}")
         super().__init__(n, ledger)
         self.blocks = blocks
-        self.capacities = [int(c) for c in capacities]
+        self.capacities = caps
         self._block_of = [0] * n
         for j, b in enumerate(blocks):
             for u in b:
@@ -236,7 +223,7 @@ class ExplicitMatroid(Matroid):
         return key in self._family
 
 
-class ContractedMatroid(Matroid):
+class ContractedMatroid(View, Matroid):
     """The matroid M / S: T is independent iff S + T is independent in M.
 
     Queries reach the base anchor first, as ``S + T``, so that queries which
@@ -251,9 +238,7 @@ class ContractedMatroid(Matroid):
                 raise InvalidInputError("contracted element outside ground set")
         if contracted and not base.is_independent(contracted):
             raise InvalidInputError("can only contract an independent set")
-        self.n = base.n
-        self.ledger = base.ledger
-        self._base = base
+        super().__init__(base)
         self._contracted = contracted
         self._contracted_set = set(contracted)
 
@@ -262,25 +247,17 @@ class ContractedMatroid(Matroid):
         combined.extend(members)
         return self._base.is_independent(combined)
 
-    def with_ledger(self, ledger: QueryLedger) -> "ContractedMatroid":
-        clone = copy.copy(self)
-        clone._base = self._base.with_ledger(ledger)
-        clone.ledger = ledger
-        return clone
-
     def ground(self) -> list[int]:
         return [u for u in range(self.n) if u not in self._contracted_set]
 
 
-class RankCappedMatroid(Matroid):
+class RankCappedMatroid(View, Matroid):
     """Truncation view: independent iff |T| <= cap and independent in the base."""
 
     def __init__(self, base: Matroid, cap: int):
         if cap < 0:
             raise InvalidInputError("rank cap must be non-negative")
-        self.n = base.n
-        self.ledger = base.ledger
-        self._base = base
+        super().__init__(base)
         self.cap = cap
 
     def is_independent(self, members: Iterable[int]) -> bool:
@@ -291,12 +268,6 @@ class RankCappedMatroid(Matroid):
             return False
         return self._base.is_independent(listed)
 
-    def with_ledger(self, ledger: QueryLedger) -> "RankCappedMatroid":
-        clone = copy.copy(self)
-        clone._base = self._base.with_ledger(ledger)
-        clone.ledger = ledger
-        return clone
-
     def ground(self):
         return self._base.ground()
 
@@ -305,14 +276,12 @@ def contract(M: Matroid, S: Subset) -> ContractedMatroid:
     return ContractedMatroid(M, S)
 
 
-class DummyValueOracle(ValueOracle):
+class DummyValueOracle(View, ValueOracle):
     """f'(S) = f(S minus dummies); every call charges one base value query."""
 
     def __init__(self, base: ValueOracle, d: int):
-        self._base = base
-        self.n = base.n + d
+        super().__init__(base, base.n + d)
         self.n_real = base.n
-        self.ledger = base.ledger
         self.monotone = base.monotone
 
     def evaluate(self, members: Iterable[int]) -> float:
@@ -325,21 +294,13 @@ class DummyValueOracle(ValueOracle):
                 real.append(u)
         return self._base.evaluate(real)
 
-    def with_ledger(self, ledger: QueryLedger) -> "DummyValueOracle":
-        clone = copy.copy(self)
-        clone._base = self._base.with_ledger(ledger)
-        clone.ledger = ledger
-        return clone
 
-
-class DummyAugmentedMatroid(Matroid):
+class DummyAugmentedMatroid(View, Matroid):
     """S independent iff S minus dummies is independent in the base and |S| <= k."""
 
     def __init__(self, base: Matroid, d: int, k: int):
-        self.n = base.n + d
+        super().__init__(base, base.n + d)
         self.n_real = base.n
-        self.ledger = base.ledger
-        self._base = base
         self.k = k
 
     def is_independent(self, members: Iterable[int]) -> bool:
@@ -357,12 +318,6 @@ class DummyAugmentedMatroid(Matroid):
             self.ledger.charge_independence(1)
             return False
         return self._base.is_independent(real)
-
-    def with_ledger(self, ledger: QueryLedger) -> "DummyAugmentedMatroid":
-        clone = copy.copy(self)
-        clone._base = self._base.with_ledger(ledger)
-        clone.ledger = ledger
-        return clone
 
 
 @dataclass
@@ -410,19 +365,23 @@ def augment_with_dummies(
     return DummyAugmentedProblem(f=aug_f, matroid=aug_m, n_real=f.n, d=d)
 
 
-def greedy_basis(M: Matroid) -> set[int]:
-    """Greedy scan in id order; costs exactly n independence queries."""
-    basis: set[int] = set()
-    for u in M.ground():
-        candidate = list(basis)
-        candidate.append(u)
-        if M.is_independent(candidate):
-            basis.add(u)
-    return basis
+def greedy_basis(M: Matroid, ground: Optional[Iterable[int]] = None) -> set[int]:
+    """Greedy scan of ``ground`` (default ``M.ground()``) in its order.
+
+    Costs exactly one independence query per scanned id. Each query is the
+    basis so far plus one id, so the graphic oracle answers from its prefix
+    cache.
+    """
+    basis: list[int] = []
+    for u in M.ground() if ground is None else ground:
+        basis.append(u)
+        if not M.is_independent(basis):
+            basis.pop()
+    return set(basis)
 
 
-def matroid_rank(M: Matroid) -> int:
-    return len(greedy_basis(M))
+def matroid_rank(M: Matroid, ground: Optional[Iterable[int]] = None) -> int:
+    return len(greedy_basis(M, ground))
 
 
 def remove_self_loops(M: Matroid) -> list[int]:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .matroids import Matroid
+from .matroids import Matroid, matroid_rank
 from .oracles import ValueOracle
 
 
@@ -116,14 +116,7 @@ def continuous_greedy(
     m = estimator_sample_count(c, n_eff, delta, sample_scale)
     steps = math.ceil(1.0 / delta)
 
-    rank = 0
-    probe: list[int] = []
-    for u in ground_ids:
-        probe.append(u)
-        if M.is_independent(probe):
-            rank += 1
-        else:
-            probe.pop()
+    rank = matroid_rank(M, ground_ids)
 
     x = np.zeros(f.n)
     point = FractionalPoint(n=f.n)
@@ -180,8 +173,9 @@ def swap_round(M: Matroid, x: FractionalPoint, rng: np.random.Generator) -> set[
         for j, blk in enumerate(blocks):
             for u in blk:
                 block_of[u] = j
+        probe = M.uncounted()
         for w, base in pairs:
-            if not _partition_independent(base, block_of, caps):
+            if not probe.is_independent(sorted(base)):
                 raise InvalidInputError("dependent base in decomposition")
         _pad_partition(pairs, blocks, caps)
         merged_w, merged = pairs[0]
@@ -193,14 +187,7 @@ def swap_round(M: Matroid, x: FractionalPoint, rng: np.random.Generator) -> set[
     for w, base in pairs:
         if not M.is_independent(sorted(base)):
             raise InvalidInputError("dependent base in decomposition")
-    target = 0
-    probe: list[int] = []
-    for u in M.ground():
-        probe.append(u)
-        if M.is_independent(probe):
-            target += 1
-        else:
-            probe.pop()
+    target = matroid_rank(M)
     for _, base in pairs:
         _greedy_complete(M, base, target)
     merged_w, merged = pairs[0]
@@ -248,18 +235,6 @@ def _find_exchange(M: Matroid, B1: set[int], B2: set[int], i: int) -> int:
         if M.is_independent(b1_minus + [j]) and M.is_independent(sorted(B2 - {j}) + [i]):
             return j
     raise InvalidInputError("no feasible exchange: decomposition bases are inconsistent")
-
-
-def _partition_independent(base: set[int], block_of: dict[int, int], caps: list[int]) -> bool:
-    counts = [0] * len(caps)
-    for u in base:
-        if u not in block_of:
-            return False
-        j = block_of[u]
-        counts[j] += 1
-        if counts[j] > caps[j]:
-            return False
-    return True
 
 
 def _pad_partition(
@@ -311,14 +286,3 @@ def _merge_partition(
             only2[blk].discard(j)
     return B1
 
-
-def crude_opt_estimate(f: ValueOracle, M: Matroid) -> float:
-    """A value opt with f(OPT) <= opt <= 3 f(OPT) for monotone f.
-
-    Runs the deterministic thresholding greedy at accuracy 1/6, whose output
-    is a 1/3-approximation, and returns three times its value.
-    """
-    from .matroid_algos import _thresholding_greedy_value
-
-    _, value = _thresholding_greedy_value(f, M, 1.0 / 6.0)
-    return 3.0 * value

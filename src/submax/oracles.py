@@ -12,23 +12,23 @@ them.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
+import operator
 from collections.abc import Collection, Iterable
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .ledger import QueryLedger
+from .ledger import Counted, QueryLedger, View
 
 ElementId = int
 Subset = Collection[int]
 
 
-class ValueOracle:
-    """Base class: query charging, validation and cloning.
+class ValueOracle(Counted):
+    """Base class of value oracles: every ``evaluate`` charges one value query.
 
     Subclasses implement ``_value`` over an iterable of distinct ids and set
     ``monotone`` according to the function class.
@@ -37,11 +37,8 @@ class ValueOracle:
     monotone: bool = True
 
     def __init__(self, n: int, ledger: Optional[QueryLedger] = None):
-        if n < 0:
-            raise InvalidInputError("ground set size must be non-negative")
-        self.n = n
+        super().__init__(n, ledger)
         self.n_real = n
-        self.ledger = ledger if ledger is not None else QueryLedger()
 
     def evaluate(self, members: Iterable[int]) -> float:
         """Return f(S), charging one value query."""
@@ -50,23 +47,6 @@ class ValueOracle:
 
     def _value(self, members: Iterable[int]) -> float:
         raise NotImplementedError
-
-    def _check_id(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
-
-    def with_ledger(self, ledger: QueryLedger) -> "ValueOracle":
-        """Shallow clone bound to a fresh ledger (instance data is shared)."""
-        clone = copy.copy(self)
-        clone.ledger = ledger
-        return clone
-
-    def uncounted(self) -> "ValueOracle":
-        """Clone whose queries are not visible to the run's ledger."""
-        return self.with_ledger(QueryLedger())
-
-    def ground(self) -> range:
-        return range(self.n)
 
 
 def marginal(f: ValueOracle, u: ElementId, S: Subset, cached_fS: Optional[float] = None) -> float:
@@ -79,6 +59,13 @@ def marginal(f: ValueOracle, u: ElementId, S: Subset, cached_fS: Optional[float]
     members = set(S)
     members.add(u)
     return f.evaluate(members) - cached_fS
+
+
+def members_with(solution: set[int], ordered: list[int], u: ElementId) -> list[int]:
+    """Distinct member list for f(S + u); ``ordered`` is a cached list of S."""
+    if u in solution:
+        return ordered
+    return ordered + [u]
 
 
 class CoverageOracle(ValueOracle):
@@ -98,12 +85,17 @@ class CoverageOracle(ValueOracle):
             raise InvalidInputError("universe size must be non-negative")
         self.universe_size = universe_size
         masks = []
-        for s in sets:
+        for i, s in enumerate(sets):
             mask = 0
-            for item in s:
-                if not 0 <= item < universe_size:
-                    raise InvalidInputError(f"universe item {item} out of range")
-                mask |= 1 << item
+            try:
+                for item in s:
+                    if not 0 <= item < universe_size:
+                        raise InvalidInputError(f"universe item {item} out of range")
+                    mask |= 1 << item
+            except TypeError:
+                raise InvalidInputError(
+                    f"sets[{i}] must list integer universe items, got {s!r}"
+                ) from None
             masks.append(mask)
         self._masks = masks
         if weights is None:
@@ -111,8 +103,7 @@ class CoverageOracle(ValueOracle):
         else:
             if len(weights) != universe_size:
                 raise InvalidInputError("need one weight per universe item")
-            if any(not 0.0 <= w < math.inf for w in weights):
-                raise InvalidInputError("coverage weights must be finite and non-negative")
+            _check_weights(weights, "coverage weights")
             w = [float(x) for x in weights]
             # popcount fast path when the weighting is trivial
             self._weights = None if all(x == 1.0 for x in w) else w
@@ -151,10 +142,18 @@ class DirectedCutOracle(ValueOracle):
     ):
         super().__init__(n, ledger)
         out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (a, b, w) in arcs:
+        for i, arc in enumerate(arcs):
+            try:
+                a, b, w = arc
+                a, b = operator.index(a), operator.index(b)
+                finite = 0.0 <= w < math.inf
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    f"arcs[{i}] must be [tail, head, weight] with integer endpoints, got {arc!r}"
+                ) from None
             if not (0 <= a < n and 0 <= b < n):
-                raise InvalidInputError("arc endpoint out of range")
-            if not 0.0 <= w < math.inf:
+                raise InvalidInputError(f"arcs[{i}] endpoint out of range")
+            if not finite:
                 raise InvalidInputError("arc weights must be finite and non-negative")
             if a != b:
                 out[a].append((b, float(w)))
@@ -182,7 +181,12 @@ class FacilityLocationOracle(ValueOracle):
     monotone = True
 
     def __init__(self, values: Sequence[Sequence[float]], ledger: Optional[QueryLedger] = None):
-        mat = np.asarray(values, dtype=float)
+        try:
+            mat = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                "facility values must be a clients x facilities matrix of numbers"
+            ) from None
         if mat.ndim != 2:
             raise InvalidInputError("facility values must be a clients x facilities matrix")
         if not ((mat >= 0.0) & (mat < math.inf)).all():
@@ -209,8 +213,7 @@ class ModularOracle(ValueOracle):
 
     def __init__(self, weights: Sequence[float], ledger: Optional[QueryLedger] = None):
         super().__init__(len(weights), ledger)
-        if any(not 0.0 <= w < math.inf for w in weights):
-            raise InvalidInputError("modular weights must be finite and non-negative")
+        _check_weights(weights, "modular weights")
         self._weights = [float(w) for w in weights]
 
     def _value(self, members: Iterable[int]) -> float:
@@ -244,8 +247,7 @@ class TableOracle(ValueOracle):
             table[key] = float(value)
         if len(table) != 2 ** n:
             raise InvalidInputError("table must define every subset")
-        if any(not 0.0 <= v < math.inf for v in table.values()):
-            raise InvalidInputError("table values must be finite and non-negative")
+        _check_weights(table.values(), "table values")
         self._table = table
         self.monotone = self._is_monotone()
 
@@ -263,7 +265,7 @@ class TableOracle(ValueOracle):
         return True
 
 
-class ResidualOracle(ValueOracle):
+class ResidualOracle(View, ValueOracle):
     """The shifted function f(. | S) for a fixed base set S.
 
     Each evaluation delegates one query to the wrapped oracle (the f(S) term
@@ -271,24 +273,16 @@ class ResidualOracle(ValueOracle):
     """
 
     def __init__(self, base: ValueOracle, S: Subset):
-        self._base = base
+        super().__init__(base)
         self._anchor = sorted(set(S))
         self._f_anchor = base.evaluate(self._anchor)
-        self.n = base.n
         self.n_real = base.n_real
-        self.ledger = base.ledger
         self.monotone = base.monotone
 
     def evaluate(self, members: Iterable[int]) -> float:
         combined = list(members)
         combined.extend(self._anchor)
         return self._base.evaluate(combined) - self._f_anchor
-
-    def with_ledger(self, ledger: QueryLedger) -> "ResidualOracle":
-        clone = copy.copy(self)
-        clone._base = self._base.with_ledger(ledger)
-        clone.ledger = ledger
-        return clone
 
 
 def make_coverage(
@@ -368,6 +362,15 @@ def sample_correlated_subset(A: Subset, p: float, rng: np.random.Generator) -> s
         return set(items)
     draws = rng.random(len(items))
     return {u for u, d in zip(items, draws) if d < p}
+
+
+def _check_weights(weights: Iterable[float], field: str) -> None:
+    try:
+        ok = all(0.0 <= w < math.inf for w in weights)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidInputError(f"{field} must be finite non-negative numbers")
 
 
 def _all_values(probe: ValueOracle) -> dict[frozenset[int], float]:

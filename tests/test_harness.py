@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,116 @@ class TestGraphicSpecValidation:
             matroid_from_dict(spec)
 
 
+class TestSizeValidation:
+    def test_fractional_partition_capacity_rejected(self):
+        spec = {"kind": "partition", "blocks": [[0, 1], [2]], "capacities": [1.5, 1]}
+        with pytest.raises(InvalidInputError, match=r"capacities\[0\]"):
+            matroid_from_dict(spec)
+
+    def test_fractional_uniform_rank_rejected(self):
+        spec = {"kind": "uniform", "n": 4, "k": 2.5}
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            matroid_from_dict(spec)
+
+
+class TestInstanceSpecValidation:
+    def test_cut_arc_without_weight_rejected(self):
+        spec = {"kind": "cut", "n": 3, "arcs": [[0, 2, 1.0], [0, 1]]}
+        with pytest.raises(InvalidInputError, match=r"arcs\[1\]"):
+            oracle_from_dict(spec)
+
+    def test_fractional_coverage_item_rejected(self):
+        spec = {"kind": "coverage", "sets": [[0], [0.5]], "universe": 2}
+        with pytest.raises(InvalidInputError, match=r"sets\[1\]"):
+            oracle_from_dict(spec)
+
+    def test_non_numeric_facility_value_rejected(self):
+        spec = {"kind": "facility", "values": [[1.0, "a"]]}
+        with pytest.raises(InvalidInputError, match="values"):
+            oracle_from_dict(spec)
+
+    def test_non_numeric_coverage_weight_rejected(self):
+        spec = {"kind": "coverage", "sets": [[0], [1]], "universe": 2, "weights": [1.0, "a"]}
+        with pytest.raises(InvalidInputError, match="weights"):
+            oracle_from_dict(spec)
+
+    def test_missing_universe_rejected(self):
+        spec = {"kind": "coverage", "sets": [[0], [1]]}
+        with pytest.raises(InvalidInputError, match="universe"):
+            oracle_from_dict(spec)
+
+
+# Tiny configs that reach every view (residual, dummy value, contraction,
+# rank cap, dummy augmentation, the zero-capacity partition residual) and
+# both swap-rounding paths. B=0.3 and B=0.25 make the lazy phase add one
+# element, so the contraction anchor and the partition residual are non-empty.
+_GOLDEN_COV = generate_instance("coverage", 24, 7, universe=60, density=0.1)
+_GOLDEN_PART = generate_matroid("partition", 24, 6, 7, blocks=3)
+_GOLDEN_GRAPHIC = generate_matroid("graphic", 24, 6, 7)
+
+
+def _golden(algo, matroid=None, **params):
+    return RunConfig(
+        algo=algo, instance=_GOLDEN_COV, matroid=matroid, record_wall_time=False, **params
+    )
+
+
+# SHA-256 of each config's CSV bytes. A change that alters the query bill
+# on purpose updates these and says so in CHANGES.md.
+GOLDEN_CSV_SHA256 = {
+    "combined-partition": (
+        _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
+        "f20d115cc43e779d94e2af396a8ce58f9c6cb4cf7fc71f348621d3775311cd0d",
+    ),
+    "combined-partition-contracted": (
+        _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
+                sample_scale=1e-6),
+        "371aa64cda67bd9585473da72e38bdcb3bfc9a62c01c46702c3b6984cc14a9b9",
+    ),
+    "combined-graphic": (
+        _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
+        "e5e7e573dab830c98cd43a4971af4a176612358cfa0044645a951e774fd8a6d1",
+    ),
+    "combined-graphic-contracted": (
+        _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=6.0, B=0.25, trials=2,
+                sample_scale=1e-6),
+        "53652e0a6c219ea00c1d234337eb8f6c2d1892a4f2df3de44c57192e3b1816cf",
+    ),
+    "combined_partition-residual": (
+        _golden("combined_partition", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
+                sample_scale=1e-6),
+        "24881b426bbfe90689a613bfff84c508ac3914d79ee77485b60be6e59c5014c1",
+    ),
+    "continuous_greedy-partition": (
+        _golden("continuous_greedy", _GOLDEN_PART, epsilon=0.25, sample_scale=0.05),
+        "33d4c714c13761ce785f2803c1f3ac978a1f136904d65acab819f912dc0cd9c9",
+    ),
+    "continuous_greedy-graphic": (
+        _golden("continuous_greedy", _GOLDEN_GRAPHIC, epsilon=0.25, sample_scale=0.05),
+        "6dd9e4b24c700c3eae3c6b3a304e6469c938987ad5ec73cb4aaf1bebac9f26f2",
+    ),
+    "thresholding_greedy": (
+        _golden("thresholding_greedy", _GOLDEN_GRAPHIC, epsilon=0.25),
+        "e128ff325a3e88741891fd39c7d28c31e323351987455b3ff96d35f34a310c7b",
+    ),
+    "random_lazy_greedy": (
+        _golden("random_lazy_greedy", _GOLDEN_PART, delta=0.5, B=0.3, I=2, trials=2),
+        "b2c4f6d0528d2de56507efb912e95d3db81d3a6dd5feae7f2e839496fd008078",
+    ),
+    "lazy_greedy_improved": (
+        _golden("lazy_greedy_improved", k=6, delta=0.2, trials=2),
+        "46f504af83a379f34b0cb42a9d4ee7a1504b36434a949b0d29abd49ae69f4269",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_golden_csv_bytes(name):
+    config, expected = GOLDEN_CSV_SHA256[name]
+    digest = hashlib.sha256(records_to_csv_bytes(run_experiment(config))).hexdigest()
+    assert digest == expected
+
+
 class TestRunExperiment:
     def test_csv_reproducibility(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -179,24 +290,6 @@ class TestRunExperiment:
             RunConfig(algo="random_greedy", instance=COV4_SPEC, k=2, trials=3, seed=40)
         )
         assert [r.seed for r in records] == [40, 41, 42]
-
-    def test_parallel_trials_match_sequential(self, tmp_path, monkeypatch):
-        def run(workers: str) -> bytes:
-            monkeypatch.setenv("SUBMAX_THREADS", workers)
-            records = run_experiment(
-                RunConfig(
-                    algo="lazy_greedy_simple",
-                    instance=COV4_SPEC,
-                    k=2,
-                    delta=0.2,
-                    trials=6,
-                    seed=3,
-                    record_wall_time=False,
-                )
-            )
-            return records_to_csv_bytes(records)
-
-        assert run("1") == run("4")
 
     def test_lambda_sweep_groups(self, tmp_path):
         matroid_spec = {

@@ -8,20 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submax import (
+    ContractedMatroid,
     ExplicitMatroid,
+    FractionalPoint,
     GraphicMatroid,
     InvalidInputError,
+    Matroid,
     PartitionMatroid,
     QueryLedger,
+    RankCappedMatroid,
+    ResidualOracle,
     UniformMatroid,
     augment_with_dummies,
     check_exchange_axiom,
     contract,
     greedy_basis,
+    make_coverage,
     matroid_rank,
     remove_self_loops,
+    swap_round,
     thresholding_greedy,
 )
+from submax.matroids import DummyAugmentedMatroid, DummyValueOracle
 
 from .conftest import coverage4, enumerate_independent, uf_has_cycle, zoo_matroids
 
@@ -359,3 +367,177 @@ def test_contracted_graphic_matches_explicit_contraction(graph, data):
             queries += 1
     assert ledger.independence_queries == before + queries
     assert check_exchange_axiom(view)
+
+
+# ---------------------------------------------------------------------------
+# the view accounting rule: one tick per call through any composition
+
+
+def _draw_independent(data, M, ids):
+    """A random independent set of M among ``ids``, found on an uncounted clone."""
+    probe = M.uncounted()
+    chosen: list[int] = []
+    for u in data.draw(st.permutations(ids)):
+        if data.draw(st.booleans()) and probe.is_independent(chosen + [u]):
+            chosen.append(u)
+    return chosen
+
+
+@st.composite
+def small_partitions(draw):
+    """(blocks, capacities) over a shuffled ground set of at most 9 ids."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
+    ids = iter(draw(st.permutations(range(sum(sizes)))))
+    blocks = [sorted(next(ids) for _ in range(size)) for size in sizes]
+    caps = [draw(st.integers(min_value=0, max_value=size)) for size in sizes]
+    return blocks, caps
+
+
+@st.composite
+def small_base_matroids(draw):
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic"]))
+    if kind == "uniform":
+        n = draw(st.integers(min_value=1, max_value=7))
+        return UniformMatroid(n, draw(st.integers(min_value=0, max_value=n)))
+    if kind == "partition":
+        return PartitionMatroid(*draw(small_partitions()))
+    v, edges = draw(small_multigraphs(max_edges=7))
+    return GraphicMatroid(v, edges)
+
+
+def _chain(handle):
+    """The handle and every base below it, outermost first."""
+    chain = [handle]
+    while hasattr(chain[-1], "_base"):
+        chain.append(chain[-1]._base)
+    return chain
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=small_base_matroids(), data=st.data())
+def test_matroid_views_charge_one_query_per_call(base, data):
+    ledger = base.ledger
+    view = base
+    for layer in data.draw(st.lists(st.sampled_from(["contract", "cap", "dummy"]), max_size=3)):
+        if layer == "contract":
+            view = ContractedMatroid(view, _draw_independent(data, view, list(view.ground())))
+        elif layer == "cap":
+            view = RankCappedMatroid(view, data.draw(st.integers(min_value=0, max_value=view.n)))
+        else:
+            d = data.draw(st.integers(min_value=1, max_value=3))
+            view = DummyAugmentedMatroid(view, d, data.draw(st.integers(min_value=0, max_value=4)))
+    assert all(h.ledger is ledger for h in _chain(view))
+    clone = view.uncounted() if data.draw(st.booleans()) else view.with_ledger(QueryLedger())
+    assert all(h.ledger is clone.ledger for h in _chain(clone))
+    assert all(h.ledger is ledger for h in _chain(view))
+    query = st.lists(st.integers(min_value=0, max_value=view.n - 1), unique=True, max_size=view.n)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        members = data.draw(query)
+        before, clone_before = ledger.snapshot(), clone.ledger.snapshot()
+        answer = view.is_independent(members)
+        assert ledger.snapshot() == (before[0], before[1] + 1)
+        assert clone.is_independent(members) == answer
+        assert clone.ledger.snapshot() == (clone_before[0], clone_before[1] + 1)
+        assert ledger.snapshot() == (before[0], before[1] + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sets=st.lists(
+        st.lists(st.integers(min_value=0, max_value=5), max_size=4), min_size=1, max_size=6
+    ),
+    data=st.data(),
+)
+def test_value_views_charge_one_query_per_call(sets, data):
+    f = make_coverage(sets, universe_size=6)
+    ledger = f.ledger
+    view = f
+    for layer in data.draw(st.lists(st.sampled_from(["residual", "dummy"]), max_size=3)):
+        if layer == "residual":
+            S = data.draw(st.lists(st.integers(min_value=0, max_value=view.n - 1), unique=True))
+            before = ledger.value_queries
+            view = ResidualOracle(view, S)
+            assert ledger.value_queries == before + 1
+        else:
+            view = DummyValueOracle(view, data.draw(st.integers(min_value=1, max_value=3)))
+    assert all(h.ledger is ledger for h in _chain(view))
+    clone = view.uncounted() if data.draw(st.booleans()) else view.with_ledger(QueryLedger())
+    assert all(h.ledger is clone.ledger for h in _chain(clone))
+    assert all(h.ledger is ledger for h in _chain(view))
+    ids = st.integers(min_value=0, max_value=view.n - 1)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        members = data.draw(st.lists(ids, unique=True, max_size=view.n))
+        before, clone_before = ledger.snapshot(), clone.ledger.snapshot()
+        value = view.evaluate(members)
+        assert ledger.snapshot() == (before[0] + 1, before[1])
+        assert clone.evaluate(members) == value
+        assert clone.ledger.snapshot() == (clone_before[0] + 1, clone_before[1])
+        assert ledger.snapshot() == (before[0] + 1, before[1])
+
+
+# ---------------------------------------------------------------------------
+# the combined algorithm's partition residual: contracted ids in a block of
+# capacity zero
+
+
+class _BlocksWithoutLoops(Matroid):
+    """Answers like ``inner`` but reports only the blocks of the remaining ids.
+
+    The contracted ids are loops outside every block here; swap rounding
+    must give the same result as with their zero-capacity block.
+    """
+
+    def __init__(self, inner: PartitionMatroid, blocks, caps):
+        super().__init__(inner.n)
+        self._inner = inner
+        self._structure = (blocks, caps)
+
+    def _indep(self, members):
+        return self._inner.uncounted().is_independent(members)
+
+    def partition_structure(self):
+        return ([list(b) for b in self._structure[0]], list(self._structure[1]))
+
+
+@st.composite
+def partition_with_contraction(draw):
+    blocks, caps = draw(small_partitions())
+    S = set()
+    for blk, cap in zip(blocks, caps):
+        S.update(draw(st.lists(st.sampled_from(blk), unique=True, max_size=cap)))
+    res_blocks = [[u for u in blk if u not in S] for blk in blocks]
+    res_caps = [c - sum(1 for u in blk if u in S) for blk, c in zip(blocks, caps)]
+    return PartitionMatroid(blocks, caps), sorted(S), res_blocks, res_caps
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=partition_with_contraction(), data=st.data())
+def test_zero_capacity_residual_is_the_contraction(instance, data):
+    M, S, res_blocks, res_caps = instance
+    n = M.n
+    residual = PartitionMatroid(res_blocks + [S], res_caps + [0])
+    rest = [u for u in range(n) if u not in S]
+    explicit = ExplicitMatroid(n, [
+        combo
+        for r in range(len(rest) + 1)
+        for combo in itertools.combinations(rest, r)
+        if M.uncounted().is_independent(S + list(combo))
+    ])
+    for r in range(n + 1):
+        for combo in itertools.combinations(range(n), r):
+            assert residual.is_independent(combo) == explicit.is_independent(combo)
+    assert check_exchange_axiom(residual)
+
+    bases = [
+        frozenset(_draw_independent(data, residual, rest))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
+    ]
+    weights = [data.draw(st.floats(min_value=0.05, max_value=1.0)) for _ in bases]
+    total = sum(weights)
+    point = FractionalPoint(n=n, weights=[w / total for w in weights], bases=bases)
+    before = residual.ledger.snapshot()
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 16))
+    rounded = swap_round(residual, point, np.random.default_rng(seed))
+    assert residual.ledger.snapshot() == before
+    reference = _BlocksWithoutLoops(residual, res_blocks, res_caps)
+    assert rounded == swap_round(reference, point, np.random.default_rng(seed))
