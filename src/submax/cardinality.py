@@ -92,7 +92,6 @@ def random_sampling(
     p: float,
     s: float,
     rng: np.random.Generator,
-    trace: Optional[dict] = None,
 ) -> set[int]:
     """k rounds: sample ceil(pn) elements, add the ceil(d)-th best if helpful.
 
@@ -122,10 +121,6 @@ def random_sampling(
             solution.add(u)
             ordered.append(u)
             current += gain
-            if trace is not None:
-                trace.setdefault("adds", []).append(u)
-        elif trace is not None:
-            trace.setdefault("adds", []).append(None)
     return solution
 
 
@@ -285,7 +280,6 @@ def lazy_greedy_simple(
     k: int,
     delta: float,
     rng: np.random.Generator,
-    trace: Optional[dict] = None,
 ) -> set[int]:
     """Threshold-pool random greedy: (1/e - 2 delta) OPT in expectation.
 
@@ -313,8 +307,6 @@ def lazy_greedy_simple(
             gain = fa.evaluate(members_with(solution, ordered, u)) - current
             if gain <= bar:
                 pool.discard(u)
-        if trace is not None:
-            trace.setdefault("pool_sizes", []).append(len(pool))
     return aug.strip(solution)
 
 

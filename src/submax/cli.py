@@ -12,11 +12,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
+from .errors import InvalidInputError
 from .harness import (
+    ALGORITHMS,
     RunConfig,
     format_summary,
     generate_instance,
@@ -34,6 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate instance and matroid files")
+    g.set_defaults(func=_cmd_gen)
     g.add_argument("--family", required=True,
                    choices=["coverage", "cut", "facility", "modular"])
     g.add_argument("--n", type=int, required=True)
@@ -49,34 +53,32 @@ def main(argv: list[str] | None = None) -> int:
     g.add_argument("--matroid-out", default=None, help="matroid JSON path")
 
     r = sub.add_parser("run", help="run one algorithm configuration")
+    r.set_defaults(func=_cmd_run)
     _add_run_flags(r)
 
     s = sub.add_parser("sweep-lambda", help="lambda sweep for the combined algorithm")
+    s.set_defaults(func=_cmd_sweep)
     _add_run_flags(s, algo_default="combined")
     s.add_argument("--lambdas", required=True,
                    help="comma-separated lambda values, e.g. 1,5,20")
 
     z = sub.add_parser("summarize", help="aggregate a results CSV")
+    z.set_defaults(func=_cmd_summarize)
     z.add_argument("--input", required=True)
     z.add_argument("--json-out", default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep-lambda":
-        return _cmd_sweep(args)
-    if args.command == "summarize":
-        return _cmd_summarize(args)
-    return 2
+    try:
+        return args.func(args)
+    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
+        print(f"submax: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _add_run_flags(p: argparse.ArgumentParser, algo_default: str | None = None) -> None:
-    if algo_default is None:
-        p.add_argument("--algo", required=True)
-    else:
-        p.add_argument("--algo", default=algo_default)
+    """The flags of a ``RunConfig``; each ``dest`` is the field it sets."""
+    p.add_argument("--algo", choices=sorted(ALGORITHMS), required=algo_default is None,
+                   default=algo_default)
     p.add_argument("--instance", required=True)
     p.add_argument("--matroid", default=None)
     p.add_argument("--epsilon", type=float, default=None)
@@ -90,34 +92,16 @@ def _add_run_flags(p: argparse.ArgumentParser, algo_default: str | None = None) 
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--opt", action="store_true",
+    p.add_argument("--opt", dest="compute_opt", action="store_true",
                    help="also compute the brute-force optimum (small instances)")
     p.add_argument("--sample-scale", type=float, default=1.0,
                    help="derivative-estimator budget scale (1.0 = analysis-faithful)")
-    p.add_argument("--no-wall-time", action="store_true",
+    p.add_argument("--no-wall-time", dest="record_wall_time", action="store_false",
                    help="write wall_ms as 0 for byte-reproducible CSVs")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        algo=args.algo,
-        instance=args.instance,
-        matroid=args.matroid,
-        k=args.k,
-        epsilon=args.epsilon,
-        lam=args.lam,
-        delta=args.delta,
-        p=args.p,
-        s=args.s,
-        B=args.B,
-        I=args.I,
-        trials=args.trials,
-        seed=args.seed,
-        out=args.out,
-        compute_opt=args.opt,
-        sample_scale=args.sample_scale,
-        record_wall_time=not args.no_wall_time,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -133,8 +117,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}")
     if args.matroid_kind is not None:
         if args.k is None:
-            print("--k is required with --matroid-kind", file=sys.stderr)
-            return 2
+            raise InvalidInputError("--k is required with --matroid-kind")
         mspec = generate_matroid(args.matroid_kind, args.n, args.k, args.seed,
                                  blocks=args.blocks)
         out = args.matroid_out or str(Path(args.out).with_suffix(".matroid.json"))
@@ -154,11 +137,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     lambdas = [float(x) for x in args.lambdas.split(",") if x]
     all_records = []
+    config = _config_from_args(args)
     for lam in lambdas:
-        config = _config_from_args(args)
-        config.lam = lam
-        config.out = None
-        all_records.extend(run_experiment(config))
+        all_records.extend(run_experiment(dataclasses.replace(config, lam=lam, out=None)))
     write_csv(all_records, args.out)
     print(f"{len(all_records)} trials over {len(lambdas)} lambda values -> {args.out}")
     return 0

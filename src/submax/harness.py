@@ -33,7 +33,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -100,7 +100,15 @@ def oracle_from_dict(spec: dict, ledger: Optional[QueryLedger] = None) -> ValueO
     if kind == "modular":
         return ModularOracle(_field(spec, "weights"), ledger)
     if kind == "table":
-        entries = {frozenset(members): value for members, value in _field(spec, "entries")}
+        entries = {}
+        for i, entry in enumerate(_field(spec, "entries")):
+            try:
+                members, value = entry
+                entries[frozenset(members)] = float(value)
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    f"entries[{i}] must be [[id, ...], value], got {entry!r}"
+                ) from None
         return TableOracle(_field(spec, "n"), entries, ledger)
     raise InvalidInputError(f"unknown instance kind {kind!r}")
 
@@ -296,7 +304,6 @@ class RunConfig:
     out: Optional[Union[str, Path]] = None
     compute_opt: bool = False
     sample_scale: float = 1.0
-    use_partition: bool = False
     record_wall_time: bool = True
 
 
@@ -349,14 +356,100 @@ def _resolve(spec: Union[str, Path, dict, None]) -> Optional[dict]:
     return spec
 
 
-def _needs_matroid(algo: str) -> bool:
-    return algo in {
-        "thresholding_greedy",
-        "random_lazy_greedy",
-        "combined",
-        "combined_partition",
-        "continuous_greedy",
-    }
+# ---------------------------------------------------------------------------
+# algorithm registry
+
+Runner = Callable[..., tuple[set[int], bool]]
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One registry entry: the config fields it needs, and how to run one trial.
+
+    ``run(config, f, M, rng)`` returns ``(solution, failed)``. Entries look
+    their function up in its module at call time, so patching the module
+    (as tracing does) reaches the harness too.
+    """
+
+    requires: tuple[str, ...]
+    matroid: bool
+    run: Runner
+
+
+def _combined(use_partition: bool) -> Runner:
+    def run(c: RunConfig, f, M, rng):
+        result = malg.combined_algorithm(
+            f, M, c.epsilon, c.lam, rng,
+            sample_scale=c.sample_scale, use_partition=use_partition, B_override=c.B,
+        )
+        return set(result.solution), result.failed
+
+    return run
+
+
+def _random_lazy_greedy(c: RunConfig, f, M, rng):
+    outcome = malg.random_lazy_greedy(f, M, c.delta, c.B, c.I, rng)
+    return set(outcome.solution), outcome.failed
+
+
+def _continuous_greedy(c: RunConfig, f, M, rng):
+    point = continuous_greedy(f, M, c=2.0, delta=c.epsilon, rng=rng, sample_scale=c.sample_scale)
+    return swap_round(M, point, rng), False
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "standard_greedy": Algorithm(
+        ("k",), False, lambda c, f, M, rng: (card.standard_greedy(f, c.k), False)
+    ),
+    "random_greedy": Algorithm(
+        ("k",), False, lambda c, f, M, rng: (card.random_greedy(f, c.k, rng), False)
+    ),
+    "random_sampling": Algorithm(
+        ("k", "p", "s"), False,
+        lambda c, f, M, rng: (card.random_sampling(f, c.k, c.p, c.s, rng), False),
+    ),
+    "random_sampling_monotone": Algorithm(
+        ("k", "epsilon"), False,
+        lambda c, f, M, rng: (card.random_sampling_monotone(f, c.k, c.epsilon, rng), False),
+    ),
+    "random_sampling_nonmonotone": Algorithm(
+        ("k", "epsilon"), False,
+        lambda c, f, M, rng: (card.random_sampling_nonmonotone(f, c.k, c.epsilon, rng), False),
+    ),
+    "lazy_greedy_simple": Algorithm(
+        ("k", "delta"), False,
+        lambda c, f, M, rng: (card.lazy_greedy_simple(f, c.k, c.delta, rng), False),
+    ),
+    "lazy_greedy_improved": Algorithm(
+        ("k", "delta"), False,
+        lambda c, f, M, rng: (card.lazy_greedy_improved(f, c.k, c.delta, rng), False),
+    ),
+    "thresholding_greedy": Algorithm(
+        ("epsilon",), True,
+        lambda c, f, M, rng: (malg.thresholding_greedy(f, M, c.epsilon), False),
+    ),
+    "random_lazy_greedy": Algorithm(("delta", "B", "I"), True, _random_lazy_greedy),
+    "combined": Algorithm(("epsilon", "lam"), True, _combined(use_partition=False)),
+    "combined_partition": Algorithm(("epsilon", "lam"), True, _combined(use_partition=True)),
+    "continuous_greedy": Algorithm(("epsilon",), True, _continuous_greedy),
+}
+
+
+def _check_config(config: RunConfig) -> Algorithm:
+    """The registry entry of ``config.algo``, once the config fits it."""
+    algorithm = ALGORITHMS.get(config.algo)
+    if algorithm is None:
+        raise InvalidInputError(f"unknown algorithm {config.algo!r}")
+    for name in algorithm.requires:
+        if getattr(config, name) is None:
+            raise InvalidInputError(f"algorithm {config.algo!r} needs the parameter {name!r}")
+    if algorithm.matroid and config.matroid is None:
+        raise InvalidInputError(f"algorithm {config.algo!r} needs a matroid")
+    if not algorithm.matroid and config.matroid is not None:
+        raise InvalidInputError(f"algorithm {config.algo!r} takes no matroid")
+    if config.trials < 1:
+        raise InvalidInputError("need at least one trial")
+    return algorithm
 
 
 def run_trial(
@@ -376,7 +469,7 @@ def run_trial(
     seed = config.seed + trial
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    solution, failed = _dispatch(config, oracle, matroid, rng)
+    solution, failed = ALGORITHMS[config.algo].run(config, oracle, matroid, rng)
     wall_ms = (time.perf_counter() - started) * 1000.0 if config.record_wall_time else 0.0
     f_value = oracle.uncounted().evaluate(sorted(solution))
     if matroid is not None:
@@ -400,110 +493,20 @@ def run_trial(
     )
 
 
-def _dispatch(
-    config: RunConfig,
-    oracle: ValueOracle,
-    matroid: Optional[Matroid],
-    rng: np.random.Generator,
-) -> tuple[set[int], bool]:
-    algo = config.algo
-    if _needs_matroid(algo) and matroid is None:
-        raise InvalidInputError(f"algorithm {algo!r} needs a matroid")
-    if algo == "standard_greedy":
-        return card.standard_greedy(oracle, _req(config.k, "k")), False
-    if algo == "random_greedy":
-        return card.random_greedy(oracle, _req(config.k, "k"), rng), False
-    if algo == "random_sampling":
-        return (
-            card.random_sampling(
-                oracle, _req(config.k, "k"), _req(config.p, "p"), _req(config.s, "s"), rng
-            ),
-            False,
-        )
-    if algo == "random_sampling_monotone":
-        return (
-            card.random_sampling_monotone(
-                oracle, _req(config.k, "k"), _req(config.epsilon, "epsilon"), rng
-            ),
-            False,
-        )
-    if algo == "random_sampling_nonmonotone":
-        return (
-            card.random_sampling_nonmonotone(
-                oracle, _req(config.k, "k"), _req(config.epsilon, "epsilon"), rng
-            ),
-            False,
-        )
-    if algo == "lazy_greedy_simple":
-        return (
-            card.lazy_greedy_simple(oracle, _req(config.k, "k"), _req(config.delta, "delta"), rng),
-            False,
-        )
-    if algo == "lazy_greedy_improved":
-        return (
-            card.lazy_greedy_improved(oracle, _req(config.k, "k"), _req(config.delta, "delta"), rng),
-            False,
-        )
-    if algo == "thresholding_greedy":
-        return malg.thresholding_greedy(oracle, matroid, _req(config.epsilon, "epsilon")), False
-    if algo == "random_lazy_greedy":
-        outcome = malg.random_lazy_greedy(
-            oracle,
-            matroid,
-            _req(config.delta, "delta"),
-            _req(config.B, "B"),
-            _req(config.I, "I"),
-            rng,
-            use_partition=config.use_partition,
-        )
-        return set(outcome.solution), outcome.failed
-    if algo in ("combined", "combined_partition"):
-        result = malg.combined_algorithm(
-            oracle,
-            matroid,
-            _req(config.epsilon, "epsilon"),
-            _req(config.lam, "lambda"),
-            rng,
-            sample_scale=config.sample_scale,
-            use_partition=(algo == "combined_partition") or config.use_partition,
-            B_override=config.B,
-        )
-        return set(result.solution), result.failed
-    if algo == "continuous_greedy":
-        eps = _req(config.epsilon, "epsilon")
-        point = continuous_greedy(
-            oracle,
-            matroid,
-            c=2.0,
-            delta=eps,
-            rng=rng,
-            sample_scale=config.sample_scale,
-        )
-        return swap_round(matroid, point, rng), False
-    raise InvalidInputError(f"unknown algorithm {algo!r}")
-
-
-def _req(value, name: str):
-    if value is None:
-        raise InvalidInputError(f"missing required parameter --{name}")
-    return value
-
-
 def run_experiment(config: RunConfig) -> list[RunRecord]:
     """Run all trials of a config; trial t uses seed = base seed + t."""
-    if config.trials < 1:
-        raise InvalidInputError("need at least one trial")
+    algorithm = _check_config(config)
     instance_spec = _resolve(config.instance)
     matroid_spec = _resolve(config.matroid)
     opt_value = None
     if config.compute_opt:
         probe_oracle = oracle_from_dict(instance_spec)
-        if matroid_spec is not None and _needs_matroid(config.algo):
+        if algorithm.matroid:
             opt_value, _ = brute_force_opt(
                 probe_oracle, matroid_from_dict(matroid_spec, default_n=probe_oracle.n)
             )
         else:
-            opt_value, _ = brute_force_opt(probe_oracle, _req(config.k, "k"))
+            opt_value, _ = brute_force_opt(probe_oracle, config.k)
 
     records = [
         run_trial(config, instance_spec, matroid_spec, t, opt_value)
@@ -515,11 +518,7 @@ def run_experiment(config: RunConfig) -> list[RunRecord]:
 
 
 def write_csv(records: list[RunRecord], path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
+    Path(path).write_bytes(records_to_csv_bytes(records))
 
 
 def records_to_csv_bytes(records: list[RunRecord]) -> bytes:

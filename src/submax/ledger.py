@@ -9,6 +9,7 @@ ever increase; ``reset`` replaces the ledger for a new run instead.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +43,10 @@ class Counted:
     """
 
     def __init__(self, n: int, ledger: Optional[QueryLedger] = None):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise InvalidInputError(f"ground set size n must be an integer, got {n!r}") from None
         if n < 0:
             raise InvalidInputError("ground set size must be non-negative")
         self.n = n

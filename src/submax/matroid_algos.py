@@ -289,7 +289,6 @@ class LazyGreedyOutcome:
     failed: bool
     iterations: int
     dummies_used: int
-    ledger_snapshot: tuple[int, int]
     opt_estimate: float = 0.0
 
 
@@ -357,7 +356,6 @@ def random_lazy_greedy(
                 failed=False,
                 iterations=i - 1,
                 dummies_used=sum(1 for u in state.solution if aug.is_dummy(u)),
-                ledger_snapshot=f.ledger.snapshot(),
                 opt_estimate=opt,
             )
     return LazyGreedyOutcome(
@@ -365,7 +363,6 @@ def random_lazy_greedy(
         failed=True,
         iterations=I,
         dummies_used=0,
-        ledger_snapshot=f.ledger.snapshot(),
         opt_estimate=opt,
     )
 

@@ -205,9 +205,9 @@ class ExplicitMatroid(Matroid):
         independent_sets: Iterable[Iterable[int]],
         ledger: Optional[QueryLedger] = None,
     ):
+        super().__init__(n, ledger)
         if n > 16:
             raise InvalidInputError("explicit matroids are meant for n <= 16")
-        super().__init__(n, ledger)
         family = set()
         for s in independent_sets:
             fs = frozenset(s)

@@ -81,6 +81,12 @@ class CoverageOracle(ValueOracle):
         ledger: Optional[QueryLedger] = None,
     ):
         super().__init__(len(sets), ledger)
+        try:
+            universe_size = operator.index(universe_size)
+        except TypeError:
+            raise InvalidInputError(
+                f"universe must be an integer, got {universe_size!r}"
+            ) from None
         if universe_size < 0:
             raise InvalidInputError("universe size must be non-negative")
         self.universe_size = universe_size
@@ -236,9 +242,9 @@ class TableOracle(ValueOracle):
         entries: dict[frozenset[int], float],
         ledger: Optional[QueryLedger] = None,
     ):
+        super().__init__(n, ledger)
         if n > 16:
             raise InvalidInputError("table oracles are meant for n <= 16")
-        super().__init__(n, ledger)
         table = {}
         for members, value in entries.items():
             key = frozenset(members)

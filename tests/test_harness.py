@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from submax import (
 )
 from submax.cli import main as cli_main
 from submax.harness import (
+    ALGORITHMS,
     CSV_COLUMNS,
     matroid_from_dict,
     oracle_from_dict,
@@ -128,6 +131,16 @@ class TestSizeValidation:
         with pytest.raises(InvalidInputError, match="k must be an integer"):
             matroid_from_dict(spec)
 
+    def test_fractional_uniform_size_rejected(self):
+        spec = {"kind": "uniform", "n": 4.5, "k": 2}
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            matroid_from_dict(spec)
+
+    def test_fractional_explicit_size_rejected(self):
+        spec = {"kind": "explicit", "n": 2.5, "independent": [[], [0]]}
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            matroid_from_dict(spec)
+
 
 class TestInstanceSpecValidation:
     def test_cut_arc_without_weight_rejected(self):
@@ -153,6 +166,26 @@ class TestInstanceSpecValidation:
     def test_missing_universe_rejected(self):
         spec = {"kind": "coverage", "sets": [[0], [1]]}
         with pytest.raises(InvalidInputError, match="universe"):
+            oracle_from_dict(spec)
+
+    def test_string_coverage_universe_rejected(self):
+        spec = {"kind": "coverage", "sets": [[0], [1]], "universe": "9"}
+        with pytest.raises(InvalidInputError, match="universe"):
+            oracle_from_dict(spec)
+
+    def test_fractional_cut_size_rejected(self):
+        spec = {"kind": "cut", "n": 3.5, "arcs": [[0, 1, 1.0]]}
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            oracle_from_dict(spec)
+
+    def test_non_numeric_table_value_rejected(self):
+        spec = {"kind": "table", "n": 1, "entries": [[[], 0], [[0], "a"]]}
+        with pytest.raises(InvalidInputError, match=r"entries\[1\]"):
+            oracle_from_dict(spec)
+
+    def test_table_entry_without_value_rejected(self):
+        spec = {"kind": "table", "n": 1, "entries": [[0], [[0], 1]]}
+        with pytest.raises(InvalidInputError, match=r"entries\[0\]"):
             oracle_from_dict(spec)
 
 
@@ -217,6 +250,36 @@ GOLDEN_CSV_SHA256 = {
         _golden("lazy_greedy_improved", k=6, delta=0.2, trials=2),
         "46f504af83a379f34b0cb42a9d4ee7a1504b36434a949b0d29abd49ae69f4269",
     ),
+    "lazy_greedy_simple": (
+        _golden("lazy_greedy_simple", k=6, delta=0.2, trials=2),
+        "10e887f30c9a579417f4105999a7dabb6c221eff8278be9611d713ad09904bee",
+    ),
+    "standard_greedy": (
+        _golden("standard_greedy", k=6),
+        "91af83cb7ebb306ee44cfa06c968596e60c31f5872312f7d0b88fb9e778310dc",
+    ),
+    "random_greedy": (
+        _golden("random_greedy", k=6, trials=2),
+        "c1149279b8f4049cf92a5ca226f455525a0656036f1a5a6a1f10a5d9ff8591de",
+    ),
+    "random_sampling": (
+        _golden("random_sampling", k=6, p=0.25, s=2.0, trials=2),
+        "e3a301814270759456434ef1d3d9f2e70cdb434785eedf60a0605e92053e63b5",
+    ),
+    "random_sampling_monotone": (
+        _golden("random_sampling_monotone", k=6, epsilon=0.25, trials=2),
+        "8239cb6359a80b42ff687ffc6b7ed002da24caf7b939a578a10a7b9669af9865",
+    ),
+    "random_sampling_nonmonotone": (
+        _golden("random_sampling_nonmonotone", k=6, epsilon=0.25, trials=2),
+        "68fb2b3b9f97594e9dc504427dcf3e91e42ab6ec8d88d02e880109b082e97f2c",
+    ),
+    # rank 1 takes the combined algorithm's single-element shortcut
+    "combined-rank1": (
+        _golden("combined", {"kind": "uniform", "n": 24, "k": 1}, epsilon=0.25, lam=1.0,
+                trials=2),
+        "8e0dd3031383d055eaf127306ba304b211e860a4238fdb0c2eed661f31bf5931",
+    ),
 }
 
 
@@ -225,6 +288,54 @@ def test_golden_csv_bytes(name):
     config, expected = GOLDEN_CSV_SHA256[name]
     digest = hashlib.sha256(records_to_csv_bytes(run_experiment(config))).hexdigest()
     assert digest == expected
+
+
+def test_every_registered_algorithm_has_a_golden_config():
+    assert {config.algo for config, _ in GOLDEN_CSV_SHA256.values()} == set(ALGORITHMS)
+
+
+def test_readme_lists_the_registered_algorithms():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"^Algorithms:.*?(?=\n\n)", readme, re.S | re.M).group(0)
+    assert set(re.findall(r"`([^`]+)`", paragraph)) == set(ALGORITHMS)
+
+
+class TestConfigCheck:
+    """The registry check runs before any file, oracle or brute force."""
+
+    _MODULAR25 = {"kind": "modular", "weights": list(range(1, 26))}
+
+    def test_unknown_algorithm_named_before_brute_force(self):
+        config = RunConfig(algo="bogus", instance=self._MODULAR25, k=3, compute_opt=True)
+        with pytest.raises(InvalidInputError, match="unknown algorithm 'bogus'"):
+            run_experiment(config)
+
+    def test_missing_parameter_named_before_brute_force(self):
+        config = RunConfig(
+            algo="random_sampling", instance=self._MODULAR25, k=3, s=1.0, compute_opt=True
+        )
+        with pytest.raises(InvalidInputError, match="needs the parameter 'p'"):
+            run_experiment(config)
+
+    def test_cardinality_algorithm_rejects_a_matroid(self):
+        config = RunConfig(
+            algo="standard_greedy",
+            instance={"kind": "modular", "weights": [1, 2, 3]},
+            matroid={"kind": "uniform", "k": 1},
+            k=3,
+        )
+        with pytest.raises(InvalidInputError, match="algorithm 'standard_greedy' takes no matroid"):
+            run_experiment(config)
+
+    def test_matroid_algorithm_needs_a_matroid(self):
+        config = RunConfig(algo="thresholding_greedy", instance=COV4_SPEC, epsilon=0.2)
+        with pytest.raises(InvalidInputError, match="needs a matroid"):
+            run_experiment(config)
+
+    def test_instance_file_not_read_for_a_bad_config(self, tmp_path):
+        config = RunConfig(algo="bogus", instance=tmp_path / "missing.json", k=3)
+        with pytest.raises(InvalidInputError, match="unknown algorithm"):
+            run_experiment(config)
 
 
 class TestRunExperiment:
@@ -396,3 +507,33 @@ class TestCli:
         ]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4  # header + 2 lambdas x 2 trials
+
+    def test_missing_instance_file_is_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli_main([
+            "run", "--algo", "standard_greedy", "--instance", str(missing), "--k", "2",
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("submax: error: ") and str(missing) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ['{"kind": "mystery"}', '{"kind": "coverage", "sets": ['])
+    def test_malformed_instance_is_one_line_error(self, tmp_path, capsys, text):
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        assert cli_main([
+            "run", "--algo", "standard_greedy", "--instance", str(inst), "--k", "2",
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("submax: error: ") and err.count("\n") == 1
+
+    def test_unknown_algo_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "run", "--algo", "bogus", "--instance", str(tmp_path / "i.json"),
+                "--out", str(tmp_path / "r.csv"),
+            ])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
