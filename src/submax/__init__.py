@@ -49,7 +49,6 @@ from .matroids import (
     UniformMatroid,
     augment_with_dummies,
     check_exchange_axiom,
-    contract,
     greedy_basis,
     matroid_rank,
     remove_self_loops,
@@ -71,11 +70,6 @@ from .oracles import (
     ValueOracle,
     check_monotone,
     check_submodular,
-    make_coverage,
-    make_directed_cut,
-    make_facility_location,
-    make_modular,
-    make_table,
     marginal,
     sample_correlated_subset,
 )

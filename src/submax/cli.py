@@ -135,7 +135,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    lambdas = [float(x) for x in args.lambdas.split(",") if x]
+    try:
+        lambdas = [float(x) for x in args.lambdas.split(",") if x]
+    except ValueError:
+        raise InvalidInputError(
+            f"--lambdas must be comma-separated numbers, got {args.lambdas!r}"
+        ) from None
     all_records = []
     config = _config_from_args(args)
     for lam in lambdas:

@@ -87,8 +87,14 @@ def _field(spec: dict, key: str):
         raise InvalidInputError(f"{spec.get('kind')} spec needs the key {key!r}") from None
 
 
+def _kind(spec: dict, what: str):
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"{what} spec must be a JSON object, got {type(spec).__name__}")
+    return spec.get("kind")
+
+
 def oracle_from_dict(spec: dict, ledger: Optional[QueryLedger] = None) -> ValueOracle:
-    kind = spec.get("kind")
+    kind = _kind(spec, "instance")
     if kind == "coverage":
         return CoverageOracle(
             _field(spec, "sets"), _field(spec, "universe"), spec.get("weights"), ledger
@@ -116,7 +122,7 @@ def oracle_from_dict(spec: dict, ledger: Optional[QueryLedger] = None) -> ValueO
 def matroid_from_dict(
     spec: dict, ledger: Optional[QueryLedger] = None, default_n: Optional[int] = None
 ) -> Matroid:
-    kind = spec.get("kind")
+    kind = _kind(spec, "matroid")
     if kind == "uniform":
         n = spec.get("n", default_n)
         if n is None:
@@ -472,10 +478,8 @@ def run_trial(
     solution, failed = ALGORITHMS[config.algo].run(config, oracle, matroid, rng)
     wall_ms = (time.perf_counter() - started) * 1000.0 if config.record_wall_time else 0.0
     f_value = oracle.uncounted().evaluate(sorted(solution))
-    if matroid is not None:
-        k = matroid_rank(matroid.uncounted())
-    else:
-        k = config.k
+    # a rank the run measured is kept on the handle; otherwise an uncounted scan
+    k = config.k if matroid is None else matroid_rank(matroid.uncounted())
     return RunRecord(
         algo=config.algo,
         n=oracle.n,
@@ -538,6 +542,11 @@ def read_csv(path: Union[str, Path]) -> list[dict]:
 # ---------------------------------------------------------------------------
 # aggregation
 
+_SUMMARY_COLUMNS = (
+    "algo", "n", "k", "epsilon", "lambda", "f_value", "opt_value",
+    "value_queries", "independence_queries", "failed",
+)
+
 
 def summarize(rows: list[dict]) -> list[dict]:
     """Group rows by (algo, n, k, epsilon, lambda) and aggregate.
@@ -549,6 +558,9 @@ def summarize(rows: list[dict]) -> list[dict]:
     dict_rows = [r if isinstance(r, dict) else _record_as_dict(r) for r in rows]
     groups: dict[tuple, list[dict]] = {}
     for row in dict_rows:
+        missing = [c for c in _SUMMARY_COLUMNS if c not in row]
+        if missing:
+            raise InvalidInputError(f"rows to summarize need the column {missing[0]!r}")
         key = (row["algo"], row["n"], row["k"], row["epsilon"], row["lambda"])
         groups.setdefault(key, []).append(row)
     out = []

@@ -56,6 +56,16 @@ class Counted:
         if not 0 <= u < self.n:
             raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
 
+    def _id_set(self, ids, field: str) -> frozenset[int]:
+        """``ids`` as a set of integer ids of this ground set, else an error naming ``field``."""
+        try:
+            members = frozenset(map(operator.index, ids))
+        except TypeError:
+            raise InvalidInputError(f"{field} must hold integer element ids, got {ids!r}") from None
+        if any(not 0 <= u < self.n for u in members):
+            raise InvalidInputError(f"{field} outside ground set of size {self.n}")
+        return members
+
     def with_ledger(self, ledger: QueryLedger):
         """Shallow clone bound to another ledger (instance data is shared)."""
         clone = copy.copy(self)

@@ -49,7 +49,8 @@ def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
     """Deterministic decreasing-threshold greedy, (1/2 - eps)-approximate.
 
     Expects self-loops removed and f monotone. Per threshold level every
-    element costs one independence query and, when feasible, one value query.
+    element outside the solution costs one independence query and, when
+    feasible, one value query; solution members cost nothing.
     """
     solution, _ = _thresholding_greedy_value(f, M, eps)
     return solution
@@ -76,11 +77,13 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
     floor = eps * w_max / rank
     while w > floor:
         for u in ground:
-            members = members_with(solution, ordered, u)
+            if u in solution:
+                continue
+            members = ordered + [u]
             if not M.is_independent(members):
                 continue
             gain = f.evaluate(members) - current
-            if gain >= w and u not in solution:
+            if gain >= w:
                 solution.add(u)
                 ordered.append(u)
                 current += gain
@@ -105,23 +108,11 @@ class LazyGreedyState:
     so the per-level equality test of the scan is exact.
     """
 
-    def __init__(
-        self,
-        ground: list[int],
-        W: float,
-        delta: float,
-        k: int,
-        B: float,
-        I: int,
-        opt: float,
-    ):
+    def __init__(self, ground: list[int], W: float, delta: float, k: int):
         self.ground = list(ground)
         self.W = float(W)
         self.delta = float(delta)
         self.k = int(k)
-        self.B = float(B)
-        self.I = int(I)
-        self.opt = float(opt)
         self.num_levels = (
             geometric_level_count(delta, delta / k) if (W > 0.0 and k > 0) else 0
         )
@@ -187,18 +178,10 @@ class PartitionLazyGreedyState(LazyGreedyState):
     """
 
     def __init__(
-        self,
-        blocks: list[list[int]],
-        capacities: list[int],
-        W: float,
-        delta: float,
-        k: int,
-        B: float,
-        I: int,
-        opt: float,
+        self, blocks: list[list[int]], capacities: list[int], W: float, delta: float, k: int
     ):
         ground = sorted(u for blk in blocks for u in blk)
-        super().__init__(ground, W, delta, k, B, I, opt)
+        super().__init__(ground, W, delta, k)
         self.blocks = [sorted(b) for b in blocks]
         self.capacities = list(capacities)
         # buckets[j][t] lists the elements of block j currently at level t
@@ -318,7 +301,7 @@ def random_lazy_greedy(
     k = matroid_rank(M)
     if I > k / 2:
         raise InvalidInputError("iteration bound above k/2 voids the failure analysis")
-    aug = augment_with_dummies(f, M, max(k, 1), rank=k)
+    aug = augment_with_dummies(f, M, max(k, 1))
     opt = crude_opt_estimate(f, M)
     ground = list(range(f.n))
     W = max((f.evaluate([u]) for u in ground), default=0.0)
@@ -328,11 +311,9 @@ def random_lazy_greedy(
         if structure is None:
             raise InvalidInputError("partition fast path needs a partition matroid")
         blocks, caps = structure
-        state: LazyGreedyState = PartitionLazyGreedyState(
-            blocks, caps, W, delta, k, B, I, opt
-        )
+        state: LazyGreedyState = PartitionLazyGreedyState(blocks, caps, W, delta, k)
     else:
-        state = LazyGreedyState(ground, W, delta, k, B, I, opt)
+        state = LazyGreedyState(ground, W, delta, k)
     state.solution_value = aug.f.evaluate([])
 
     dummy_pool = list(aug.dummy_ids())

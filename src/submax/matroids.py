@@ -19,12 +19,24 @@ from .oracles import Subset, ValueOracle
 
 
 class Matroid(Counted):
+    _rank: Optional[int] = None
+
     def is_independent(self, members: Iterable[int]) -> bool:
         self.ledger.charge_independence(1)
         return self._indep(members)
 
     def _indep(self, members: Iterable[int]) -> bool:
         raise NotImplementedError
+
+    def rank(self) -> int:
+        """The rank: one greedy scan on the first call, then kept on the handle.
+
+        Clones made after the scan share the result; views derive theirs
+        from their base's rank without a query.
+        """
+        if self._rank is None:
+            self._rank = len(greedy_basis(self))
+        return self._rank
 
     def partition_structure(self) -> Optional[tuple[list[list[int]], list[int]]]:
         """(blocks, capacities) when this handle is a generalized partition matroid."""
@@ -208,13 +220,9 @@ class ExplicitMatroid(Matroid):
         super().__init__(n, ledger)
         if n > 16:
             raise InvalidInputError("explicit matroids are meant for n <= 16")
-        family = set()
-        for s in independent_sets:
-            fs = frozenset(s)
-            if any(not 0 <= u < n for u in fs):
-                raise InvalidInputError("independent set outside ground set")
-            family.add(fs)
-        self._family = family
+        self._family = {
+            self._id_set(s, f"independent[{i}]") for i, s in enumerate(independent_sets)
+        }
 
     def _indep(self, members: Iterable[int]) -> bool:
         key = frozenset(members)
@@ -250,6 +258,10 @@ class ContractedMatroid(View, Matroid):
     def ground(self) -> list[int]:
         return [u for u in range(self.n) if u not in self._contracted_set]
 
+    def rank(self) -> int:
+        # the contracted set is independent, so it takes exactly its size
+        return self._base.rank() - len(self._contracted)
+
 
 class RankCappedMatroid(View, Matroid):
     """Truncation view: independent iff |T| <= cap and independent in the base."""
@@ -271,9 +283,8 @@ class RankCappedMatroid(View, Matroid):
     def ground(self):
         return self._base.ground()
 
-
-def contract(M: Matroid, S: Subset) -> ContractedMatroid:
-    return ContractedMatroid(M, S)
+    def rank(self) -> int:
+        return min(self.cap, self._base.rank())
 
 
 class DummyValueOracle(View, ValueOracle):
@@ -348,40 +359,31 @@ class DummyAugmentedProblem:
         return {u for u in S if u < self.n_real}
 
 
-def augment_with_dummies(
-    f: ValueOracle,
-    M: Optional[Matroid],
-    d: int,
-    rank: Optional[int] = None,
-) -> DummyAugmentedProblem:
+def augment_with_dummies(f: ValueOracle, M: Optional[Matroid], d: int) -> DummyAugmentedProblem:
     if d < 1:
         raise InvalidInputError("need at least one dummy element")
     aug_f = DummyValueOracle(f, d)
-    aug_m = None
-    if M is not None:
-        if rank is None:
-            rank = matroid_rank(M)
-        aug_m = DummyAugmentedMatroid(M, d, rank)
+    aug_m = None if M is None else DummyAugmentedMatroid(M, d, matroid_rank(M))
     return DummyAugmentedProblem(f=aug_f, matroid=aug_m, n_real=f.n, d=d)
 
 
-def greedy_basis(M: Matroid, ground: Optional[Iterable[int]] = None) -> set[int]:
-    """Greedy scan of ``ground`` (default ``M.ground()``) in its order.
+def greedy_basis(M: Matroid) -> set[int]:
+    """Greedy scan of ``M.ground()`` in its order.
 
     Costs exactly one independence query per scanned id. Each query is the
     basis so far plus one id, so the graphic oracle answers from its prefix
     cache.
     """
     basis: list[int] = []
-    for u in M.ground() if ground is None else ground:
+    for u in M.ground():
         basis.append(u)
         if not M.is_independent(basis):
             basis.pop()
     return set(basis)
 
 
-def matroid_rank(M: Matroid, ground: Optional[Iterable[int]] = None) -> int:
-    return len(greedy_basis(M, ground))
+def matroid_rank(M: Matroid) -> int:
+    return M.rank()
 
 
 def remove_self_loops(M: Matroid) -> list[int]:

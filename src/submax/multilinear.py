@@ -116,7 +116,7 @@ def continuous_greedy(
     m = estimator_sample_count(c, n_eff, delta, sample_scale)
     steps = math.ceil(1.0 / delta)
 
-    rank = matroid_rank(M, ground_ids)
+    rank = matroid_rank(M)
 
     x = np.zeros(f.n)
     point = FractionalPoint(n=f.n)

@@ -246,11 +246,8 @@ class TableOracle(ValueOracle):
         if n > 16:
             raise InvalidInputError("table oracles are meant for n <= 16")
         table = {}
-        for members, value in entries.items():
-            key = frozenset(members)
-            if any(not 0 <= u < n for u in key):
-                raise InvalidInputError("table entry outside ground set")
-            table[key] = float(value)
+        for i, (members, value) in enumerate(entries.items()):
+            table[self._id_set(members, f"entries[{i}]")] = float(value)
         if len(table) != 2 ** n:
             raise InvalidInputError("table must define every subset")
         _check_weights(table.values(), "table values")
@@ -289,37 +286,6 @@ class ResidualOracle(View, ValueOracle):
         combined = list(members)
         combined.extend(self._anchor)
         return self._base.evaluate(combined) - self._f_anchor
-
-
-def make_coverage(
-    sets: Sequence[Iterable[int]],
-    universe_size: int,
-    weights: Optional[Sequence[float]] = None,
-    ledger: Optional[QueryLedger] = None,
-) -> CoverageOracle:
-    return CoverageOracle(sets, universe_size, weights, ledger)
-
-
-def make_directed_cut(
-    n: int, arcs: Iterable[tuple[int, int, float]], ledger: Optional[QueryLedger] = None
-) -> DirectedCutOracle:
-    return DirectedCutOracle(n, arcs, ledger)
-
-
-def make_facility_location(
-    values: Sequence[Sequence[float]], ledger: Optional[QueryLedger] = None
-) -> FacilityLocationOracle:
-    return FacilityLocationOracle(values, ledger)
-
-
-def make_modular(weights: Sequence[float], ledger: Optional[QueryLedger] = None) -> ModularOracle:
-    return ModularOracle(weights, ledger)
-
-
-def make_table(
-    n: int, entries: dict[frozenset[int], float], ledger: Optional[QueryLedger] = None
-) -> TableOracle:
-    return TableOracle(n, entries, ledger)
 
 
 def check_submodular(f: ValueOracle, max_n: int = 12) -> bool:

@@ -20,16 +20,16 @@ import numpy as np
 import pytest
 
 from submax import (
+    ContractedMatroid,
     FractionalPoint,
+    ModularOracle,
     QueryLedger,
     RunConfig,
     UniformMatroid,
     brute_force_opt,
-    contract,
     estimate_marginal_F,
     generate_instance,
     generate_matroid,
-    make_modular,
     random_lazy_greedy,
     random_sampling_monotone,
     run_experiment,
@@ -234,7 +234,7 @@ def test_criterion_5_exact_query_ceilings():
         (oracle_from_dict(COV12), matroid_from_dict(PART12)),
         (oracle_from_dict(COV12), UniformMatroid(12, 4)),
         (oracle_from_dict(COV16), UniformMatroid(16, 5)),
-        (make_modular((5.0, 3.0, 8.0, 1.0, 2.0, 9.0)), UniformMatroid(6, 2)),
+        (ModularOracle((5.0, 3.0, 8.0, 1.0, 2.0, 9.0)), UniformMatroid(6, 2)),
     ]
     for eps in (1.0 / 6.0, 0.25):
         for f0, M0 in fixtures:
@@ -325,7 +325,7 @@ def test_criterion_7_residual_bound(lazy_phase_outcomes):
         if S not in cache:
             fS = probe.evaluate(sorted(S))
             gains = {u: probe.evaluate(sorted(S | {u})) - fS for u in range(12) if u not in S}
-            view = contract(m_probe, S)
+            view = ContractedMatroid(m_probe, S)
             best = 0.0
             rest = [u for u in range(12) if u not in S]
             for r in range(len(rest) + 1):
@@ -377,7 +377,7 @@ def test_criterion_8_swap_round_independence():
 def test_criterion_8_modular_preservation_and_estimator_bias():
     rng = np.random.default_rng(8100)
     weights = (4.0, 1.0, 3.0, 2.0, 5.0)
-    f = make_modular(weights)
+    f = ModularOracle(weights)
     M = UniformMatroid(5, 2)
     point = FractionalPoint(
         n=5,

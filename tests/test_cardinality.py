@@ -10,14 +10,14 @@ from submax import (
     CoverageOracle,
     FillState,
     InvalidInputError,
+    ModularOracle,
     QueryLedger,
+    TableOracle,
     augment_with_dummies,
     brute_force_opt,
     draw_rank,
     lazy_greedy_improved,
     lazy_greedy_simple,
-    make_modular,
-    make_table,
     nonmonotone_regime_threshold,
     random_greedy,
     random_sampling,
@@ -49,13 +49,13 @@ def declining_table():
         frozenset({1}): 1.0,
         frozenset({0, 1}): 0.0,
     }
-    return make_table(2, entries)
+    return TableOracle(2, entries)
 
 
 class TestStandardGreedy:
     def test_modular_exact_top_k(self):
         weights = (3.0, 9.0, 1.0, 7.0, 5.0)
-        assert standard_greedy(make_modular(weights), 3) == {1, 3, 4}
+        assert standard_greedy(ModularOracle(weights), 3) == {1, 3, 4}
 
     def test_coverage4_reaches_optimum(self):
         f = coverage4()
@@ -89,7 +89,7 @@ class TestFacilityLocationEndToEnd:
 class TestRandomGreedy:
     def test_distribution_matches_exact_chain(self):
         # weights (4,3,2,1), k=2: outcome law {0,1}: 1/2, {0,2}: 1/4, {1,2}: 1/4
-        f = make_modular((4.0, 3.0, 2.0, 1.0))
+        f = ModularOracle((4.0, 3.0, 2.0, 1.0))
         counts = Counter()
         trials = 10 ** 4
         for seed in range(trials):
@@ -227,7 +227,7 @@ class TestRandomSamplingNonmonotone:
         # k = 150 puts the regime threshold below 1/e, activating the sampler
         n = 200
         weights = [float(1 + (i % 7)) for i in range(n)]
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         threshold = nonmonotone_regime_threshold(150)
         assert threshold < 1.0 / math.e
         S = random_sampling_nonmonotone(f, 150, 0.35, rng)
@@ -287,11 +287,11 @@ class TestFillState:
 
 class TestLazyGreedySimple:
     def test_k1_returns_unique_max_for_small_delta(self, rng):
-        f = make_modular((1.0, 5.0, 2.0))
+        f = ModularOracle((1.0, 5.0, 2.0))
         assert lazy_greedy_simple(f, 1, 0.1, rng) == {1}
 
     def test_all_zero_function_returns_nothing_real(self, rng):
-        f = make_modular((0.0, 0.0, 0.0, 0.0))
+        f = ModularOracle((0.0, 0.0, 0.0, 0.0))
         S = lazy_greedy_simple(f, 2, 0.2, rng)
         assert S == set()
         assert f.uncounted().evaluate(S) == 0.0
@@ -322,7 +322,7 @@ class TestLazyGreedySimple:
 
 class TestLazyGreedyImproved:
     def test_modular_rescans_only_from_repicked_elements(self):
-        f = make_modular((8.0, 7.5, 7.0, 6.5, 6.0, 5.5))
+        f = ModularOracle((8.0, 7.5, 7.0, 6.5, 6.0, 5.5))
         for seed in range(30):
             trace: dict = {}
             lazy_greedy_improved(f, 3, 0.1, np.random.default_rng(seed), trace=trace)

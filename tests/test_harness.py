@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -10,15 +11,16 @@ import pytest
 from submax import (
     InstanceTooLargeError,
     InvalidInputError,
+    ModularOracle,
     RunConfig,
     UniformMatroid,
     brute_force_opt,
     generate_instance,
     generate_matroid,
-    make_modular,
     run_experiment,
     summarize,
 )
+from submax import matroids
 from submax.cli import main as cli_main
 from submax.harness import (
     ALGORITHMS,
@@ -44,25 +46,25 @@ class TestBruteForce:
 
     def test_modular_uniform_top_k(self):
         weights = (9.0, 2.0, 7.0, 5.0)
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         value, witness = brute_force_opt(f, UniformMatroid(4, 2))
         assert value == 16.0 and witness == {0, 2}
 
     def test_empty_ground_set(self):
-        f = make_modular(())
+        f = ModularOracle(())
         value, witness = brute_force_opt(f, 0)
         assert value == 0.0 and witness == set()
 
     def test_nonmonotone_checks_all_sizes(self):
         # taking fewer than k elements can win for a cut objective
-        from submax import make_directed_cut
+        from submax import DirectedCutOracle
 
-        f = make_directed_cut(3, [(0, 1, 5.0), (1, 0, 1.0)])
+        f = DirectedCutOracle(3, [(0, 1, 5.0), (1, 0, 1.0)])
         value, witness = brute_force_opt(f, 3)
         assert value == 5.0 and witness == {0}
 
     def test_refuses_oversized_cardinality_instance(self):
-        f = make_modular(tuple(float(i) for i in range(25)))
+        f = ModularOracle(tuple(float(i) for i in range(25)))
         with pytest.raises(InstanceTooLargeError):
             brute_force_opt(f, 3)
 
@@ -188,6 +190,16 @@ class TestInstanceSpecValidation:
         with pytest.raises(InvalidInputError, match=r"entries\[0\]"):
             oracle_from_dict(spec)
 
+    def test_fractional_table_id_rejected(self):
+        spec = {"kind": "table", "n": 1, "entries": [[[], 0], [[0.5], 1]]}
+        with pytest.raises(InvalidInputError, match=r"entries\[1\]"):
+            oracle_from_dict(spec)
+
+    def test_fractional_explicit_id_rejected(self):
+        spec = {"kind": "explicit", "n": 2, "independent": [[], [0.5]]}
+        with pytest.raises(InvalidInputError, match=r"independent\[1\]"):
+            matroid_from_dict(spec)
+
 
 # Tiny configs that reach every view (residual, dummy value, contraction,
 # rank cap, dummy augmentation, the zero-capacity partition residual) and
@@ -204,94 +216,136 @@ def _golden(algo, matroid=None, **params):
     )
 
 
-# SHA-256 of each config's CSV bytes. A change that alters the query bill
-# on purpose updates these and says so in CHANGES.md.
-GOLDEN_CSV_SHA256 = {
+# Per config: the SHA-256 of its CSV bytes with the two query columns
+# blanked, and each row's (value_queries, independence_queries). Together
+# they fix every byte of the CSV. A change that alters the query bill on
+# purpose updates only the count tables and says so in CHANGES.md.
+GOLDEN_CSV = {
     "combined-partition": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
-        "f20d115cc43e779d94e2af396a8ce58f9c6cb4cf7fc71f348621d3775311cd0d",
+        "bf7e702ac79c3cc8ab87970940fd667eb4bef160de803c847f45db2b342048ab",
+        [(20330, 4818), (21350, 5064)],
     ),
     "combined-partition-contracted": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
-        "371aa64cda67bd9585473da72e38bdcb3bfc9a62c01c46702c3b6984cc14a9b9",
+        "f1da8d55b406328ed5df8cb48db6ef9c0112b597a5701221e9c48b236b85a4b4",
+        [(4771, 3598), (4653, 3003)],
     ),
     "combined-graphic": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
-        "e5e7e573dab830c98cd43a4971af4a176612358cfa0044645a951e774fd8a6d1",
+        "33314eebb2212e603aa1e82d8f2bde69bfb1d85ef68c8e663d0c39d5c73a7fc2",
+        [(26901, 5662), (27447, 5577)],
     ),
     "combined-graphic-contracted": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=6.0, B=0.25, trials=2,
                 sample_scale=1e-6),
-        "53652e0a6c219ea00c1d234337eb8f6c2d1892a4f2df3de44c57192e3b1816cf",
+        "8cc78e5e8621641737bf520c7085388cc6c4ab71fec4499889d4601dc306c1ff",
+        [(8415, 5301), (8059, 4924)],
     ),
     "combined_partition-residual": (
         _golden("combined_partition", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
-        "24881b426bbfe90689a613bfff84c508ac3914d79ee77485b60be6e59c5014c1",
+        "a19ec07d8d6efa95544e586f70d798eeb8934b908989b3bd3b1bab6f9d900ab2",
+        [(4768, 3531), (4650, 2928)],
     ),
     "continuous_greedy-partition": (
         _golden("continuous_greedy", _GOLDEN_PART, epsilon=0.25, sample_scale=0.05),
-        "33d4c714c13761ce785f2803c1f3ac978a1f136904d65acab819f912dc0cd9c9",
+        "1046055b238154b00f776032c347f59a14f233ad52b825ca87998fc0802169ba",
+        [(4128, 345)],
     ),
     "continuous_greedy-graphic": (
         _golden("continuous_greedy", _GOLDEN_GRAPHIC, epsilon=0.25, sample_scale=0.05),
-        "6dd9e4b24c700c3eae3c6b3a304e6469c938987ad5ec73cb4aaf1bebac9f26f2",
+        "1046055b238154b00f776032c347f59a14f233ad52b825ca87998fc0802169ba",
+        [(4764, 378)],
     ),
     "thresholding_greedy": (
         _golden("thresholding_greedy", _GOLDEN_GRAPHIC, epsilon=0.25),
-        "e128ff325a3e88741891fd39c7d28c31e323351987455b3ff96d35f34a310c7b",
+        "a9cc3d691a55c16714edcb0a304dfa0823c09607125c2a867572f7fdb1f20d7a",
+        [(146, 266)],
     ),
     "random_lazy_greedy": (
         _golden("random_lazy_greedy", _GOLDEN_PART, delta=0.5, B=0.3, I=2, trials=2),
-        "b2c4f6d0528d2de56507efb912e95d3db81d3a6dd5feae7f2e839496fd008078",
+        "9c13d08622e4f87ee58a83c3858a594b7178cc8854ad3808aa10d6ed7cc96094",
+        [(206, 488), (202, 484)],
     ),
     "lazy_greedy_improved": (
         _golden("lazy_greedy_improved", k=6, delta=0.2, trials=2),
-        "46f504af83a379f34b0cb42a9d4ee7a1504b36434a949b0d29abd49ae69f4269",
+        "8a32401a8113169e448bb04c397ea13486796c1787ec134b8c77a0fccd0f2130",
+        [(189, 0), (213, 0)],
     ),
     "lazy_greedy_simple": (
         _golden("lazy_greedy_simple", k=6, delta=0.2, trials=2),
-        "10e887f30c9a579417f4105999a7dabb6c221eff8278be9611d713ad09904bee",
+        "4f4abc14c21370c9e1f5dcddcaf19e3e8091768580662f8186d2912919ed18a0",
+        [(265, 0), (267, 0)],
     ),
     "standard_greedy": (
         _golden("standard_greedy", k=6),
-        "91af83cb7ebb306ee44cfa06c968596e60c31f5872312f7d0b88fb9e778310dc",
+        "a715feb355a01b3f6354e9ea93f1d17cd1f926f4e5afec2db5f57317b6019497",
+        [(130, 0)],
     ),
     "random_greedy": (
         _golden("random_greedy", k=6, trials=2),
-        "c1149279b8f4049cf92a5ca226f455525a0656036f1a5a6a1f10a5d9ff8591de",
+        "8d3a7850bdbe4f444d57b2ae571487fd171cf1e6ac56fa2701f1695c4abfb9a9",
+        [(130, 0), (130, 0)],
     ),
     "random_sampling": (
         _golden("random_sampling", k=6, p=0.25, s=2.0, trials=2),
-        "e3a301814270759456434ef1d3d9f2e70cdb434785eedf60a0605e92053e63b5",
+        "b055e540a2f54e40be5525b87b5aa9f30349e562afd739bfd27904b01e5a9b71",
+        [(37, 0), (37, 0)],
     ),
     "random_sampling_monotone": (
         _golden("random_sampling_monotone", k=6, epsilon=0.25, trials=2),
-        "8239cb6359a80b42ff687ffc6b7ed002da24caf7b939a578a10a7b9669af9865",
+        "54e4a8a89794f91887487338cf890b82c4fe1aa338e9994de4cee9f7ec574636",
+        [(37, 0), (37, 0)],
     ),
     "random_sampling_nonmonotone": (
         _golden("random_sampling_nonmonotone", k=6, epsilon=0.25, trials=2),
-        "68fb2b3b9f97594e9dc504427dcf3e91e42ab6ec8d88d02e880109b082e97f2c",
+        "3dd8f8c2b6bcbf71d1db3590d0ca6b8a63b7c69ed04e43fe3bd69c25078e1916",
+        [(130, 0), (130, 0)],
     ),
     # rank 1 takes the combined algorithm's single-element shortcut
     "combined-rank1": (
         _golden("combined", {"kind": "uniform", "n": 24, "k": 1}, epsilon=0.25, lam=1.0,
                 trials=2),
-        "8e0dd3031383d055eaf127306ba304b211e860a4238fdb0c2eed661f31bf5931",
+        "53087e8cae153f4e281b835d5ad499eda3dba2a440c6ad4488792f2f29e037d3",
+        [(24, 48), (24, 48)],
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def _blanked_csv_and_bill(records):
+    blanked = [dataclasses.replace(r, value_queries="", independence_queries="") for r in records]
+    bill = [(r.value_queries, r.independence_queries) for r in records]
+    return hashlib.sha256(records_to_csv_bytes(blanked)).hexdigest(), bill
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
 def test_golden_csv_bytes(name):
-    config, expected = GOLDEN_CSV_SHA256[name]
-    digest = hashlib.sha256(records_to_csv_bytes(run_experiment(config))).hexdigest()
-    assert digest == expected
+    config, expected_digest, expected_bill = GOLDEN_CSV[name]
+    digest, bill = _blanked_csv_and_bill(run_experiment(config))
+    assert bill == expected_bill
+    assert digest == expected_digest
+
+
+def test_combined_scans_for_the_rank_once_per_trial(monkeypatch):
+    # the lazy phase, the crude OPT estimate, continuous greedy, swap rounding
+    # and the CSV's k all read the one rank kept on the trial's handle
+    scans = []
+    scan = matroids.greedy_basis
+
+    def counting_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(matroids, "greedy_basis", counting_scan)
+    config = GOLDEN_CSV["combined-graphic"][0]
+    run_experiment(config)
+    assert len(scans) == config.trials
 
 
 def test_every_registered_algorithm_has_a_golden_config():
-    assert {config.algo for config, _ in GOLDEN_CSV_SHA256.values()} == set(ALGORITHMS)
+    assert {config.algo for config, _, _ in GOLDEN_CSV.values()} == set(ALGORITHMS)
 
 
 def test_readme_lists_the_registered_algorithms():
@@ -528,6 +582,38 @@ class TestCli:
         ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("submax: error: ") and err.count("\n") == 1
+
+    def _one_line_error(self, capsys, field):
+        err = capsys.readouterr().err
+        assert err.startswith("submax: error: ") and field in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_non_numeric_lambda_is_one_line_error(self, tmp_path, capsys):
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        save_json(COV4_SPEC, inst)
+        save_json({"kind": "partition", "blocks": [[0, 1], [2, 3]], "capacities": [1, 1]}, mat)
+        assert cli_main([
+            "sweep-lambda", "--instance", str(inst), "--matroid", str(mat),
+            "--epsilon", "0.25", "--lambdas", "1,x", "--out", str(tmp_path / "s.csv"),
+        ]) == 2
+        self._one_line_error(capsys, "--lambdas")
+
+    def test_instance_file_holding_a_list_is_one_line_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text("[[0, 1], [1, 2]]")
+        assert cli_main([
+            "run", "--algo", "standard_greedy", "--instance", str(inst), "--k", "2",
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        self._one_line_error(capsys, "instance spec")
+
+    def test_summarize_without_k_column_is_one_line_error(self, tmp_path, capsys):
+        columns = [c for c in CSV_COLUMNS if c != "k"]
+        row = ["x", "4", "", "", "0", "0", "1.0", "", "3", "0", "False", "0.0"]
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(columns) + "\n" + ",".join(row) + "\n")
+        assert cli_main(["summarize", "--input", str(path)]) == 2
+        self._one_line_error(capsys, "'k'")
 
     def test_unknown_algo_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

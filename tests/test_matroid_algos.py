@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submax import (
+    DirectedCutOracle,
     InvalidInputError,
     LazyGreedyState,
+    ModularOracle,
     PartitionLazyGreedyState,
     PartitionMatroid,
     QueryLedger,
@@ -20,8 +22,7 @@ from submax import (
     combined_parameters,
     linear_greedy,
     linear_greedy_partition,
-    make_modular,
-    make_directed_cut,
+    matroid_rank,
     random_lazy_greedy,
     thresholding_greedy,
 )
@@ -35,7 +36,7 @@ from .conftest import (
 )
 
 
-def make_state(f, M, delta, B=1.0, I=1, opt=None, k=None):
+def make_state(f, M, delta, k=None):
     probe_m = M.uncounted()
     if k is None:
         basis: list[int] = []
@@ -45,17 +46,42 @@ def make_state(f, M, delta, B=1.0, I=1, opt=None, k=None):
         k = len(basis)
     probe = f.uncounted()
     W = max((probe.evaluate([u]) for u in range(f.n)), default=0.0)
-    if opt is None:
-        opt, _ = brute_force_opt(f, M)
-    state = LazyGreedyState(list(range(f.n)), W, delta, k, B, I, opt)
+    state = LazyGreedyState(list(range(f.n)), W, delta, k)
     state.solution_value = f.evaluate([])
     return state
 
 
+class _RecordingUniform(UniformMatroid):
+    """Uniform matroid that records the members of every independence query."""
+
+    def __init__(self, n, k):
+        super().__init__(n, k)
+        self.queries = []
+
+    def is_independent(self, members):
+        self.queries.append(list(members))
+        return super().is_independent(members)
+
+
 class TestThresholdingGreedy:
+    def test_makes_no_query_for_a_member_of_its_solution(self):
+        # equal weights: level 0 takes ids 0..r-1, and no later level can add one
+        n, r, eps = 8, 3, 0.25
+        f = ModularOracle([1.0] * n)
+        M = _RecordingUniform(n, r)
+        matroid_rank(M)
+        M.queries.clear()
+        S = thresholding_greedy(f, M, eps)
+        assert S == set(range(r))
+        levels = geometric_level_count(eps, eps / r)
+        assert all(q[-1] not in S for q in M.queries[n:])
+        assert len(M.queries) == n + (levels - 1) * (n - r)
+        # f(empty), the n singletons, and the r acceptances of level 0
+        assert f.ledger.value_queries == 1 + n + r
+
     def test_modular_uniform_near_top_k(self):
         weights = (9.0, 7.0, 5.0, 3.0, 1.0, 8.0)
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         M = UniformMatroid(6, 3)
         eps = 0.05
         S = thresholding_greedy(f, M, eps)
@@ -70,7 +96,7 @@ class TestThresholdingGreedy:
         assert f.uncounted().evaluate(S) >= opt / 3.0
 
     def test_single_positive_element_is_taken(self):
-        f = make_modular((2.0,))
+        f = ModularOracle((2.0,))
         assert thresholding_greedy(f, UniformMatroid(1, 1), 0.2) == {0}
 
     def test_deterministic(self):
@@ -85,13 +111,13 @@ class TestThresholdingGreedy:
         assert M.uncounted().is_independent(S)
 
     def test_zero_function_returns_empty(self):
-        f = make_modular((0.0, 0.0, 0.0))
+        f = ModularOracle((0.0, 0.0, 0.0))
         assert thresholding_greedy(f, UniformMatroid(3, 2), 0.2) == set()
 
     def test_all_loops_returns_empty(self):
         from submax import ExplicitMatroid
 
-        f = make_modular((1.0, 2.0))
+        f = ModularOracle((1.0, 2.0))
         M = ExplicitMatroid(2, [[]])  # every singleton is a loop
         assert thresholding_greedy(f, M, 0.2) == set()
 
@@ -114,7 +140,7 @@ class TestThresholdingGreedy:
 class TestLinearGreedy:
     def test_modular_first_call_matches_max_weight_basis(self):
         weights = (9.0, 3.0, 7.0, 5.0, 1.0, 8.0)
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         M = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [1, 2])
         delta = 0.2
         state = make_state(f, M, delta)
@@ -131,9 +157,9 @@ class TestLinearGreedy:
         assert got >= (1 - delta) * best - delta * best
 
     def test_all_zero_function_returns_nothing(self):
-        f = make_modular((0.0, 0.0, 0.0))
+        f = ModularOracle((0.0, 0.0, 0.0))
         M = UniformMatroid(3, 2)
-        state = make_state(f, M, 0.3, opt=0.0)
+        state = make_state(f, M, 0.3)
         assert linear_greedy(state, f, M) == set()
 
     def test_residual_quality_vs_brute_force(self):
@@ -146,7 +172,7 @@ class TestLinearGreedy:
         M = PartitionMatroid([[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]], [1, 1, 1])
         delta = 0.2
         opt, _ = brute_force_opt(f, M)
-        state = make_state(f, M, delta, opt=opt)
+        state = make_state(f, M, delta)
         probe = f.uncounted()
         for _ in range(2):
             chosen = linear_greedy(state, f, M)
@@ -193,23 +219,21 @@ class TestLinearGreedy:
 
 
 def contracted(M, S):
-    from submax import contract
+    from submax import ContractedMatroid
 
-    return contract(M.uncounted(), S)
+    return ContractedMatroid(M.uncounted(), S)
 
 
 class TestLinearGreedyPartition:
     def test_matches_general_variant_on_tie_free_instance(self):
         weights = (9.0, 3.5, 7.0, 5.0, 1.0, 8.0, 6.0, 2.0)
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         M = PartitionMatroid([[0, 1, 2, 3], [4, 5, 6, 7]], [2, 1])
         delta = 0.3
         s_gen = make_state(f, M, delta)
         s_par_base = make_state(f, M, delta)
         blocks, caps = M.partition_structure()
-        s_par = PartitionLazyGreedyState(
-            blocks, caps, s_par_base.W, delta, s_par_base.k, 1.0, 1, s_par_base.opt
-        )
+        s_par = PartitionLazyGreedyState(blocks, caps, s_par_base.W, delta, s_par_base.k)
         s_par.solution_value = 0.0
         s_gen.solution_value = 0.0
         for _ in range(2):
@@ -228,10 +252,10 @@ class TestLinearGreedyPartition:
                     s.solution_value += s.accept_marginals[u]
 
     def test_zero_capacities_give_empty_set(self):
-        f = make_modular((1.0, 2.0))
+        f = ModularOracle((1.0, 2.0))
         M = PartitionMatroid([[0], [1]], [0, 0])
         blocks, caps = M.partition_structure()
-        state = PartitionLazyGreedyState(blocks, caps, 2.0, 0.3, 0, 1.0, 1, 2.0)
+        state = PartitionLazyGreedyState(blocks, caps, 2.0, 0.3, 0)
         state.solution_value = 0.0
         assert linear_greedy_partition(state, f, M) == set()
 
@@ -240,7 +264,7 @@ class TestLinearGreedyPartition:
         f = coverage12(ledger)
         M = partition12(ledger)
         blocks, caps = M.partition_structure()
-        state = PartitionLazyGreedyState(blocks, caps, 4.0, 0.4, 4, 1.0, 1, 10.0)
+        state = PartitionLazyGreedyState(blocks, caps, 4.0, 0.4, 4)
         state.solution_value = 0.0
         before = ledger.independence_queries
         linear_greedy_partition(state, f, M)
@@ -256,8 +280,8 @@ class TestLinearGreedyPartition:
         delta = 0.2
         opt, _ = brute_force_opt(f, M)
         blocks, caps = M.partition_structure()
-        base = make_state(f, M, delta, opt=opt)
-        state = PartitionLazyGreedyState(blocks, caps, base.W, delta, base.k, 1.0, 1, opt)
+        base = make_state(f, M, delta)
+        state = PartitionLazyGreedyState(blocks, caps, base.W, delta, base.k)
         state.solution_value = 0.0
         probe = f.uncounted()
         chosen = linear_greedy_partition(state, f, M)
@@ -270,9 +294,9 @@ class TestLinearGreedyPartition:
     def test_rejects_non_partition_matroid(self):
         from submax import GraphicMatroid
 
-        f = make_modular((1.0, 1.0, 1.0))
+        f = ModularOracle((1.0, 1.0, 1.0))
         M = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
-        state = PartitionLazyGreedyState([[0, 1, 2]], [2], 1.0, 0.3, 2, 1.0, 1, 2.0)
+        state = PartitionLazyGreedyState([[0, 1, 2]], [2], 1.0, 0.3, 2)
         state.solution_value = 0.0
         with pytest.raises(InvalidInputError):
             linear_greedy_partition(state, f, M)
@@ -362,7 +386,7 @@ class TestCombinedAlgorithm:
 
     def test_rank_one_bypass_scans_for_the_best_singleton(self, rng):
         weights = (2.0, 7.0, 5.0)
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         M = UniformMatroid(3, 1)
         result = combined_algorithm(f, M, 0.25, 1.0, rng)
         assert result.solution == frozenset({1})
@@ -382,7 +406,7 @@ class TestCombinedAlgorithm:
             combined_algorithm(f, M, 0.9, 2.0, rng)
         with pytest.raises(InvalidInputError):
             combined_algorithm(f, M, 0.25, 99.0, rng)
-        cut = make_directed_cut(3, [(0, 1, 1.0)])
+        cut = DirectedCutOracle(3, [(0, 1, 1.0)])
         with pytest.raises(InvalidInputError):
             combined_algorithm(cut, UniformMatroid(3, 2), 0.25, 1.0, rng)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from submax import (
     ContractedMatroid,
+    CoverageOracle,
     ExplicitMatroid,
     FractionalPoint,
     GraphicMatroid,
@@ -21,9 +22,7 @@ from submax import (
     UniformMatroid,
     augment_with_dummies,
     check_exchange_axiom,
-    contract,
     greedy_basis,
-    make_coverage,
     matroid_rank,
     remove_self_loops,
     swap_round,
@@ -70,36 +69,36 @@ class TestIsIndependent:
 
 class TestContraction:
     def test_uniform_residual_capacity(self):
-        view = contract(UniformMatroid(6, 3), {0})
+        view = ContractedMatroid(UniformMatroid(6, 3), {0})
         assert view.is_independent({1, 2})
         assert not view.is_independent({1, 2, 3})
 
     def test_empty_contraction_identity(self):
         M = UniformMatroid(5, 2)
-        view = contract(M, set())
+        view = ContractedMatroid(M, set())
         for r in range(4):
             for combo in itertools.combinations(range(5), r):
                 assert view.uncounted().is_independent(combo) == M.uncounted().is_independent(combo)
 
     def test_graphic_contract_edge(self):
         M = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
-        view = contract(M, {0})
+        view = ContractedMatroid(M, {0})
         assert not view.is_independent({1, 2})
         assert view.is_independent({1})
 
     def test_view_query_costs_one_base_query(self, ledger):
         M = PartitionMatroid([[0, 1], [2, 3]], [1, 1], ledger)
-        view = contract(M, {0})
+        view = ContractedMatroid(M, {0})
         before = ledger.independence_queries
         view.is_independent({2})
         assert ledger.independence_queries == before + 1
 
     def test_dependent_set_rejected(self):
         with pytest.raises(InvalidInputError):
-            contract(UniformMatroid(4, 1), {0, 1})
+            ContractedMatroid(UniformMatroid(4, 1), {0, 1})
 
     def test_view_ground_excludes_contracted_ids(self):
-        view = contract(UniformMatroid(5, 3), {1, 3})
+        view = ContractedMatroid(UniformMatroid(5, 3), {1, 3})
         assert list(view.ground()) == [0, 2, 4]
 
     def test_consistency_on_random_sets(self, rng):
@@ -109,7 +108,7 @@ class TestContraction:
             for fs in enumerate_independent(M):
                 if len(fs) == 0:
                     continue
-                view = contract(probe, fs)
+                view = ContractedMatroid(probe, fs)
                 rest = [u for u in range(M.n) if u not in fs]
                 for r in range(len(rest) + 1):
                     for combo in itertools.combinations(rest, r):
@@ -137,14 +136,14 @@ class TestDummyAugmentation:
     def test_size_cap_binds(self):
         M = UniformMatroid(6, 3)
         f = coverage4()
-        aug = augment_with_dummies(f, M, 3, rank=3)
+        aug = augment_with_dummies(f, M, 3)
         # two real independent elements plus two dummies exceed rank 3
         assert not aug.matroid.uncounted().is_independent({0, 1, 4, 5})
         assert aug.matroid.uncounted().is_independent({0, 1, 4})
 
     def test_augmented_independence_charges_exactly_one(self, ledger):
         f = coverage4(ledger)
-        aug = augment_with_dummies(f, UniformMatroid(4, 2, ledger), 2, rank=2)
+        aug = augment_with_dummies(f, UniformMatroid(4, 2, ledger), 2)
         before = ledger.independence_queries
         aug.matroid.is_independent({0, 1, 4})  # decided by the size cap alone
         assert ledger.independence_queries == before + 1
@@ -154,11 +153,11 @@ class TestDummyAugmentation:
     def test_wrapper_clones_charge_the_new_ledger(self):
         f = coverage4()
         M = UniformMatroid(4, 2)
-        aug = augment_with_dummies(f, M, 2, rank=2)
+        aug = augment_with_dummies(f, M, 2)
         fresh = QueryLedger()
         aug.f.with_ledger(fresh).evaluate({0, 4})
         aug.matroid.with_ledger(fresh).is_independent({0, 4})
-        view = contract(M, {0}).with_ledger(fresh)
+        view = ContractedMatroid(M, {0}).with_ledger(fresh)
         view.is_independent({1})
         assert fresh.snapshot() == (1, 2)
         assert f.ledger.value_queries == 0
@@ -351,7 +350,7 @@ def test_contracted_graphic_matches_explicit_contraction(graph, data):
         if data.draw(st.booleans()) and _reference_independent(v, edges, S + [u]):
             S.append(u)
     ledger = QueryLedger()
-    view = contract(GraphicMatroid(v, edges, ledger), S)
+    view = ContractedMatroid(GraphicMatroid(v, edges, ledger), S)
     rest = [u for u in range(n) if u not in S]
     explicit = ExplicitMatroid(n, [
         combo
@@ -413,12 +412,9 @@ def _chain(handle):
     return chain
 
 
-@settings(max_examples=80, deadline=None)
-@given(base=small_base_matroids(), data=st.data())
-def test_matroid_views_charge_one_query_per_call(base, data):
-    ledger = base.ledger
-    view = base
-    for layer in data.draw(st.lists(st.sampled_from(["contract", "cap", "dummy"]), max_size=3)):
+def _compose(data, view, layers):
+    """Up to three random view layers of the given kinds over ``view``."""
+    for layer in data.draw(st.lists(st.sampled_from(layers), max_size=3)):
         if layer == "contract":
             view = ContractedMatroid(view, _draw_independent(data, view, list(view.ground())))
         elif layer == "cap":
@@ -426,6 +422,14 @@ def test_matroid_views_charge_one_query_per_call(base, data):
         else:
             d = data.draw(st.integers(min_value=1, max_value=3))
             view = DummyAugmentedMatroid(view, d, data.draw(st.integers(min_value=0, max_value=4)))
+    return view
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=small_base_matroids(), data=st.data())
+def test_matroid_views_charge_one_query_per_call(base, data):
+    ledger = base.ledger
+    view = _compose(data, base, ["contract", "cap", "dummy"])
     assert all(h.ledger is ledger for h in _chain(view))
     clone = view.uncounted() if data.draw(st.booleans()) else view.with_ledger(QueryLedger())
     assert all(h.ledger is clone.ledger for h in _chain(clone))
@@ -441,6 +445,21 @@ def test_matroid_views_charge_one_query_per_call(base, data):
         assert ledger.snapshot() == (before[0], before[1] + 1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(base=small_base_matroids(), data=st.data())
+def test_view_ranks_derive_from_the_base_rank(base, data):
+    view = _compose(data, base, ["contract", "cap"])
+    expected = len(greedy_basis(view.uncounted()))
+    clone = view.with_ledger(QueryLedger())
+    matroid_rank(base)
+    before = base.ledger.snapshot()
+    assert matroid_rank(view) == expected
+    assert base.ledger.snapshot() == before
+    # a clone made before the scan measures once, through its own chain
+    assert matroid_rank(clone) == expected
+    assert clone.ledger.independence_queries == base.n
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sets=st.lists(
@@ -449,7 +468,7 @@ def test_matroid_views_charge_one_query_per_call(base, data):
     data=st.data(),
 )
 def test_value_views_charge_one_query_per_call(sets, data):
-    f = make_coverage(sets, universe_size=6)
+    f = CoverageOracle(sets, universe_size=6)
     ledger = f.ledger
     view = f
     for layer in data.draw(st.lists(st.sampled_from(["residual", "dummy"]), max_size=3)):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from submax import (
+    DirectedCutOracle,
     FractionalPoint,
     InvalidInputError,
+    ModularOracle,
     PartitionMatroid,
     QueryLedger,
     UniformMatroid,
@@ -16,8 +18,6 @@ from submax import (
     crude_opt_estimate,
     estimate_marginal_F,
     estimator_sample_count,
-    make_directed_cut,
-    make_modular,
     swap_round,
 )
 
@@ -34,7 +34,7 @@ from .conftest import (
 
 class TestEstimateMarginalF:
     def test_modular_every_sample_is_exact(self, rng):
-        f = make_modular((3.0, 1.0, 2.0))
+        f = ModularOracle((3.0, 1.0, 2.0))
         x = FractionalPoint(n=3, weights=[0.5], bases=[frozenset({0, 1})])
         for u, w in enumerate((3.0, 1.0, 2.0)):
             assert estimate_marginal_F(f, x, u, 7, rng) == pytest.approx(w)
@@ -61,7 +61,7 @@ class TestEstimateMarginalF:
         assert abs(mean - exact) <= 3 * max(se, 1e-12)
 
     def test_unbiased_on_nonmonotone_fixture(self, rng):
-        f = make_directed_cut(5, [(0, 1, 2.0), (1, 2, 1.0), (3, 0, 4.0), (2, 4, 2.0)])
+        f = DirectedCutOracle(5, [(0, 1, 2.0), (1, 2, 1.0), (3, 0, 4.0), (2, 4, 2.0)])
         x = np.array([0.3, 0.6, 0.2, 0.8, 0.5])
         exact = exact_marginal_F(f, x, 0)
         runs = [estimate_marginal_F(f, x, 0, 8, rng) for _ in range(200)]
@@ -72,7 +72,7 @@ class TestEstimateMarginalF:
 class TestContinuousGreedy:
     def test_modular_uniform_concentrates_on_top_elements(self, rng):
         weights = (5.0, 1.0, 4.0, 2.0, 3.0)
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         M = UniformMatroid(5, 2)
         delta = 0.1
         point = continuous_greedy(f, M, c=2.0, delta=delta, rng=rng, sample_scale=0.05)
@@ -82,7 +82,7 @@ class TestContinuousGreedy:
         assert value >= (1 - delta) * top2
 
     def test_free_matroid_saturates(self, rng):
-        f = make_modular((2.0, 2.0, 2.0))
+        f = ModularOracle((2.0, 2.0, 2.0))
         M = UniformMatroid(3, 3)
         point = continuous_greedy(f, M, c=2.0, delta=0.25, rng=rng, sample_scale=0.2)
         coords = point.coords()
@@ -99,7 +99,7 @@ class TestContinuousGreedy:
             assert probe.is_independent(base)
 
     def test_rejects_nonmonotone_objective(self, rng):
-        f = make_directed_cut(3, [(0, 1, 1.0)])
+        f = DirectedCutOracle(3, [(0, 1, 1.0)])
         with pytest.raises(InvalidInputError):
             continuous_greedy(f, UniformMatroid(3, 1), c=2.0, delta=0.3, rng=rng)
 
@@ -132,7 +132,7 @@ class TestContinuousGreedy:
             ledger = QueryLedger()
             rng = np.random.default_rng(n * 17 + k)
             weights = [float(w) for w in range(1, n + 1)]
-            f = make_modular(weights).with_ledger(ledger)
+            f = ModularOracle(weights).with_ledger(ledger)
             M = UniformMatroid(n, k, ledger)
             continuous_greedy(f, M, c=c, delta=delta, rng=rng)
             bound = A * c * n * delta ** -4 * math.log(n / delta) ** 2
@@ -159,7 +159,7 @@ class TestSwapRound:
 
     def test_modular_expectation_preserved(self, rng):
         weights = (4.0, 1.0, 3.0, 2.0)
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         M = PartitionMatroid([[0, 1], [2, 3]], [1, 1])
         point = FractionalPoint(
             n=4,
@@ -244,14 +244,14 @@ class TestSwapRound:
 class TestCrudeOptEstimate:
     def test_modular_uniform_bracket(self):
         weights = (6.0, 5.0, 1.0, 3.0, 2.0)
-        f = make_modular(weights)
+        f = ModularOracle(weights)
         M = UniformMatroid(5, 2)
         opt = sum(sorted(weights)[-2:])
         est = crude_opt_estimate(f, M)
         assert opt <= est <= 3 * opt + 1e-9
 
     def test_single_element_ground_set(self):
-        f = make_modular((4.0,))
+        f = ModularOracle((4.0,))
         est = crude_opt_estimate(f, UniformMatroid(1, 1))
         assert est == pytest.approx(12.0)
         assert 4.0 <= est <= 12.0

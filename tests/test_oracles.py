@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submax import (
+    CoverageOracle,
+    DirectedCutOracle,
+    FacilityLocationOracle,
     InvalidInputError,
+    ModularOracle,
     QueryLedger,
+    TableOracle,
     ValueOracle,
     check_monotone,
     check_submodular,
-    make_coverage,
-    make_directed_cut,
-    make_facility_location,
-    make_modular,
-    make_table,
     marginal,
     sample_correlated_subset,
     standard_greedy,
@@ -36,7 +36,7 @@ class TestEvaluate:
             assert factory().evaluate(set()) == 0.0, name
 
     def test_modular_additivity(self):
-        f = make_modular((3.0, 1.0, 2.0))
+        f = ModularOracle((3.0, 1.0, 2.0))
         assert f.evaluate({0, 2}) == 5.0
 
     def test_each_call_charges_one_query(self, ledger):
@@ -66,7 +66,7 @@ class TestMarginal:
         assert marginal(f, 0, {0, 1}) == 0.0
 
     def test_modular_marginal(self):
-        f = make_modular((3.0, 1.0, 2.0))
+        f = ModularOracle((3.0, 1.0, 2.0))
         assert marginal(f, 1, {0}) == 1.0
 
     def test_costs_one_query_with_cached_value(self, ledger):
@@ -85,10 +85,10 @@ class TestMarginal:
 
 class TestConstructors:
     def test_modular_two_elements(self):
-        assert make_modular((1.0, 1.0)).evaluate({0, 1}) == 2.0
+        assert ModularOracle((1.0, 1.0)).evaluate({0, 1}) == 2.0
 
     def test_directed_cut_both_endpoints_inside(self):
-        f = make_directed_cut(2, [(0, 1, 5.0)])
+        f = DirectedCutOracle(2, [(0, 1, 5.0)])
         assert f.evaluate({0}) == 5.0
         assert f.evaluate({0, 1}) == 0.0
 
@@ -97,37 +97,37 @@ class TestConstructors:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidInputError):
-            make_modular((1.0, -2.0))
+            ModularOracle((1.0, -2.0))
         with pytest.raises(InvalidInputError):
-            make_coverage([[0]], 1, weights=[-1.0])
+            CoverageOracle([[0]], 1, weights=[-1.0])
         with pytest.raises(InvalidInputError):
-            make_directed_cut(2, [(0, 1, -3.0)])
+            DirectedCutOracle(2, [(0, 1, -3.0)])
 
     def test_modular_nan_weight_rejected(self):
         with pytest.raises(InvalidInputError, match="modular weights"):
-            make_modular((1.0, math.nan))
+            ModularOracle((1.0, math.nan))
 
     def test_coverage_inf_weight_rejected(self):
         with pytest.raises(InvalidInputError, match="coverage weights"):
-            make_coverage([[0], [1]], 2, weights=[1.0, math.inf])
+            CoverageOracle([[0], [1]], 2, weights=[1.0, math.inf])
 
     def test_facility_nan_value_rejected(self):
         with pytest.raises(InvalidInputError, match="facility values"):
-            make_facility_location([[1.0, math.nan], [0.5, 2.0]])
+            FacilityLocationOracle([[1.0, math.nan], [0.5, 2.0]])
 
     def test_cut_nan_weight_rejected(self):
         with pytest.raises(InvalidInputError, match="arc weights"):
-            make_directed_cut(2, [(0, 1, math.nan)])
+            DirectedCutOracle(2, [(0, 1, math.nan)])
 
     def test_table_inf_value_rejected(self):
         entries = {frozenset(): 0.0, frozenset({0}): math.inf}
         with pytest.raises(InvalidInputError, match="table values"):
-            make_table(1, entries)
+            TableOracle(1, entries)
 
     def test_monotone_flags(self):
         assert coverage4().monotone
-        assert make_modular((1.0,)).monotone
-        assert not make_directed_cut(2, [(0, 1, 1.0)]).monotone
+        assert ModularOracle((1.0,)).monotone
+        assert not DirectedCutOracle(2, [(0, 1, 1.0)]).monotone
 
 
 class TestChecks:
@@ -136,7 +136,7 @@ class TestChecks:
         assert check_submodular(f) and check_monotone(f)
 
     def test_cut_is_submodular_not_monotone(self):
-        f = make_directed_cut(3, [(0, 1, 2.0), (1, 2, 1.0), (2, 0, 3.0)])
+        f = DirectedCutOracle(3, [(0, 1, 2.0), (1, 2, 1.0), (2, 0, 3.0)])
         assert check_submodular(f)
         assert not check_monotone(f)
 
@@ -147,7 +147,7 @@ class TestChecks:
             frozenset({1}): 0.0,
             frozenset({0, 1}): 1.0,
         }
-        f = make_table(2, entries)
+        f = TableOracle(2, entries)
         assert not check_submodular(f)
 
     def test_all_zoo_functions_submodular(self):
@@ -242,7 +242,7 @@ class TestDistributionLemmas:
         assert mean >= (1 - p) * f0 + p * fA - 3 * se
 
     def test_nonnegative_lower_bound_on_cut(self, rng):
-        f = make_directed_cut(4, [(0, 1, 2.0), (1, 2, 3.0), (3, 0, 1.0), (2, 3, 2.0)])
+        f = DirectedCutOracle(4, [(0, 1, 2.0), (1, 2, 3.0), (3, 0, 1.0), (2, 3, 2.0)])
         probe = f.uncounted()
         A = {0, 2}
         f0 = probe.evaluate(set())
@@ -258,7 +258,7 @@ class TestDistributionLemmas:
     data=st.data(),
 )
 def test_modular_oracle_is_additive(weights, data):
-    f = make_modular(weights)
+    f = ModularOracle(weights)
     members = data.draw(st.sets(st.integers(min_value=0, max_value=len(weights) - 1)))
     assert math.isclose(
         f.uncounted().evaluate(members), sum(weights[u] for u in members), abs_tol=1e-9
