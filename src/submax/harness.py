@@ -110,11 +110,17 @@ def oracle_from_dict(spec: dict, ledger: Optional[QueryLedger] = None) -> ValueO
         for i, entry in enumerate(_field(spec, "entries")):
             try:
                 members, value = entry
-                entries[frozenset(members)] = float(value)
+                key = frozenset(members)
+                value = float(value)
             except (TypeError, ValueError):
                 raise InvalidInputError(
                     f"entries[{i}] must be [[id, ...], value], got {entry!r}"
                 ) from None
+            if key in entries:
+                # no repeat so far, so dict positions are spec positions
+                first = list(entries).index(key)
+                raise InvalidInputError(f"entries[{i}] repeats the member set of entries[{first}]")
+            entries[key] = value
         return TableOracle(_field(spec, "n"), entries, ledger)
     raise InvalidInputError(f"unknown instance kind {kind!r}")
 
@@ -566,9 +572,9 @@ def summarize(rows: list[dict]) -> list[dict]:
     out = []
     for key in sorted(groups, key=lambda t: tuple(str(x) for x in t)):
         rows_g = groups[key]
-        values = [float(r["f_value"]) for r in rows_g]
-        vq = [int(r["value_queries"]) for r in rows_g]
-        iq = [int(r["independence_queries"]) for r in rows_g]
+        values = _column(rows_g, "f_value", float)
+        vq = _column(rows_g, "value_queries", int)
+        iq = _column(rows_g, "independence_queries", int)
         failures = [str(r["failed"]).lower() == "true" for r in rows_g]
         entry = {
             "algo": key[0],
@@ -586,11 +592,25 @@ def summarize(rows: list[dict]) -> list[dict]:
             "independence_queries_median": _median(iq),
             "failure_rate": sum(failures) / len(rows_g),
         }
-        opts = [float(r["opt_value"]) for r in rows_g if str(r["opt_value"]) not in ("", "None")]
+        opts = _column(
+            [r for r in rows_g if str(r["opt_value"]) not in ("", "None")], "opt_value", float
+        )
         if opts:
             entry["opt_value"] = opts[0]
             entry["ratio_mean"] = entry["f_mean"] / opts[0] if opts[0] else math.nan
         out.append(entry)
+    return out
+
+
+def _column(rows: list[dict], name: str, convert: Callable[[Any], Any]) -> list:
+    """``convert`` applied to column ``name`` of every row, else an error naming it."""
+    out = []
+    for r in rows:
+        try:
+            out.append(convert(r[name]))
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if convert is int else "a number"
+            raise InvalidInputError(f"column {name!r} must hold {kind}, got {r[name]!r}") from None
     return out
 
 

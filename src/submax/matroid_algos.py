@@ -49,8 +49,10 @@ def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
     """Deterministic decreasing-threshold greedy, (1/2 - eps)-approximate.
 
     Expects self-loops removed and f monotone. Per threshold level every
-    element outside the solution costs one independence query and, when
-    feasible, one value query; solution members cost nothing.
+    element outside the solution costs one value query when it can join, and
+    one independence query only when its answer is unknown: an element found
+    dependent is never asked again, and one found independent is not asked
+    again until the solution grows. Solution members cost nothing.
     """
     solution, _ = _thresholding_greedy_value(f, M, eps)
     return solution
@@ -75,13 +77,19 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
     current = f_empty
     w = w_max
     floor = eps * w_max / rank
+    # known answers against the growing solution, as in continuous greedy
+    blocked: set[int] = set()
+    free_at: dict[int, int] = {}
     while w > floor:
         for u in ground:
-            if u in solution:
+            if u in solution or u in blocked:
                 continue
             members = ordered + [u]
-            if not M.is_independent(members):
-                continue
+            if free_at.get(u) != len(ordered):
+                if not M.is_independent(members):
+                    blocked.add(u)
+                    continue
+                free_at[u] = len(ordered)
             gain = f.evaluate(members) - current
             if gain >= w:
                 solution.add(u)
@@ -434,6 +442,9 @@ def combined_algorithm(
         res_caps = [c - sum(1 for u in blk if u in S) for blk, c in zip(blocks, caps)]
         # contracted ids form one block of capacity zero: loops of the residual
         residual = PartitionMatroid(res_blocks + [sorted(S)], res_caps + [0], M.ledger)
+        # S is independent, so each block keeps min(c_j, |B_j|) - |S & B_j| and
+        # the residual rank is k - |S| = cap: no scan needed
+        residual._rank = cap
     else:
         residual = RankCappedMatroid(ContractedMatroid(M, sorted(S)), cap)
     shifted = ResidualOracle(f, S)

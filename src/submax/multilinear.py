@@ -96,8 +96,11 @@ def continuous_greedy(
     Runs ceil(1/delta) steps. Each step estimates every candidate's derivative,
     then sweeps a threshold geometrically (factor 1 - delta) from the largest
     estimate down to delta/n of it, adding elements whose fresh estimate clears
-    the threshold while independence allows. The step stops early once the
-    built set reaches the matroid rank, which changes no output, only skips
+    the threshold while independence allows. Within a step an element is asked
+    about only while its answer is unknown: once dependent on the growing base
+    it stays dependent, and an independent answer holds until the base grows.
+    The step stops early once the built set reaches the matroid rank. Neither
+    shortcut changes an output or an estimator draw, only skips queries and
     dead scans. ``sample_scale`` rescales the per-estimate sample budget; 1.0
     is the analysis-faithful count, which is far beyond interactive budgets on
     all but tiny instances.
@@ -131,17 +134,24 @@ def continuous_greedy(
             floor = delta * d_max / n_eff
             w = d_max
             members: list[int] = []
+            # known answers against the step's growing base: dependent stays
+            # dependent, and an independent answer holds until the base grows
+            blocked: set[int] = set()
+            free_at: dict[int, int] = {}
             while w > floor and len(base) < rank:
                 for u in ground_ids:
                     if len(base) >= rank:
                         break
-                    if u in base:
+                    if u in base or u in blocked:
                         continue
-                    members.append(u)
-                    if not M.is_independent(members):
+                    if free_at.get(u) != len(members):
+                        members.append(u)
+                        independent = M.is_independent(members)
                         members.pop()
-                        continue
-                    members.pop()
+                        if not independent:
+                            blocked.add(u)
+                            continue
+                        free_at[u] = len(members)
                     if max(0.0, _estimate(f, x, u, m, rng)) >= w:
                         base.add(u)
                         members.append(u)

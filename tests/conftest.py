@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from submax import (
+    ContractedMatroid,
     CoverageOracle,
     DirectedCutOracle,
     ExplicitMatroid,
@@ -15,8 +17,10 @@ from submax import (
     ModularOracle,
     PartitionMatroid,
     QueryLedger,
+    RankCappedMatroid,
     UniformMatroid,
 )
+from submax.matroids import DummyAugmentedMatroid
 
 # ---------------------------------------------------------------------------
 # canonical fixtures
@@ -186,3 +190,72 @@ def rng():
 @pytest.fixture
 def ledger():
     return QueryLedger()
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies for small matroids and views over them
+
+
+@st.composite
+def small_multigraphs(draw, max_edges=8):
+    """(vertex count, edge list) with self-loops and parallel edges allowed."""
+    v = draw(st.integers(min_value=1, max_value=5))
+    vertex = st.integers(min_value=0, max_value=v - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=max_edges))
+    return v, edges
+
+
+def draw_independent(data, M, ids):
+    """A random independent set of M among ``ids``, found on an uncounted clone."""
+    probe = M.uncounted()
+    chosen: list[int] = []
+    for u in data.draw(st.permutations(ids)):
+        if data.draw(st.booleans()) and probe.is_independent(chosen + [u]):
+            chosen.append(u)
+    return chosen
+
+
+@st.composite
+def small_partitions(draw):
+    """(blocks, capacities) over a shuffled ground set of at most 9 ids."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
+    ids = iter(draw(st.permutations(range(sum(sizes)))))
+    blocks = [sorted(next(ids) for _ in range(size)) for size in sizes]
+    caps = [draw(st.integers(min_value=0, max_value=size)) for size in sizes]
+    return blocks, caps
+
+
+@st.composite
+def small_base_matroids(draw):
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic"]))
+    if kind == "uniform":
+        n = draw(st.integers(min_value=1, max_value=7))
+        return UniformMatroid(n, draw(st.integers(min_value=0, max_value=n)))
+    if kind == "partition":
+        return PartitionMatroid(*draw(small_partitions()))
+    v, edges = draw(small_multigraphs(max_edges=7))
+    return GraphicMatroid(v, edges)
+
+
+def compose_views(data, view, layers):
+    """Up to three random view layers of the given kinds over ``view``."""
+    for layer in data.draw(st.lists(st.sampled_from(layers), max_size=3)):
+        if layer == "contract":
+            view = ContractedMatroid(view, draw_independent(data, view, list(view.ground())))
+        elif layer == "cap":
+            view = RankCappedMatroid(view, data.draw(st.integers(min_value=0, max_value=view.n)))
+        else:
+            d = data.draw(st.integers(min_value=1, max_value=3))
+            view = DummyAugmentedMatroid(view, d, data.draw(st.integers(min_value=0, max_value=4)))
+    return view
+
+
+def draw_coverage(data, n):
+    """A random weighted coverage function on ``n`` elements over at most 6 items."""
+    universe = data.draw(st.integers(min_value=1, max_value=6))
+    item = st.integers(min_value=0, max_value=universe - 1)
+    sets = data.draw(st.lists(st.lists(item, max_size=3), min_size=n, max_size=n))
+    weights = data.draw(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=universe, max_size=universe)
+    )
+    return CoverageOracle(sets, universe, weights)

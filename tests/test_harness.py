@@ -195,6 +195,16 @@ class TestInstanceSpecValidation:
         with pytest.raises(InvalidInputError, match=r"entries\[1\]"):
             oracle_from_dict(spec)
 
+    def test_repeated_table_entry_named_by_spec_position(self):
+        spec = {"kind": "table", "n": 1, "entries": [[[], 0], [[0], 1], [[0], 2]]}
+        with pytest.raises(InvalidInputError, match=r"entries\[2\] repeats .*entries\[1\]"):
+            oracle_from_dict(spec)
+
+    def test_entry_after_a_repeat_named_by_spec_position(self):
+        spec = {"kind": "table", "n": 1, "entries": [[[0], 1], [[0, 0], 1], [[], "a"]]}
+        with pytest.raises(InvalidInputError, match=r"entries\[1\] repeats .*entries\[0\]"):
+            oracle_from_dict(spec)
+
     def test_fractional_explicit_id_rejected(self):
         spec = {"kind": "explicit", "n": 2, "independent": [[], [0.5]]}
         with pytest.raises(InvalidInputError, match=r"independent\[1\]"):
@@ -224,50 +234,50 @@ GOLDEN_CSV = {
     "combined-partition": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
         "bf7e702ac79c3cc8ab87970940fd667eb4bef160de803c847f45db2b342048ab",
-        [(20330, 4818), (21350, 5064)],
+        [(20330, 1649), (21350, 1654)],
     ),
     "combined-partition-contracted": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
         "f1da8d55b406328ed5df8cb48db6ef9c0112b597a5701221e9c48b236b85a4b4",
-        [(4771, 3598), (4653, 3003)],
+        [(4771, 1290), (4653, 1503)],
     ),
     "combined-graphic": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
         "33314eebb2212e603aa1e82d8f2bde69bfb1d85ef68c8e663d0c39d5c73a7fc2",
-        [(26901, 5662), (27447, 5577)],
+        [(26901, 1831), (27447, 1801)],
     ),
     "combined-graphic-contracted": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=6.0, B=0.25, trials=2,
                 sample_scale=1e-6),
         "8cc78e5e8621641737bf520c7085388cc6c4ab71fec4499889d4601dc306c1ff",
-        [(8415, 5301), (8059, 4924)],
+        [(8415, 1526), (8059, 1530)],
     ),
     "combined_partition-residual": (
         _golden("combined_partition", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
         "a19ec07d8d6efa95544e586f70d798eeb8934b908989b3bd3b1bab6f9d900ab2",
-        [(4768, 3531), (4650, 2928)],
+        [(4768, 1199), (4650, 1404)],
     ),
     "continuous_greedy-partition": (
         _golden("continuous_greedy", _GOLDEN_PART, epsilon=0.25, sample_scale=0.05),
         "1046055b238154b00f776032c347f59a14f233ad52b825ca87998fc0802169ba",
-        [(4128, 345)],
+        [(4128, 304)],
     ),
     "continuous_greedy-graphic": (
         _golden("continuous_greedy", _GOLDEN_GRAPHIC, epsilon=0.25, sample_scale=0.05),
         "1046055b238154b00f776032c347f59a14f233ad52b825ca87998fc0802169ba",
-        [(4764, 378)],
+        [(4764, 306)],
     ),
     "thresholding_greedy": (
         _golden("thresholding_greedy", _GOLDEN_GRAPHIC, epsilon=0.25),
         "a9cc3d691a55c16714edcb0a304dfa0823c09607125c2a867572f7fdb1f20d7a",
-        [(146, 266)],
+        [(146, 124)],
     ),
     "random_lazy_greedy": (
         _golden("random_lazy_greedy", _GOLDEN_PART, delta=0.5, B=0.3, I=2, trials=2),
         "9c13d08622e4f87ee58a83c3858a594b7178cc8854ad3808aa10d6ed7cc96094",
-        [(206, 488), (202, 484)],
+        [(206, 171), (202, 167)],
     ),
     "lazy_greedy_improved": (
         _golden("lazy_greedy_improved", k=6, delta=0.2, trials=2),
@@ -528,6 +538,29 @@ class TestSummarize:
         with pytest.raises(InvalidInputError):
             summarize([])
 
+    _ROW = {
+        "algo": "x", "n": "4", "k": "2", "epsilon": "", "lambda": "",
+        "f_value": "2.0", "opt_value": "4.0", "value_queries": "1",
+        "independence_queries": "0", "failed": "False",
+    }
+
+    @pytest.mark.parametrize(
+        "column,bad",
+        [
+            ("value_queries", "abc"),
+            ("value_queries", "1.5"),
+            ("independence_queries", ""),
+            ("independence_queries", None),
+            ("f_value", "abc"),
+            ("f_value", None),
+            ("opt_value", "abc"),
+        ],
+    )
+    def test_malformed_column_named(self, column, bad):
+        row = dict(self._ROW, **{column: bad})
+        with pytest.raises(InvalidInputError, match=f"column '{column}'"):
+            summarize([dict(self._ROW), row])
+
 
 class TestCli:
     def test_gen_run_summarize_round_trip(self, tmp_path, capsys):
@@ -614,6 +647,13 @@ class TestCli:
         path.write_text(",".join(columns) + "\n" + ",".join(row) + "\n")
         assert cli_main(["summarize", "--input", str(path)]) == 2
         self._one_line_error(capsys, "'k'")
+
+    def test_summarize_non_integer_count_is_one_line_error(self, tmp_path, capsys):
+        row = ["x", "4", "2", "", "", "0", "0", "1.0", "", "abc", "0", "False", "0.0"]
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
+        assert cli_main(["summarize", "--input", str(path)]) == 2
+        self._one_line_error(capsys, "'value_queries'")
 
     def test_unknown_algo_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

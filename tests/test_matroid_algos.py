@@ -26,12 +26,15 @@ from submax import (
     random_lazy_greedy,
     thresholding_greedy,
 )
-from submax.matroid_algos import geometric_level_count
+from submax.matroid_algos import _thresholding_greedy_value, geometric_level_count
 
 from .conftest import (
+    compose_views,
     coverage12,
+    draw_coverage,
     enumerate_independent,
     partition12,
+    small_base_matroids,
     zoo_functions,
 )
 
@@ -73,9 +76,11 @@ class TestThresholdingGreedy:
         M.queries.clear()
         S = thresholding_greedy(f, M, eps)
         assert S == set(range(r))
-        levels = geometric_level_count(eps, eps / r)
-        assert all(q[-1] not in S for q in M.queries[n:])
-        assert len(M.queries) == n + (levels - 1) * (n - r)
+        assert geometric_level_count(eps, eps / r) > 1
+        # level 0 asks about every id once, each before it joins; the later
+        # levels find every answer known
+        assert [q[-1] for q in M.queries] == list(range(n))
+        assert len(M.queries) == n
         # f(empty), the n singletons, and the r acceptances of level 0
         assert f.ledger.value_queries == 1 + n + r
 
@@ -135,6 +140,60 @@ class TestThresholdingGreedy:
             cap = f.n * (math.ceil(math.log(k / eps) / eps) + 2)
             assert ledger.value_queries <= cap, name
             assert ledger.independence_queries <= cap, name
+
+
+def _reference_thresholding_greedy(f, M, eps):
+    """The threshold loop without known answers: one query per non-member per level."""
+    ground = list(M.ground())
+    if not ground:
+        return set(), f.evaluate([])
+    f_empty = f.evaluate([])
+    w_max = max(f.evaluate([u]) for u in ground)
+    if w_max <= 0.0:
+        return set(), f_empty
+    rank = matroid_rank(M)
+    if rank == 0:
+        return set(), f_empty
+    solution: set[int] = set()
+    ordered: list[int] = []
+    current = f_empty
+    w = w_max
+    floor = eps * w_max / rank
+    while w > floor:
+        for u in ground:
+            if u in solution:
+                continue
+            members = ordered + [u]
+            if not M.is_independent(members):
+                continue
+            gain = f.evaluate(members) - current
+            if gain >= w:
+                solution.add(u)
+                ordered.append(u)
+                current += gain
+        w *= 1.0 - eps
+    return solution, current
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=small_base_matroids(),
+    eps=st.sampled_from([0.05, 1.0 / 6.0, 0.3, 0.6]),
+    data=st.data(),
+)
+def test_known_answers_change_only_the_independence_bill(base, eps, data):
+    M = compose_views(data, base, ["contract", "cap"])
+    f = draw_coverage(data, M.n)
+    runs = []
+    for algorithm in (_reference_thresholding_greedy, _thresholding_greedy_value):
+        ledger = QueryLedger()
+        result = algorithm(f.with_ledger(ledger), M.with_ledger(ledger), eps)
+        runs.append((result, ledger))
+    (ref_result, ref_ledger), (result, ledger) = runs
+    assert result == ref_result
+    assert ledger.value_queries == ref_ledger.value_queries
+    assert ledger.independence_queries <= ref_ledger.independence_queries
+    assert thresholding_greedy(f, M.uncounted(), eps) == ref_result[0]
 
 
 class TestLinearGreedy:

@@ -17,7 +17,6 @@ from submax import (
     Matroid,
     PartitionMatroid,
     QueryLedger,
-    RankCappedMatroid,
     ResidualOracle,
     UniformMatroid,
     augment_with_dummies,
@@ -28,9 +27,19 @@ from submax import (
     swap_round,
     thresholding_greedy,
 )
-from submax.matroids import DummyAugmentedMatroid, DummyValueOracle
+from submax.matroids import DummyValueOracle
 
-from .conftest import coverage4, enumerate_independent, uf_has_cycle, zoo_matroids
+from .conftest import (
+    compose_views,
+    coverage4,
+    draw_independent,
+    enumerate_independent,
+    small_base_matroids,
+    small_multigraphs,
+    small_partitions,
+    uf_has_cycle,
+    zoo_matroids,
+)
 
 
 class TestIsIndependent:
@@ -278,15 +287,6 @@ def test_random_partition_matroids_satisfy_the_axioms(caps, data):
 # graphic prefix cache and anchor-first contraction
 
 
-@st.composite
-def small_multigraphs(draw, max_edges=8):
-    """(vertex count, edge list) with self-loops and parallel edges allowed."""
-    v = draw(st.integers(min_value=1, max_value=5))
-    vertex = st.integers(min_value=0, max_value=v - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=max_edges))
-    return v, edges
-
-
 def _reference_independent(v, edges, members):
     return not uf_has_cycle(v, [edges[e] for e in members])
 
@@ -372,38 +372,6 @@ def test_contracted_graphic_matches_explicit_contraction(graph, data):
 # the view accounting rule: one tick per call through any composition
 
 
-def _draw_independent(data, M, ids):
-    """A random independent set of M among ``ids``, found on an uncounted clone."""
-    probe = M.uncounted()
-    chosen: list[int] = []
-    for u in data.draw(st.permutations(ids)):
-        if data.draw(st.booleans()) and probe.is_independent(chosen + [u]):
-            chosen.append(u)
-    return chosen
-
-
-@st.composite
-def small_partitions(draw):
-    """(blocks, capacities) over a shuffled ground set of at most 9 ids."""
-    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
-    ids = iter(draw(st.permutations(range(sum(sizes)))))
-    blocks = [sorted(next(ids) for _ in range(size)) for size in sizes]
-    caps = [draw(st.integers(min_value=0, max_value=size)) for size in sizes]
-    return blocks, caps
-
-
-@st.composite
-def small_base_matroids(draw):
-    kind = draw(st.sampled_from(["uniform", "partition", "graphic"]))
-    if kind == "uniform":
-        n = draw(st.integers(min_value=1, max_value=7))
-        return UniformMatroid(n, draw(st.integers(min_value=0, max_value=n)))
-    if kind == "partition":
-        return PartitionMatroid(*draw(small_partitions()))
-    v, edges = draw(small_multigraphs(max_edges=7))
-    return GraphicMatroid(v, edges)
-
-
 def _chain(handle):
     """The handle and every base below it, outermost first."""
     chain = [handle]
@@ -412,24 +380,11 @@ def _chain(handle):
     return chain
 
 
-def _compose(data, view, layers):
-    """Up to three random view layers of the given kinds over ``view``."""
-    for layer in data.draw(st.lists(st.sampled_from(layers), max_size=3)):
-        if layer == "contract":
-            view = ContractedMatroid(view, _draw_independent(data, view, list(view.ground())))
-        elif layer == "cap":
-            view = RankCappedMatroid(view, data.draw(st.integers(min_value=0, max_value=view.n)))
-        else:
-            d = data.draw(st.integers(min_value=1, max_value=3))
-            view = DummyAugmentedMatroid(view, d, data.draw(st.integers(min_value=0, max_value=4)))
-    return view
-
-
 @settings(max_examples=80, deadline=None)
 @given(base=small_base_matroids(), data=st.data())
 def test_matroid_views_charge_one_query_per_call(base, data):
     ledger = base.ledger
-    view = _compose(data, base, ["contract", "cap", "dummy"])
+    view = compose_views(data, base, ["contract", "cap", "dummy"])
     assert all(h.ledger is ledger for h in _chain(view))
     clone = view.uncounted() if data.draw(st.booleans()) else view.with_ledger(QueryLedger())
     assert all(h.ledger is clone.ledger for h in _chain(clone))
@@ -448,7 +403,7 @@ def test_matroid_views_charge_one_query_per_call(base, data):
 @settings(max_examples=80, deadline=None)
 @given(base=small_base_matroids(), data=st.data())
 def test_view_ranks_derive_from_the_base_rank(base, data):
-    view = _compose(data, base, ["contract", "cap"])
+    view = compose_views(data, base, ["contract", "cap"])
     expected = len(greedy_basis(view.uncounted()))
     clone = view.with_ledger(QueryLedger())
     matroid_rank(base)
@@ -548,7 +503,7 @@ def test_zero_capacity_residual_is_the_contraction(instance, data):
     assert check_exchange_axiom(residual)
 
     bases = [
-        frozenset(_draw_independent(data, residual, rest))
+        frozenset(draw_independent(data, residual, rest))
         for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
     ]
     weights = [data.draw(st.floats(min_value=0.05, max_value=1.0)) for _ in bases]

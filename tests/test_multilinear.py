@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submax import (
     DirectedCutOracle,
@@ -18,16 +20,21 @@ from submax import (
     crude_opt_estimate,
     estimate_marginal_F,
     estimator_sample_count,
+    matroid_rank,
     swap_round,
 )
+from submax.multilinear import _estimate
 
 from .conftest import (
+    compose_views,
     coverage4,
     coverage12,
+    draw_coverage,
     exact_marginal_F,
     exact_multilinear,
     mean_and_se,
     partition12,
+    small_base_matroids,
     zoo_matroids,
 )
 
@@ -137,6 +144,113 @@ class TestContinuousGreedy:
             continuous_greedy(f, M, c=c, delta=delta, rng=rng)
             bound = A * c * n * delta ** -4 * math.log(n / delta) ** 2
             assert ledger.value_queries <= bound
+
+
+def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale):
+    """The sweep without known answers: one query per non-member per level."""
+    ground_ids = list(M.ground())
+    n_eff = max(len(ground_ids), 2)
+    m = estimator_sample_count(c, n_eff, delta, sample_scale)
+    steps = math.ceil(1.0 / delta)
+    rank = matroid_rank(M)
+    x = np.zeros(f.n)
+    point = FractionalPoint(n=f.n)
+    for t in range(steps):
+        step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
+        base: set[int] = set()
+        estimates = {u: max(0.0, _estimate(f, x, u, m, rng)) for u in ground_ids}
+        d_max = max(estimates.values(), default=0.0)
+        if d_max > 0.0 and rank > 0:
+            floor = delta * d_max / n_eff
+            w = d_max
+            members: list[int] = []
+            while w > floor and len(base) < rank:
+                for u in ground_ids:
+                    if len(base) >= rank:
+                        break
+                    if u in base:
+                        continue
+                    members.append(u)
+                    if not M.is_independent(members):
+                        members.pop()
+                        continue
+                    members.pop()
+                    if max(0.0, _estimate(f, x, u, m, rng)) >= w:
+                        base.add(u)
+                        members.append(u)
+                w *= 1.0 - delta
+        point.weights.append(step_weight)
+        point.bases.append(frozenset(base))
+        for u in base:
+            x[u] += step_weight
+    return point
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=small_base_matroids(),
+    delta=st.sampled_from([0.2, 0.35, 0.6]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_known_answers_change_only_the_independence_bill(base, delta, seed, data):
+    M = compose_views(data, base, ["contract", "cap"])
+    f = draw_coverage(data, M.n)
+    runs = []
+    for algorithm in (_reference_continuous_greedy, continuous_greedy):
+        ledger = QueryLedger()
+        rng = np.random.default_rng(seed)
+        point = algorithm(
+            f.with_ledger(ledger), M.with_ledger(ledger), 2.0, delta, rng, sample_scale=0.05
+        )
+        runs.append((point, ledger, rng.bit_generator.state))
+    (ref_point, ref_ledger, ref_state), (point, ledger, state) = runs
+    assert point == ref_point
+    assert ledger.value_queries == ref_ledger.value_queries
+    assert state == ref_state
+    assert ledger.independence_queries <= ref_ledger.independence_queries
+
+
+class _RecordingPartition(PartitionMatroid):
+    """Partition matroid that records every independence query and its answer."""
+
+    def __init__(self, blocks, caps):
+        super().__init__(blocks, caps)
+        self.queries = []
+
+    def is_independent(self, members):
+        members = list(members)
+        answer = super().is_independent(members)
+        self.queries.append((members[:-1], members[-1], answer))
+        return answer
+
+
+def test_sweep_never_asks_again_about_an_element_found_dependent():
+    # distinct modular weights: every step takes the top element first, so a
+    # step's first query is the only one whose prefix shrinks
+    f = ModularOracle([float(w) for w in (9, 4, 7, 1, 8, 2, 6, 3, 5)])
+    M = _RecordingPartition([[0, 1, 2], [3, 4, 5], [6, 7, 8]], [1, 1, 2])
+    matroid_rank(M)
+    M.queries.clear()
+    continuous_greedy(f, M, c=2.0, delta=0.25, rng=np.random.default_rng(3), sample_scale=0.05)
+    steps: list[list] = []
+    for prefix, u, answer in M.queries:
+        if not steps or len(prefix) < len(steps[-1][-1][0]):
+            steps.append([])
+        steps[-1].append((prefix, u, answer))
+    assert len(steps) == math.ceil(1 / 0.25)
+    dependent = 0
+    for queries in steps:
+        blocked: set[int] = set()
+        asked: set[tuple] = set()
+        for prefix, u, answer in queries:
+            assert u not in blocked
+            assert (tuple(prefix), u) not in asked
+            asked.add((tuple(prefix), u))
+            if not answer:
+                blocked.add(u)
+                dependent += 1
+    assert dependent > 0
 
 
 class TestSwapRound:
