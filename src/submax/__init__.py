@@ -28,7 +28,6 @@ from .matroid_algos import (
     CombinedResult,
     LazyGreedyOutcome,
     LazyGreedyState,
-    PartitionLazyGreedyState,
     choose_lambda,
     combined_algorithm,
     combined_parameters,

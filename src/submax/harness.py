@@ -31,7 +31,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -343,21 +343,7 @@ class RunRecord:
                 return repr(x)
             return str(x)
 
-        return [
-            self.algo,
-            str(self.n),
-            fmt(self.k),
-            fmt(self.epsilon),
-            fmt(self.lam),
-            str(self.seed),
-            str(self.trial),
-            fmt(self.f_value),
-            fmt(self.opt_value),
-            str(self.value_queries),
-            str(self.independence_queries),
-            str(self.failed),
-            fmt(self.wall_ms),
-        ]
+        return [fmt(getattr(self, field.name)) for field in fields(self)]
 
 
 def _resolve(spec: Union[str, Path, dict, None]) -> Optional[dict]:
@@ -572,10 +558,10 @@ def summarize(rows: list[dict]) -> list[dict]:
     out = []
     for key in sorted(groups, key=lambda t: tuple(str(x) for x in t)):
         rows_g = groups[key]
-        values = _column(rows_g, "f_value", float)
+        values = _column(rows_g, "f_value", _finite)
         vq = _column(rows_g, "value_queries", int)
         iq = _column(rows_g, "independence_queries", int)
-        failures = [str(r["failed"]).lower() == "true" for r in rows_g]
+        failures = _column(rows_g, "failed", _flag)
         entry = {
             "algo": key[0],
             "n": key[1],
@@ -593,13 +579,30 @@ def summarize(rows: list[dict]) -> list[dict]:
             "failure_rate": sum(failures) / len(rows_g),
         }
         opts = _column(
-            [r for r in rows_g if str(r["opt_value"]) not in ("", "None")], "opt_value", float
+            [r for r in rows_g if str(r["opt_value"]) not in ("", "None")], "opt_value", _finite
         )
         if opts:
             entry["opt_value"] = opts[0]
             entry["ratio_mean"] = entry["f_mean"] / opts[0] if opts[0] else math.nan
         out.append(entry)
     return out
+
+
+def _finite(x: Any) -> float:
+    value = float(x)
+    if not math.isfinite(value):
+        raise ValueError(x)
+    return value
+
+
+def _flag(x: Any) -> bool:
+    flag = str(x).lower()
+    if flag not in ("true", "false"):
+        raise ValueError(x)
+    return flag == "true"
+
+
+_KINDS = {int: "an integer", _finite: "a finite number", _flag: "true or false"}
 
 
 def _column(rows: list[dict], name: str, convert: Callable[[Any], Any]) -> list:
@@ -609,8 +612,9 @@ def _column(rows: list[dict], name: str, convert: Callable[[Any], Any]) -> list:
         try:
             out.append(convert(r[name]))
         except (TypeError, ValueError, OverflowError):
-            kind = "an integer" if convert is int else "a number"
-            raise InvalidInputError(f"column {name!r} must hold {kind}, got {r[name]!r}") from None
+            raise InvalidInputError(
+                f"column {name!r} must hold {_KINDS[convert]}, got {r[name]!r}"
+            ) from None
     return out
 
 

@@ -24,6 +24,7 @@ from .matroids import (
     RankCappedMatroid,
     augment_with_dummies,
     matroid_rank,
+    threshold_sweep,
 )
 from .multilinear import continuous_greedy, swap_round
 from .oracles import ResidualOracle, ValueOracle, members_with
@@ -48,11 +49,11 @@ def geometric_level_count(delta: float, ratio: float) -> int:
 def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
     """Deterministic decreasing-threshold greedy, (1/2 - eps)-approximate.
 
-    Expects self-loops removed and f monotone. Per threshold level every
-    element outside the solution costs one value query when it can join, and
-    one independence query only when its answer is unknown: an element found
-    dependent is never asked again, and one found independent is not asked
-    again until the solution grows. Solution members cost nothing.
+    Expects self-loops removed and f monotone. The scan is
+    :func:`~submax.matroids.threshold_sweep`: an element costs one value
+    query per level at which it can join, and an independence query only
+    when its answer is unknown. Solution members cost nothing, and the scan
+    stops once the solution is a base.
     """
     solution, _ = _thresholding_greedy_value(f, M, eps)
     return solution
@@ -62,41 +63,22 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
     if not 0.0 < eps < 1.0:
         raise InvalidInputError("eps must be in (0, 1)")
     ground = list(M.ground())
-    if not ground:
-        return set(), f.evaluate([])
-    f_empty = f.evaluate([])
-    w_max = max(f.evaluate([u]) for u in ground)
-    if w_max <= 0.0:
-        return set(), f_empty
-    rank = matroid_rank(M)
+    current = f.evaluate([])
+    w_max = max((f.evaluate([u]) for u in ground), default=0.0)
+    rank = 0 if w_max <= 0.0 else matroid_rank(M)
     if rank == 0:
-        return set(), f_empty
+        return set(), current
 
-    solution: set[int] = set()
-    ordered: list[int] = []
-    current = f_empty
-    w = w_max
-    floor = eps * w_max / rank
-    # known answers against the growing solution, as in continuous greedy
-    blocked: set[int] = set()
-    free_at: dict[int, int] = {}
-    while w > floor:
-        for u in ground:
-            if u in solution or u in blocked:
-                continue
-            members = ordered + [u]
-            if free_at.get(u) != len(ordered):
-                if not M.is_independent(members):
-                    blocked.add(u)
-                    continue
-                free_at[u] = len(ordered)
-            gain = f.evaluate(members) - current
-            if gain >= w:
-                solution.add(u)
-                ordered.append(u)
-                current += gain
-        w *= 1.0 - eps
-    return solution, current
+    def clears(taken: list[int], u: int, w: float) -> bool:
+        nonlocal current
+        gain = f.evaluate(taken + [u]) - current
+        if gain >= w:
+            current += gain
+            return True
+        return False
+
+    taken = threshold_sweep(M, ground, rank, w_max, eps * w_max / rank, 1.0 - eps, clears)
+    return set(taken), current
 
 
 def crude_opt_estimate(f: ValueOracle, M: Matroid) -> float:
@@ -139,8 +121,9 @@ def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int
     """General LinearGreedy: one value query per weight decay or acceptance.
 
     Scans each threshold level in id order; elements whose stored level does
-    not match are skipped without any oracle use, and elements blocked by the
-    independence check are frozen at their level for the rest of the call.
+    not match are skipped without any oracle use, and elements the
+    independence check refuses are frozen at their level for the rest of the
+    call.
     """
     S = state.solution
     ordered = sorted(S)
@@ -150,22 +133,12 @@ def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int
     state.accept_marginals = {}
     one_minus = 1.0 - state.delta
     for t in range(state.num_levels):
-        threshold = state.W * one_minus ** t
-        bar = one_minus * threshold
+        bar = one_minus * (state.W * one_minus ** t)
         for u in state.ground:
             if state.level[u] != t or u in chosen:
                 continue
-            if u in S:
-                candidate = work
-            else:
-                work.append(u)
-                candidate = work
-            if not M.is_independent(candidate):
-                if u not in S:
-                    work.pop()
+            if not M.is_independent(members_with(S, work, u)):
                 continue
-            if u not in S:
-                work.pop()
             gain = f.evaluate(members_with(S, ordered, u)) - f_S
             if gain <= bar:
                 state.level[u] = t + 1
@@ -178,36 +151,17 @@ def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int
     return chosen
 
 
-class PartitionLazyGreedyState(LazyGreedyState):
-    """Lazy-greedy state with per-block weight buckets (partition fast path).
-
-    Buckets hold the elements logically at each level and are kept sorted so
-    the scan order matches the general variant.
-    """
-
-    def __init__(
-        self, blocks: list[list[int]], capacities: list[int], W: float, delta: float, k: int
-    ):
-        ground = sorted(u for blk in blocks for u in blk)
-        super().__init__(ground, W, delta, k)
-        self.blocks = [sorted(b) for b in blocks]
-        self.capacities = list(capacities)
-        # buckets[j][t] lists the elements of block j currently at level t
-        self.buckets: list[dict[int, list[int]]] = [
-            {0: list(blk)} for blk in self.blocks
-        ]
-
-
-def linear_greedy_partition(
-    state: PartitionLazyGreedyState, f: ValueOracle, M: Matroid
-) -> set[int]:
+def linear_greedy_partition(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int]:
     """Partition LinearGreedy: no independence queries at all.
 
-    Handles each block separately; the per-element feasibility test of the
-    general variant collapses to a block quota check. Decayed elements move
-    one bucket down and are rescanned later in the same sweep.
+    Reads blocks and capacities from ``M.partition_structure()`` and handles
+    each block separately, scanning its elements in (level, id) order; the
+    per-element feasibility test of the general variant collapses to a block
+    quota check. A decayed element is rescanned at its next level in the
+    same sweep.
     """
-    if M.partition_structure() is None:
+    structure = M.partition_structure()
+    if structure is None:
         raise InvalidInputError("partition LinearGreedy needs a generalized partition matroid")
     S = state.solution
     ordered = sorted(u for u in S if u in state.level)
@@ -217,61 +171,27 @@ def linear_greedy_partition(
     one_minus = 1.0 - state.delta
     # dummies in S occupy rank without living in any block
     allowance = state.k - len(S)
-    total_picked = 0
-    for j, buckets in enumerate(state.buckets):
-        block_members = set(state.blocks[j])
-        quota = state.capacities[j] - sum(1 for v in ordered if v in block_members)
-        picked = 0
+    for blk, cap in zip(*structure):
+        blk = sorted(blk)
+        room = min(cap - sum(1 for v in blk if v in S), allowance - len(chosen))
         for t in range(state.num_levels):
-            bucket = buckets.get(t)
-            if not bucket:
-                continue
-            threshold = state.W * one_minus ** t
-            bar = one_minus * threshold
-            pos = 0
-            kept: list[int] = []
-            while pos < len(bucket):
-                if picked >= quota or total_picked >= allowance:
+            bar = one_minus * (state.W * one_minus ** t)
+            for u in blk:
+                if room <= 0:
                     break
-                u = bucket[pos]
-                pos += 1
-                if u in S:
-                    # solution members ride their buckets down like any element
-                    gain = f.evaluate(ordered) - f_S
-                else:
-                    gain = f.evaluate(ordered + [u]) - f_S
+                if state.level[u] != t:
+                    continue
+                # solution members ride the levels down like any element
+                gain = f.evaluate(members_with(S, ordered, u)) - f_S
                 if gain <= bar:
                     state.level[u] = t + 1
                     state.decays += 1
-                    if t + 1 < state.num_levels:
-                        nxt = buckets.setdefault(t + 1, [])
-                        _insort(nxt, u)
                 else:
                     chosen.add(u)
-                    kept.append(u)
-                    picked += 1
-                    total_picked += 1
+                    room -= 1
                     state.adds += 1
                     state.accept_marginals[u] = gain
-            kept.extend(bucket[pos:])
-            if kept:
-                buckets[t] = kept
-            else:
-                del buckets[t]
-            if picked >= quota or total_picked >= allowance:
-                break
     return chosen
-
-
-def _insort(lst: list[int], u: int) -> None:
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid] < u:
-            lo = mid + 1
-        else:
-            hi = mid
-    lst.insert(lo, u)
 
 
 @dataclass
@@ -314,14 +234,9 @@ def random_lazy_greedy(
     ground = list(range(f.n))
     W = max((f.evaluate([u]) for u in ground), default=0.0)
 
-    if use_partition:
-        structure = M.partition_structure()
-        if structure is None:
-            raise InvalidInputError("partition fast path needs a partition matroid")
-        blocks, caps = structure
-        state: LazyGreedyState = PartitionLazyGreedyState(blocks, caps, W, delta, k)
-    else:
-        state = LazyGreedyState(ground, W, delta, k)
+    if use_partition and M.partition_structure() is None:
+        raise InvalidInputError("partition fast path needs a partition matroid")
+    state = LazyGreedyState(ground, W, delta, k)
     state.solution_value = aug.f.evaluate([])
 
     dummy_pool = list(aug.dummy_ids())

@@ -11,7 +11,7 @@ import itertools
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError
 from .ledger import Counted, QueryLedger, View
@@ -384,6 +384,51 @@ def greedy_basis(M: Matroid) -> set[int]:
 
 def matroid_rank(M: Matroid) -> int:
     return M.rank()
+
+
+def threshold_sweep(
+    M: Matroid,
+    ground: Sequence[int],
+    rank: int,
+    w: float,
+    floor: float,
+    shrink: float,
+    clears: Callable[[list[int], int, float], bool],
+) -> list[int]:
+    """Decreasing-threshold greedy scan; returns the ids taken, in order.
+
+    At thresholds ``w, w * shrink, ...`` above ``floor``, each id of
+    ``ground`` not yet taken joins when ``taken + [u]`` is independent and
+    ``clears(taken, u, w)`` says so. An independence query is made only when
+    its answer is unknown: an id found dependent stays dependent while
+    ``taken`` grows, an independent answer holds until ``taken`` grows, and
+    once ``taken`` reaches ``rank`` every answer is dependent and the scan
+    stops.
+    """
+    taken: list[int] = []
+    # ids never asked about again: the taken ones and those found dependent
+    blocked: set[int] = set()
+    # free_at[u]: len(taken) at u's last independent answer
+    free_at: dict[int, int] = {}
+    while w > floor and len(taken) < rank:
+        for u in ground:
+            if u in blocked:
+                continue
+            if free_at.get(u) != len(taken):
+                taken.append(u)
+                independent = M.is_independent(taken)
+                taken.pop()
+                if not independent:
+                    blocked.add(u)
+                    continue
+                free_at[u] = len(taken)
+            if clears(taken, u, w):
+                taken.append(u)
+                blocked.add(u)
+                if len(taken) >= rank:
+                    break
+        w *= shrink
+    return taken
 
 
 def remove_self_loops(M: Matroid) -> list[int]:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .matroids import Matroid, matroid_rank
+from .matroids import Matroid, matroid_rank, threshold_sweep
 from .oracles import ValueOracle
 
 
@@ -96,14 +96,13 @@ def continuous_greedy(
     Runs ceil(1/delta) steps. Each step estimates every candidate's derivative,
     then sweeps a threshold geometrically (factor 1 - delta) from the largest
     estimate down to delta/n of it, adding elements whose fresh estimate clears
-    the threshold while independence allows. Within a step an element is asked
-    about only while its answer is unknown: once dependent on the growing base
-    it stays dependent, and an independent answer holds until the base grows.
-    The step stops early once the built set reaches the matroid rank. Neither
-    shortcut changes an output or an estimator draw, only skips queries and
-    dead scans. ``sample_scale`` rescales the per-estimate sample budget; 1.0
-    is the analysis-faithful count, which is far beyond interactive budgets on
-    all but tiny instances.
+    the threshold while independence allows. The sweep is
+    :func:`~submax.matroids.threshold_sweep`, which asks an independence
+    question only while its answer is unknown and stops once the step's set
+    reaches the matroid rank; neither shortcut changes an output or an
+    estimator draw. ``sample_scale`` rescales the per-estimate sample
+    budget; 1.0 is the analysis-faithful count, which is far beyond
+    interactive budgets on all but tiny instances.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must be in (0, 1)")
@@ -125,37 +124,12 @@ def continuous_greedy(
     point = FractionalPoint(n=f.n)
     for t in range(steps):
         step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
-        base: set[int] = set()
-        estimates = {
-            u: max(0.0, _estimate(f, x, u, m, rng)) for u in ground_ids
-        }
-        d_max = max(estimates.values(), default=0.0)
-        if d_max > 0.0 and rank > 0:
-            floor = delta * d_max / n_eff
-            w = d_max
-            members: list[int] = []
-            # known answers against the step's growing base: dependent stays
-            # dependent, and an independent answer holds until the base grows
-            blocked: set[int] = set()
-            free_at: dict[int, int] = {}
-            while w > floor and len(base) < rank:
-                for u in ground_ids:
-                    if len(base) >= rank:
-                        break
-                    if u in base or u in blocked:
-                        continue
-                    if free_at.get(u) != len(members):
-                        members.append(u)
-                        independent = M.is_independent(members)
-                        members.pop()
-                        if not independent:
-                            blocked.add(u)
-                            continue
-                        free_at[u] = len(members)
-                    if max(0.0, _estimate(f, x, u, m, rng)) >= w:
-                        base.add(u)
-                        members.append(u)
-                w *= 1.0 - delta
+        d_max = max((max(0.0, _estimate(f, x, u, m, rng)) for u in ground_ids), default=0.0)
+        # every threshold is positive, so a raw estimate clears it iff its clamp does
+        base = threshold_sweep(
+            M, ground_ids, rank, d_max, delta * d_max / n_eff, 1.0 - delta,
+            lambda taken, u, w: _estimate(f, x, u, m, rng) >= w,
+        )
         point.weights.append(step_weight)
         point.bases.append(frozenset(base))
         for u in base:
@@ -169,9 +143,10 @@ def swap_round(M: Matroid, x: FractionalPoint, rng: np.random.Generator) -> set[
     Bases are first padded to a common rank by greedy completion, then merged
     pairwise: elements of the symmetric difference are exchanged with
     probability proportional to the accumulated weights. No value oracle
-    queries are made. Generalized partition matroids use block-indexed
-    exchanges and therefore no independence queries either; general matroids
-    search for a feasible exchange through the independence oracle.
+    queries are made. Generalized partition matroids make no oracle call at
+    all: bases are checked by block counts against the capacities and merged
+    by block-indexed exchanges. General matroids search for a feasible
+    exchange through the independence oracle.
     """
     pairs = [(float(w), set(b)) for w, b in zip(x.weights, x.bases) if w > 0.0]
     if not pairs:
@@ -183,9 +158,13 @@ def swap_round(M: Matroid, x: FractionalPoint, rng: np.random.Generator) -> set[
         for j, blk in enumerate(blocks):
             for u in blk:
                 block_of[u] = j
-        probe = M.uncounted()
-        for w, base in pairs:
-            if not probe.is_independent(sorted(base)):
+        for _, base in pairs:
+            counts = [0] * len(blocks)
+            for u in base:
+                if u not in block_of:
+                    raise InvalidInputError(f"element id {u} outside ground set of size {M.n}")
+                counts[block_of[u]] += 1
+            if any(have > cap for have, cap in zip(counts, caps)):
                 raise InvalidInputError("dependent base in decomposition")
         _pad_partition(pairs, blocks, caps)
         merged_w, merged = pairs[0]

@@ -245,13 +245,13 @@ GOLDEN_CSV = {
     "combined-graphic": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
         "33314eebb2212e603aa1e82d8f2bde69bfb1d85ef68c8e663d0c39d5c73a7fc2",
-        [(26901, 1831), (27447, 1801)],
+        [(26901, 1826), (27447, 1796)],
     ),
     "combined-graphic-contracted": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=6.0, B=0.25, trials=2,
                 sample_scale=1e-6),
         "8cc78e5e8621641737bf520c7085388cc6c4ab71fec4499889d4601dc306c1ff",
-        [(8415, 1526), (8059, 1530)],
+        [(8415, 1521), (8059, 1525)],
     ),
     "combined_partition-residual": (
         _golden("combined_partition", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
@@ -272,7 +272,7 @@ GOLDEN_CSV = {
     "thresholding_greedy": (
         _golden("thresholding_greedy", _GOLDEN_GRAPHIC, epsilon=0.25),
         "a9cc3d691a55c16714edcb0a304dfa0823c09607125c2a867572f7fdb1f20d7a",
-        [(146, 124)],
+        [(146, 119)],
     ),
     "random_lazy_greedy": (
         _golden("random_lazy_greedy", _GOLDEN_PART, delta=0.5, B=0.3, I=2, trials=2),
@@ -554,12 +554,22 @@ class TestSummarize:
             ("f_value", "abc"),
             ("f_value", None),
             ("opt_value", "abc"),
+            ("f_value", "nan"),
+            ("f_value", "inf"),
+            ("opt_value", "-inf"),
+            ("failed", "1"),
+            ("failed", "yes"),
+            ("failed", ""),
         ],
     )
     def test_malformed_column_named(self, column, bad):
         row = dict(self._ROW, **{column: bad})
         with pytest.raises(InvalidInputError, match=f"column '{column}'"):
             summarize([dict(self._ROW), row])
+
+    def test_failed_flag_is_case_insensitive(self):
+        rows = [dict(self._ROW, failed=flag) for flag in ("TRUE", "false", "True", True)]
+        assert summarize(rows)[0]["failure_rate"] == 0.75
 
 
 class TestCli:
@@ -654,6 +664,15 @@ class TestCli:
         path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
         assert cli_main(["summarize", "--input", str(path)]) == 2
         self._one_line_error(capsys, "'value_queries'")
+
+    @pytest.mark.parametrize("column,bad", [("f_value", "nan"), ("failed", "1")])
+    def test_summarize_meaningless_row_is_one_line_error(self, tmp_path, capsys, column, bad):
+        row = ["x", "4", "2", "", "", "0", "0", "1.0", "", "3", "0", "False", "0.0"]
+        row[CSV_COLUMNS.index(column)] = bad
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
+        assert cli_main(["summarize", "--input", str(path)]) == 2
+        self._one_line_error(capsys, f"'{column}'")
 
     def test_unknown_algo_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

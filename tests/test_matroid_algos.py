@@ -12,7 +12,6 @@ from submax import (
     InvalidInputError,
     LazyGreedyState,
     ModularOracle,
-    PartitionLazyGreedyState,
     PartitionMatroid,
     QueryLedger,
     UniformMatroid,
@@ -35,6 +34,7 @@ from .conftest import (
     enumerate_independent,
     partition12,
     small_base_matroids,
+    small_partitions,
     zoo_functions,
 )
 
@@ -77,10 +77,9 @@ class TestThresholdingGreedy:
         S = thresholding_greedy(f, M, eps)
         assert S == set(range(r))
         assert geometric_level_count(eps, eps / r) > 1
-        # level 0 asks about every id once, each before it joins; the later
-        # levels find every answer known
-        assert [q[-1] for q in M.queries] == list(range(n))
-        assert len(M.queries) == n
+        # level 0 asks about ids 0..r-1, each once before it joins; then the
+        # solution is a base and the scan stops
+        assert [q[-1] for q in M.queries] == list(range(r))
         # f(empty), the n singletons, and the r acceptances of level 0
         assert f.ledger.value_queries == 1 + n + r
 
@@ -290,9 +289,7 @@ class TestLinearGreedyPartition:
         M = PartitionMatroid([[0, 1, 2, 3], [4, 5, 6, 7]], [2, 1])
         delta = 0.3
         s_gen = make_state(f, M, delta)
-        s_par_base = make_state(f, M, delta)
-        blocks, caps = M.partition_structure()
-        s_par = PartitionLazyGreedyState(blocks, caps, s_par_base.W, delta, s_par_base.k)
+        s_par = make_state(f, M, delta)
         s_par.solution_value = 0.0
         s_gen.solution_value = 0.0
         for _ in range(2):
@@ -313,8 +310,7 @@ class TestLinearGreedyPartition:
     def test_zero_capacities_give_empty_set(self):
         f = ModularOracle((1.0, 2.0))
         M = PartitionMatroid([[0], [1]], [0, 0])
-        blocks, caps = M.partition_structure()
-        state = PartitionLazyGreedyState(blocks, caps, 2.0, 0.3, 0)
+        state = LazyGreedyState([0, 1], 2.0, 0.3, 0)
         state.solution_value = 0.0
         assert linear_greedy_partition(state, f, M) == set()
 
@@ -322,8 +318,7 @@ class TestLinearGreedyPartition:
         ledger = QueryLedger()
         f = coverage12(ledger)
         M = partition12(ledger)
-        blocks, caps = M.partition_structure()
-        state = PartitionLazyGreedyState(blocks, caps, 4.0, 0.4, 4)
+        state = LazyGreedyState(list(range(M.n)), 4.0, 0.4, 4)
         state.solution_value = 0.0
         before = ledger.independence_queries
         linear_greedy_partition(state, f, M)
@@ -338,9 +333,7 @@ class TestLinearGreedyPartition:
         M = partition12()
         delta = 0.2
         opt, _ = brute_force_opt(f, M)
-        blocks, caps = M.partition_structure()
-        base = make_state(f, M, delta)
-        state = PartitionLazyGreedyState(blocks, caps, base.W, delta, base.k)
+        state = make_state(f, M, delta)
         state.solution_value = 0.0
         probe = f.uncounted()
         chosen = linear_greedy_partition(state, f, M)
@@ -355,10 +348,39 @@ class TestLinearGreedyPartition:
 
         f = ModularOracle((1.0, 1.0, 1.0))
         M = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
-        state = PartitionLazyGreedyState([[0, 1, 2]], [2], 1.0, 0.3, 2)
+        state = LazyGreedyState([0, 1, 2], 1.0, 0.3, 2)
         state.solution_value = 0.0
         with pytest.raises(InvalidInputError):
             linear_greedy_partition(state, f, M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure=small_partitions(), delta=st.sampled_from([0.2, 0.5, 0.7]), data=st.data())
+def test_one_partition_linear_greedy_call_matches_the_general_one(structure, delta, data):
+    M = PartitionMatroid(*structure)
+    f = draw_coverage(data, M.n)
+    general, fast = make_state(f, M, delta), make_state(f, M, delta)
+    assert linear_greedy_partition(fast, f, M) == linear_greedy(general, f, M)
+    assert fast.accept_marginals == general.accept_marginals
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    structure=small_partitions(),
+    delta=st.sampled_from([0.2, 0.5, 0.7]),
+    B=st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_partition_fast_path_matches_the_general_path(structure, delta, B, seed, data):
+    M = PartitionMatroid(*structure)
+    f = draw_coverage(data, M.n)
+    I = data.draw(st.integers(min_value=0, max_value=matroid_rank(M) // 2))
+    fast, general = (
+        random_lazy_greedy(f, M, delta, B, I, np.random.default_rng(seed), use_partition=flag)
+        for flag in (True, False)
+    )
+    assert fast == general
 
 
 class TestRandomLazyGreedy:

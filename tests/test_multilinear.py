@@ -346,6 +346,29 @@ class TestSwapRound:
         with pytest.raises(InvalidInputError):
             swap_round(M, point, rng)
 
+    def test_partition_path_checks_bases_without_calling_the_oracle(self, rng):
+        calls: list[list[int]] = []
+
+        class Recording(PartitionMatroid):
+            # clones share ``calls``, so uncounted probes are recorded too
+            def _indep(self, members):
+                calls.append(list(members))
+                return super()._indep(members)
+
+        M = Recording([[0, 1], [2, 3]], [1, 1])
+        point = FractionalPoint(
+            n=4, weights=[0.5, 0.5], bases=[frozenset({0, 2}), frozenset({1, 3})]
+        )
+        assert M.uncounted().is_independent(swap_round(M, point, rng))
+        calls.clear()
+        for bases in ([frozenset({0, 1})], [frozenset({0, 2}), frozenset({2, 3})]):
+            with pytest.raises(InvalidInputError, match="dependent base"):
+                swap_round(M, FractionalPoint(n=4, weights=[0.5] * len(bases), bases=bases), rng)
+        with pytest.raises(InvalidInputError, match="element id 7"):
+            swap_round(M, FractionalPoint(n=4, weights=[1.0], bases=[frozenset({0, 7})]), rng)
+        swap_round(M, point, rng)
+        assert calls == []
+
     def test_short_bases_padded_before_merging(self, rng):
         M = UniformMatroid(4, 2)
         point = FractionalPoint(
