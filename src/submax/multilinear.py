@@ -10,6 +10,7 @@ queries entirely.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -55,20 +56,37 @@ def estimate_marginal_F(
     Averages f(R + u) - f(R - u) over m draws of R(x); costs exactly 2m value
     queries. The raw (unclamped) mean is returned so the estimator stays
     unbiased; callers that rely on monotonicity clamp at zero themselves.
+    Raises :class:`InvalidInputError` before any draw or query when ``u`` is
+    not an id of f's ground set or ``x`` is not a point of ``[0, 1]^n``.
     """
     if m < 1:
         raise InvalidInputError("need at least one sample")
-    x_vec = x.coords() if isinstance(x, FractionalPoint) else np.asarray(x, dtype=float)
-    return _estimate(f, x_vec, int(u), int(m), rng)
+    try:
+        u = operator.index(u)
+    except TypeError:
+        raise InvalidInputError(f"u must be an integer element id, got {u!r}") from None
+    if not 0 <= u < f.n:
+        raise InvalidInputError(f"u={u} outside ground set of size {f.n}")
+    try:
+        x_vec = x.coords() if isinstance(x, FractionalPoint) else np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"x must be a vector of numbers, got {x!r}") from None
+    if x_vec.shape != (f.n,):
+        raise InvalidInputError(f"x must hold one entry per element ({f.n}), got shape {x_vec.shape}")
+    # NaN fails both comparisons
+    if not ((x_vec >= 0.0) & (x_vec <= 1.0)).all():
+        raise InvalidInputError("x entries must be finite and in [0, 1]")
+    return _estimate(f, x_vec, u, int(m), rng)
 
 
 def _estimate(f: ValueOracle, x_vec: np.ndarray, u: int, m: int, rng: np.random.Generator) -> float:
     inclusion = rng.random((m, x_vec.shape[0])) < x_vec
+    inclusion[:, u] = False
     total = 0.0
     evaluate = f.evaluate
     for row in inclusion:
-        row[u] = False
-        ids = np.flatnonzero(row).tolist()
+        # f(R - u), then f(R - u + u): the second query extends the first by one id
+        ids = row.nonzero()[0].tolist()
         without_u = evaluate(ids)
         ids.append(u)
         total += evaluate(ids) - without_u

@@ -69,7 +69,15 @@ def members_with(solution: set[int], ordered: list[int], u: ElementId) -> list[i
 
 
 class CoverageOracle(ValueOracle):
-    """Weighted coverage: f(S) = total weight of universe items covered by S."""
+    """Weighted coverage: f(S) = total weight of universe items covered by S.
+
+    The handle keeps its previous query as ``(list copy, union mask)``. A
+    query whose ids, in order, are that list plus one id checks only the new
+    id and ORs one mask; any other query rebuilds the mask. The value is
+    always taken from the final mask, so a cached answer equals a fresh one
+    bit for bit. The pair is replaced whole, never mutated, so clones that
+    share it stay correct.
+    """
 
     monotone = True
 
@@ -113,15 +121,31 @@ class CoverageOracle(ValueOracle):
             w = [float(x) for x in weights]
             # popcount fast path when the weighting is trivial
             self._weights = None if all(x == 1.0 for x in w) else w
+        self._last: tuple[list[int], int] = ([], 0)
 
     def _value(self, members: Iterable[int]) -> float:
-        mask = 0
+        # a copy: callers such as the estimator extend their list in place
+        query = list(members)
+        last, mask = self._last
         masks = self._masks
         n = self.n
-        for u in members:
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            mask |= masks[u]
+        hit = False
+        if len(query) == len(last) + 1:
+            # pop and push back rather than slice: no second copy
+            v = query.pop()
+            hit = query == last
+            query.append(v)
+        if hit:
+            if not 0 <= v < n:
+                raise InvalidInputError(f"element id {v} outside ground set of size {n}")
+            mask |= masks[v]
+        else:
+            mask = 0
+            for u in query:
+                if not 0 <= u < n:
+                    raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+                mask |= masks[u]
+        self._last = (query, mask)
         if self._weights is None:
             return float(mask.bit_count())
         total = 0.0
@@ -272,7 +296,10 @@ class ResidualOracle(View, ValueOracle):
     """The shifted function f(. | S) for a fixed base set S.
 
     Each evaluation delegates one query to the wrapped oracle (the f(S) term
-    is cached at construction, costing a single query there).
+    is cached at construction, costing a single query there). The query
+    lists the sorted anchor S first, then the members in their order, so a
+    members list extended by one id reaches the base as its previous query
+    plus one id, which the coverage oracle's prefix mask answers.
     """
 
     def __init__(self, base: ValueOracle, S: Subset):
@@ -283,9 +310,7 @@ class ResidualOracle(View, ValueOracle):
         self.monotone = base.monotone
 
     def evaluate(self, members: Iterable[int]) -> float:
-        combined = list(members)
-        combined.extend(self._anchor)
-        return self._base.evaluate(combined) - self._f_anchor
+        return self._base.evaluate([*self._anchor, *members]) - self._f_anchor
 
 
 def check_submodular(f: ValueOracle, max_n: int = 12) -> bool:

@@ -18,9 +18,10 @@ from submax import (
     PartitionMatroid,
     QueryLedger,
     RankCappedMatroid,
+    ResidualOracle,
     UniformMatroid,
 )
-from submax.matroids import DummyAugmentedMatroid
+from submax.matroids import DummyAugmentedMatroid, DummyValueOracle
 
 # ---------------------------------------------------------------------------
 # canonical fixtures
@@ -135,6 +136,21 @@ def exact_marginal_F(f, x, u):
     return exact_multilinear(f, hi) - exact_multilinear(f, lo)
 
 
+def reference_estimate(f, x_vec, u, m, rng):
+    """The paired-sample estimator loop as it was before its rows were split
+    with one ``nonzero`` per row; the estimator must match it bit for bit."""
+    inclusion = rng.random((m, x_vec.shape[0])) < x_vec
+    total = 0.0
+    evaluate = f.evaluate
+    for row in inclusion:
+        row[u] = False
+        ids = np.flatnonzero(row).tolist()
+        without_u = evaluate(ids)
+        ids.append(u)
+        total += evaluate(ids) - without_u
+    return total / m
+
+
 def uf_has_cycle(num_vertices, edge_list):
     """Standalone union-find cycle check, independent of the matroid code."""
     parent = list(range(num_vertices))
@@ -238,15 +254,24 @@ def small_base_matroids(draw):
 
 
 def compose_views(data, view, layers):
-    """Up to three random view layers of the given kinds over ``view``."""
+    """Up to three random view layers of the given kinds over ``view``.
+
+    Matroid layers are ``contract``, ``cap`` and ``dummy``; value-oracle
+    layers are ``residual`` (a non-empty anchor) and ``dummy_value``.
+    """
     for layer in data.draw(st.lists(st.sampled_from(layers), max_size=3)):
         if layer == "contract":
             view = ContractedMatroid(view, draw_independent(data, view, list(view.ground())))
         elif layer == "cap":
             view = RankCappedMatroid(view, data.draw(st.integers(min_value=0, max_value=view.n)))
-        else:
+        elif layer == "dummy":
             d = data.draw(st.integers(min_value=1, max_value=3))
             view = DummyAugmentedMatroid(view, d, data.draw(st.integers(min_value=0, max_value=4)))
+        elif layer == "residual":
+            ids = st.integers(min_value=0, max_value=view.n - 1)
+            view = ResidualOracle(view, data.draw(st.lists(ids, min_size=1, unique=True)))
+        else:
+            view = DummyValueOracle(view, data.draw(st.integers(min_value=1, max_value=3)))
     return view
 
 
@@ -259,3 +284,28 @@ def draw_coverage(data, n):
         st.lists(st.integers(min_value=1, max_value=5), min_size=universe, max_size=universe)
     )
     return CoverageOracle(sets, universe, weights)
+
+
+@st.composite
+def small_value_oracles(draw):
+    """A random coverage (weighted or not), modular, directed cut or facility
+    oracle on 1 to 7 elements, with non-integral float data."""
+    kind = draw(st.sampled_from(["coverage", "weighted_coverage", "modular", "cut", "facility"]))
+    n = draw(st.integers(min_value=1, max_value=7))
+    value = st.floats(min_value=0.0, max_value=10.0)
+    if kind in ("coverage", "weighted_coverage"):
+        universe = draw(st.integers(min_value=1, max_value=8))
+        item = st.integers(min_value=0, max_value=universe - 1)
+        sets = draw(st.lists(st.lists(item, max_size=4), min_size=n, max_size=n))
+        weights = None
+        if kind == "weighted_coverage":
+            weights = draw(st.lists(value, min_size=universe, max_size=universe))
+        return CoverageOracle(sets, universe, weights)
+    if kind == "modular":
+        return ModularOracle(draw(st.lists(value, min_size=n, max_size=n)))
+    if kind == "cut":
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        return DirectedCutOracle(n, draw(st.lists(st.tuples(vertex, vertex, value), max_size=12)))
+    clients = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(value, min_size=n, max_size=n)
+    return FacilityLocationOracle(draw(st.lists(row, min_size=clients, max_size=clients)))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submax import (
+    CoverageOracle,
     DirectedCutOracle,
     FractionalPoint,
     InvalidInputError,
@@ -34,7 +35,9 @@ from .conftest import (
     exact_multilinear,
     mean_and_se,
     partition12,
+    reference_estimate,
     small_base_matroids,
+    small_value_oracles,
     zoo_matroids,
 )
 
@@ -74,6 +77,67 @@ class TestEstimateMarginalF:
         runs = [estimate_marginal_F(f, x, 0, 8, rng) for _ in range(200)]
         mean, se = mean_and_se(runs)
         assert abs(mean - exact) <= 3 * max(se, 1e-12)
+
+
+class TestEstimatorInputContract:
+    """Bad input fails before any draw or query, naming the field."""
+
+    @pytest.mark.parametrize(
+        "x, u, field",
+        [
+            ([0.5, 0.5, 0.5], 3, "u"),
+            ([0.5, 0.5, 0.5], -1, "u"),
+            ([0.5, 0.5, 0.5], 1.7, "u"),
+            ([0.5, 0.5], 2, "x"),
+            ([0.5, float("nan"), 0.5], 0, "x"),
+            ([0.5, 2.0, 0.5], 0, "x"),
+            ([0.5, -0.1, 0.5], 0, "x"),
+            ([[0.5, 0.5, 0.5]], 0, "x"),
+            (["a", 0.5, 0.5], 0, "x"),
+        ],
+    )
+    def test_rejects_bad_u_or_x(self, x, u, field):
+        f = CoverageOracle([[0], [1], [2]], 3)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match=rf"^{field}\b"):
+            estimate_marginal_F(f, x, u, 4, rng)
+        assert f.ledger.value_queries == 0
+        assert rng.bit_generator.state == state
+
+    def test_fractional_point_of_another_size_rejected(self, rng):
+        f = CoverageOracle([[0], [1], [2]], 3)
+        x = FractionalPoint(n=2, weights=[1.0], bases=[frozenset({0})])
+        with pytest.raises(InvalidInputError, match=r"^x\b"):
+            estimate_marginal_F(f, x, 0, 4, rng)
+
+    def test_bool_and_numpy_ids_accepted(self):
+        f = CoverageOracle([[0], [1], [2]], 3)
+        x = [1.0, 0.0, 1.0]
+        assert estimate_marginal_F(f, x, True, 2, np.random.default_rng(0)) == 1.0
+        assert estimate_marginal_F(f, x, np.int64(1), 2, np.random.default_rng(0)) == 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=small_value_oracles(), data=st.data())
+def test_estimator_matches_the_reference_loop(f, data):
+    """Same float, same 2m ledger charge and same RNG state as the reference."""
+    view = compose_views(data, f, ["residual", "dummy_value"])
+    ref = view.with_ledger(QueryLedger())
+    coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    x = np.array(data.draw(st.lists(coord, min_size=view.n, max_size=view.n)))
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # several estimates in a row, so each meets the oracles' state the last one left
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        u = data.draw(st.integers(min_value=0, max_value=view.n - 1))
+        m = data.draw(st.integers(min_value=1, max_value=9))
+        before, ref_before = view.ledger.value_queries, ref.ledger.value_queries
+        got = _estimate(view, x, u, m, rng)
+        assert got == reference_estimate(ref, x, u, m, ref_rng)
+        assert view.ledger.value_queries - before == 2 * m
+        assert ref.ledger.value_queries - ref_before == 2 * m
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestContinuousGreedy:

@@ -14,6 +14,7 @@ from submax import (
     InvalidInputError,
     ModularOracle,
     QueryLedger,
+    ResidualOracle,
     TableOracle,
     ValueOracle,
     check_monotone,
@@ -263,3 +264,99 @@ def test_modular_oracle_is_additive(weights, data):
     assert math.isclose(
         f.uncounted().evaluate(members), sum(weights[u] for u in members), abs_tol=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# the coverage prefix mask and the residual view's query order
+
+
+def _covered(sets, weights, members):
+    """Coverage value from scratch, summed in item order as the oracle sums it."""
+    covered = set()
+    for u in members:
+        covered.update(sets[u])
+    if weights is None:
+        return float(len(covered))
+    total = 0.0
+    for item in sorted(covered):
+        total += weights[item]
+    return total
+
+
+@st.composite
+def coverage_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    universe = draw(st.integers(min_value=1, max_value=10))
+    item = st.integers(min_value=0, max_value=universe - 1)
+    sets = draw(st.lists(st.lists(item, max_size=4), min_size=n, max_size=n))
+    weight = st.floats(min_value=0.0, max_value=10.0)
+    weights = draw(st.none() | st.lists(weight, min_size=universe, max_size=universe))
+    return sets, universe, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=coverage_instances(), data=st.data())
+def test_coverage_prefix_mask_matches_a_fresh_clone(instance, data):
+    sets, universe, weights = instance
+    f = CoverageOracle(sets, universe, weights)
+    pristine = f.uncounted()  # never queried
+    query: list[int] = []
+    ops = st.sampled_from(["extend", "repeat", "shorter", "empty", "fresh"])
+    for op in data.draw(st.lists(ops, min_size=1, max_size=12)):
+        unused = [v for v in range(f.n) if v not in query]
+        if op == "extend" and unused:
+            # in place, as the estimator extends its list between two queries
+            query.append(data.draw(st.sampled_from(unused)))
+        elif op == "shorter":
+            query = query[: data.draw(st.integers(min_value=0, max_value=max(len(query) - 1, 0)))]
+        elif op == "empty":
+            query = []
+        elif op == "fresh":
+            query = data.draw(st.permutations(range(f.n)))[: data.draw(st.integers(0, f.n))]
+        value = f.evaluate(query)
+        assert value == pristine.uncounted().evaluate(list(query))
+        assert value == _covered(sets, weights, query)
+
+
+class TestCoveragePrefixMask:
+    SETS = [[0, 1], [1, 2], [2, 3], [3], [0, 4]]
+    WEIGHTS = [0.1, 0.2, 0.3, 0.4, 0.7]
+
+    def test_bad_last_id_after_a_prefix_hit_leaves_the_cache_sound(self):
+        f = coverage4()
+        assert f.evaluate([0, 1]) == 3.0
+        for bad in (7, -1):
+            with pytest.raises(InvalidInputError):
+                f.evaluate([0, 1, bad])
+            # the rejected query was not cached as a prefix
+            with pytest.raises(InvalidInputError):
+                f.evaluate([0, 1, bad, 2])
+        assert f.evaluate([0, 1, 2]) == 4.0
+        assert f.evaluate([0, 1]) == 3.0
+
+    def test_a_list_mutated_in_place_is_not_answered_stale(self):
+        f = coverage4()
+        query = [0]
+        assert f.evaluate(query) == 2.0
+        query[0] = 3  # same length, other content
+        assert f.evaluate(query + [2]) == 2.0
+
+    def test_clone_and_original_queried_alternately(self):
+        f = CoverageOracle(self.SETS, 5, self.WEIGHTS)
+        clone = f.with_ledger(QueryLedger())
+        queries = [
+            (f, [0]), (clone, [1]), (f, [0, 2]), (clone, [1, 3]),
+            (f, [0, 2, 4]), (clone, [1, 3, 0]), (clone, [1, 3, 0, 4]), (f, [0, 2, 4, 1]),
+        ]
+        for handle, members in queries:
+            assert handle.evaluate(members) == _covered(self.SETS, self.WEIGHTS, members)
+        assert f.ledger.value_queries == clone.ledger.value_queries == 4
+
+
+def test_residual_view_puts_its_anchor_first():
+    base = coverage4()
+    seen = []
+    base._value = lambda members: seen.append(list(members)) or 0.0
+    view = ResidualOracle(base, {3, 1})
+    view.evaluate([2, 0])
+    assert seen == [[1, 3], [1, 3, 2, 0]]
