@@ -452,18 +452,19 @@ def _check_config(config: RunConfig) -> Algorithm:
 
 def run_trial(
     config: RunConfig,
-    instance_spec: dict,
-    matroid_spec: Optional[dict],
+    oracle: ValueOracle,
+    matroid: Optional[Matroid],
     trial: int,
     opt_value: Optional[float],
 ) -> RunRecord:
+    """Run one trial on clones of the handles bound to a fresh ledger.
+
+    The handles must never have been queried, so each trial starts from a
+    fresh handle's state and pays for its own rank scan.
+    """
     ledger = QueryLedger()
-    oracle = oracle_from_dict(instance_spec, ledger)
-    matroid = (
-        matroid_from_dict(matroid_spec, ledger, default_n=oracle.n)
-        if matroid_spec
-        else None
-    )
+    oracle = oracle.with_ledger(ledger)
+    matroid = None if matroid is None else matroid.with_ledger(ledger)
     seed = config.seed + trial
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
@@ -490,24 +491,23 @@ def run_trial(
 
 
 def run_experiment(config: RunConfig) -> list[RunRecord]:
-    """Run all trials of a config; trial t uses seed = base seed + t."""
+    """Run all trials of a config; trial t uses seed = base seed + t.
+
+    The oracle and matroid are built once. The trials and the brute force
+    query only clones of them.
+    """
     algorithm = _check_config(config)
-    instance_spec = _resolve(config.instance)
-    matroid_spec = _resolve(config.matroid)
+    oracle = oracle_from_dict(_resolve(config.instance))
+    matroid = (
+        matroid_from_dict(_resolve(config.matroid), default_n=oracle.n)
+        if algorithm.matroid
+        else None
+    )
     opt_value = None
     if config.compute_opt:
-        probe_oracle = oracle_from_dict(instance_spec)
-        if algorithm.matroid:
-            opt_value, _ = brute_force_opt(
-                probe_oracle, matroid_from_dict(matroid_spec, default_n=probe_oracle.n)
-            )
-        else:
-            opt_value, _ = brute_force_opt(probe_oracle, config.k)
+        opt_value, _ = brute_force_opt(oracle, config.k if matroid is None else matroid)
 
-    records = [
-        run_trial(config, instance_spec, matroid_spec, t, opt_value)
-        for t in range(config.trials)
-    ]
+    records = [run_trial(config, oracle, matroid, t, opt_value) for t in range(config.trials)]
     if config.out is not None:
         write_csv(records, config.out)
     return records

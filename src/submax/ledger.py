@@ -8,7 +8,6 @@ ever increase; ``reset`` replaces the ledger for a new run instead.
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -68,7 +67,7 @@ class Counted:
 
     def with_ledger(self, ledger: QueryLedger):
         """Shallow clone bound to another ledger (instance data is shared)."""
-        clone = copy.copy(self)
+        clone = _shallow_copy(self)
         clone.ledger = ledger
         return clone
 
@@ -96,7 +95,22 @@ class View(Counted):
         self.ledger = base.ledger
 
     def with_ledger(self, ledger: QueryLedger):
-        clone = copy.copy(self)
+        clone = _shallow_copy(self)
         clone._base = self._base.with_ledger(ledger)
         clone.ledger = ledger
         return clone
+
+
+def _shallow_copy(handle):
+    """A shallow copy of ``handle``, set attribute by attribute.
+
+    ``copy.copy`` fills the copy's ``__dict__`` in one update, and CPython
+    then reads the copy's attributes through that dict instead of the
+    compact layout of a normally built instance. A trial's oracle handle is
+    such a clone, and the dict-backed form measured about 10% more time per
+    coverage query.
+    """
+    clone = object.__new__(type(handle))
+    for name, value in vars(handle).items():
+        setattr(clone, name, value)
+    return clone

@@ -135,16 +135,20 @@ class CoverageOracle(ValueOracle):
             v = query.pop()
             hit = query == last
             query.append(v)
-        if hit:
-            if not 0 <= v < n:
-                raise InvalidInputError(f"element id {v} outside ground set of size {n}")
-            mask |= masks[v]
-        else:
-            mask = 0
-            for u in query:
-                if not 0 <= u < n:
-                    raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-                mask |= masks[u]
+        try:
+            if hit:
+                if not 0 <= v < n:
+                    raise InvalidInputError(f"element id {v} outside ground set of size {n}")
+                mask |= masks[v]
+            else:
+                mask = 0
+                for u in query:
+                    if not 0 <= u < n:
+                        raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+                    mask |= masks[u]
+        except TypeError:
+            _reject_non_integer(query)
+            raise
         self._last = (query, mask)
         if self._weights is None:
             return float(mask.bit_count())
@@ -159,8 +163,79 @@ class CoverageOracle(ValueOracle):
         return total
 
 
-class DirectedCutOracle(ValueOracle):
-    """Directed cut: f(S) = total weight of arcs leaving S. Non-monotone."""
+class PrefixCachedOracle(ValueOracle):
+    """Base of oracles that answer "previous prefix + one id" from a cache.
+
+    The handle keeps ``_prefix``, a tuple whose first entry is a list copy
+    of ``P``, the members-but-last of its previous query; ``_cache`` builds
+    the rest. A query equal to ``P`` or ``P`` plus one id is answered by
+    ``_extend`` from that cache; any other query first rebuilds it for its
+    own members-but-last. The empty query is answered 0 without the cache.
+    The cache is replaced whole, only after all of its ids passed the range
+    check, and never mutated, so clones that share it stay correct.
+    """
+
+    _prefix: tuple
+
+    def _value(self, members: Iterable[int]) -> float:
+        # a copy: the cache keeps it, and callers may extend their list
+        query = list(members)
+        cache = self._prefix
+        try:
+            if len(query) == len(cache[0]) + 1:
+                u = query.pop()
+                if query != cache[0]:
+                    cache = self._cache(query)
+            elif query == cache[0]:
+                return self._extend(cache, None)
+            elif query:
+                u = query.pop()
+                cache = self._cache(query)
+            else:
+                return 0.0
+            u = operator.index(u)
+        except TypeError:
+            _reject_non_integer([*query, u])
+            raise
+        if not 0 <= u < self.n:
+            raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
+        return self._extend(cache, u)
+
+    def _cache(self, prefix: list[int]) -> tuple:
+        """Check the ids of ``prefix``, store its cache as ``_prefix`` and return it."""
+        raise NotImplementedError
+
+    def _extend(self, cache: tuple, u: Optional[int]) -> float:
+        """f(P + u) from the cache of P; f(P) when ``u`` is None."""
+        raise NotImplementedError
+
+    def _prefix_ids(self, prefix: list[int]) -> list[int]:
+        """``prefix`` as integer ids of the ground set, else InvalidInputError."""
+        n = self.n
+        ids = []
+        for u in prefix:
+            u = operator.index(u)
+            if not 0 <= u < n:
+                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+            ids.append(u)
+        return ids
+
+
+class DirectedCutOracle(PrefixCachedOracle):
+    """Directed cut: f(S) = total weight of arcs leaving S. Non-monotone.
+
+    Arc weights are kept as exact ints over one common power-of-two
+    denominator (every finite float is such a ratio), summed as ints and
+    divided once, so a value is the correctly rounded sum of the weights it
+    counts, whichever way it was reached. Integral weights give exactly the
+    float sum.
+
+    The prefix cache of ``P`` is ``(list copy, set, into, f(P))``, where
+    ``into[v]`` is the weight from ``P`` into ``v``, built with one pass
+    over ``P``'s out-arcs. ``P`` plus ``u`` is then
+    ``f(P) + out(u -> outside P) - into[u]``, or ``f(P)`` when ``u`` is in
+    ``P``.
+    """
 
     monotone = False
 
@@ -171,7 +246,7 @@ class DirectedCutOracle(ValueOracle):
         ledger: Optional[QueryLedger] = None,
     ):
         super().__init__(n, ledger)
-        out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        kept = []
         for i, arc in enumerate(arcs):
             try:
                 a, b, w = arc
@@ -186,27 +261,49 @@ class DirectedCutOracle(ValueOracle):
             if not finite:
                 raise InvalidInputError("arc weights must be finite and non-negative")
             if a != b:
-                out[a].append((b, float(w)))
+                kept.append((a, b, float(w).as_integer_ratio()))
+        # the denominators are powers of two, so the largest is a common one
+        denom = max((d for _, _, (_, d) in kept), default=1)
+        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for a, b, (num, d) in kept:
+            out[a].append((b, num * (denom // d)))
         self._out = out
+        self._denom = denom
+        self._prefix: tuple[list[int], set[int], dict[int, int], int] = ([], set(), {}, 0)
 
-    def _value(self, members: Iterable[int]) -> float:
-        n = self.n
-        inside = set()
-        for u in members:
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            inside.add(u)
-        total = 0.0
+    def _cache(self, prefix: list[int]) -> tuple[list[int], set[int], dict[int, int], int]:
+        inside = set(self._prefix_ids(prefix))
         out = self._out
+        total = 0
+        into: dict[int, int] = {}
         for u in inside:
-            for (v, w) in out[u]:
+            for v, w in out[u]:
                 if v not in inside:
                     total += w
-        return total
+                    into[v] = into.get(v, 0) + w
+        self._prefix = (prefix, inside, into, total)
+        return self._prefix
+
+    def _extend(self, cache: tuple[list[int], set[int], dict[int, int], int], u: Optional[int]) -> float:
+        _, inside, into, total = cache
+        if u is not None and u not in inside:
+            total -= into.get(u, 0)
+            for v, w in self._out[u]:
+                if v not in inside:
+                    total += w
+        return total / self._denom
 
 
-class FacilityLocationOracle(ValueOracle):
-    """Max facility location: f(S) = sum over clients of the best value in S."""
+class FacilityLocationOracle(PrefixCachedOracle):
+    """Max facility location: f(S) = sum over clients of the best value in S.
+
+    Only the facilities x clients matrix is kept, so each facility's values
+    are one contiguous row. The prefix cache of ``P`` is
+    ``(list copy, per-client best over P)``, with None for the empty
+    prefix; ``P`` plus ``u`` sums ``max(best, row u)``. Max is exact and
+    every sum runs over one contiguous per-client vector, so a cached answer
+    equals a fresh one bit for bit.
+    """
 
     monotone = True
 
@@ -222,18 +319,21 @@ class FacilityLocationOracle(ValueOracle):
         if not ((mat >= 0.0) & (mat < math.inf)).all():
             raise InvalidInputError("facility values must be finite and non-negative")
         super().__init__(mat.shape[1], ledger)
-        self._values = mat
+        self._rows = np.ascontiguousarray(mat.T)
+        self._prefix: tuple[list[int], Optional[np.ndarray]] = ([], None)
 
-    def _value(self, members: Iterable[int]) -> float:
-        n = self.n
-        ids = []
-        for u in members:
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            ids.append(u)
-        if not ids:
-            return 0.0
-        return float(self._values[:, ids].max(axis=1).sum())
+    def _cache(self, prefix: list[int]) -> tuple[list[int], Optional[np.ndarray]]:
+        # integer ids: numpy would read bools as a mask
+        ids = self._prefix_ids(prefix)
+        self._prefix = (prefix, self._rows[ids].max(axis=0) if ids else None)
+        return self._prefix
+
+    def _extend(self, cache: tuple[list[int], Optional[np.ndarray]], u: Optional[int]) -> float:
+        best = cache[1]
+        if u is None:
+            return 0.0 if best is None else float(best.sum())
+        row = self._rows[u]
+        return float((row if best is None else np.maximum(best, row)).sum())
 
 
 class ModularOracle(ValueOracle):
@@ -250,10 +350,14 @@ class ModularOracle(ValueOracle):
         n = self.n
         weights = self._weights
         total = 0.0
-        for u in members:
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            total += weights[u]
+        try:
+            for u in members:
+                if not 0 <= u < n:
+                    raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+                total += weights[u]
+        except TypeError:
+            _reject_non_integer(members)
+            raise
         return total
 
 
@@ -359,6 +463,15 @@ def sample_correlated_subset(A: Subset, p: float, rng: np.random.Generator) -> s
         return set(items)
     draws = rng.random(len(items))
     return {u for u, d in zip(items, draws) if d < p}
+
+
+def _reject_non_integer(ids: Iterable) -> None:
+    """Raise InvalidInputError naming the first id of ``ids`` that is not an integer."""
+    for u in ids:
+        try:
+            operator.index(u)
+        except TypeError:
+            raise InvalidInputError(f"element id {u!r} is not an integer") from None
 
 
 def _check_weights(weights: Iterable[float], field: str) -> None:

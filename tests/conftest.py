@@ -14,6 +14,7 @@ from submax import (
     ExplicitMatroid,
     FacilityLocationOracle,
     GraphicMatroid,
+    InvalidInputError,
     ModularOracle,
     PartitionMatroid,
     QueryLedger,
@@ -149,6 +150,41 @@ def reference_estimate(f, x_vec, u, m, rng):
         ids.append(u)
         total += evaluate(ids) - without_u
     return total / m
+
+
+def reference_cut_value(n, arcs, members):
+    """The directed cut value as it was before the prefix cache: a set of
+    the members, then a float sum over their out-arcs in set order."""
+    out = [[] for _ in range(n)]
+    for a, b, w in arcs:
+        if a != b:
+            out[a].append((b, float(w)))
+    inside = set()
+    for u in members:
+        if not 0 <= u < n:
+            raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+        inside.add(u)
+    total = 0.0
+    for u in inside:
+        for (v, w) in out[u]:
+            if v not in inside:
+                total += w
+    return total
+
+
+def reference_facility_value(values, members):
+    """The facility location value as it was before the prefix cache: the
+    best value per client over the members' columns, summed."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[1]
+    ids = []
+    for u in members:
+        if not 0 <= u < n:
+            raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+        ids.append(u)
+    if not ids:
+        return 0.0
+    return float(values[:, ids].max(axis=1).sum())
 
 
 def uf_has_cycle(num_vertices, edge_list):

@@ -20,7 +20,7 @@ from submax import (
     run_experiment,
     summarize,
 )
-from submax import matroids
+from submax import harness, matroids
 from submax.cli import main as cli_main
 from submax.harness import (
     ALGORITHMS,
@@ -218,11 +218,14 @@ class TestInstanceSpecValidation:
 _GOLDEN_COV = generate_instance("coverage", 24, 7, universe=60, density=0.1)
 _GOLDEN_PART = generate_matroid("partition", 24, 6, 7, blocks=3)
 _GOLDEN_GRAPHIC = generate_matroid("graphic", 24, 6, 7)
+# the cut and facility oracles answer "previous prefix + one id" from a cache
+_GOLDEN_CUT = generate_instance("cut", 40, 7, density=0.1)
+_GOLDEN_FACILITY = generate_instance("facility", 30, 7, clients=12)
 
 
-def _golden(algo, matroid=None, **params):
+def _golden(algo, matroid=None, instance=_GOLDEN_COV, **params):
     return RunConfig(
-        algo=algo, instance=_GOLDEN_COV, matroid=matroid, record_wall_time=False, **params
+        algo=algo, instance=instance, matroid=matroid, record_wall_time=False, **params
     )
 
 
@@ -314,6 +317,22 @@ GOLDEN_CSV = {
         "3dd8f8c2b6bcbf71d1db3590d0ca6b8a63b7c69ed04e43fe3bd69c25078e1916",
         [(130, 0), (130, 0)],
     ),
+    "lazy_greedy_improved-cut": (
+        _golden("lazy_greedy_improved", instance=_GOLDEN_CUT, k=8, delta=0.2, trials=3),
+        "f8723050133ba523eaa6bfba42f97b36a7ce273d5e102ee36c7ec31787979678",
+        [(221, 0), (272, 0), (165, 0)],
+    ),
+    "lazy_greedy_simple-cut": (
+        _golden("lazy_greedy_simple", instance=_GOLDEN_CUT, k=8, delta=0.2, trials=3),
+        "03d040b132c9462ba69955fd3d00771aedc6c178caf72692efbd2ed10b6f1915",
+        [(298, 0), (269, 0), (293, 0)],
+    ),
+    "random_sampling_monotone-facility": (
+        _golden("random_sampling_monotone", instance=_GOLDEN_FACILITY, k=6, epsilon=0.25,
+                trials=3),
+        "f6f6d626e5fcc5c6ea24b9e5ff6811bcaf839044d2fbe267e8c5dd7fbb0a5c1e",
+        [(43, 0), (43, 0), (43, 0)],
+    ),
     # rank 1 takes the combined algorithm's single-element shortcut
     "combined-rank1": (
         _golden("combined", {"kind": "uniform", "n": 24, "k": 1}, epsilon=0.25, lam=1.0,
@@ -352,6 +371,36 @@ def test_combined_scans_for_the_rank_once_per_trial(monkeypatch):
     config = GOLDEN_CSV["combined-graphic"][0]
     run_experiment(config)
     assert len(scans) == config.trials
+
+
+_MODULAR12 = generate_instance("modular", 12, 3)
+
+
+@pytest.mark.parametrize(
+    "algo, params, matroid",
+    [
+        ("thresholding_greedy", {"epsilon": 0.25}, {"kind": "uniform", "k": 3}),
+        ("standard_greedy", {"k": 3}, None),
+    ],
+    ids=["matroid", "cardinality"],
+)
+@pytest.mark.parametrize("compute_opt", [False, True], ids=["no_opt", "opt"])
+def test_handles_are_built_once_per_experiment(monkeypatch, algo, params, matroid, compute_opt):
+    # the trials and the brute force query clones of the one oracle and matroid
+    calls = []
+    for name in ("oracle_from_dict", "matroid_from_dict"):
+        def counting(*args, _build=getattr(harness, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    config = RunConfig(algo=algo, instance=_MODULAR12, matroid=matroid, trials=3,
+                       compute_opt=compute_opt, **params)
+    records = run_experiment(config)
+    assert calls == ["oracle_from_dict"] + (["matroid_from_dict"] if matroid else [])
+    top3 = float(sum(sorted(_MODULAR12["weights"])[-3:]))
+    assert [r.f_value for r in records] == [top3] * 3
+    assert [r.opt_value for r in records] == [top3 if compute_opt else None] * 3
 
 
 def test_every_registered_algorithm_has_a_golden_config():

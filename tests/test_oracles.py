@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,14 @@ from submax import (
     standard_greedy,
 )
 
-from .conftest import coverage4, exact_all_values, mean_and_se, zoo_functions
+from .conftest import (
+    coverage4,
+    exact_all_values,
+    mean_and_se,
+    reference_cut_value,
+    reference_facility_value,
+    zoo_functions,
+)
 
 
 class TestEvaluate:
@@ -360,3 +368,162 @@ def test_residual_view_puts_its_anchor_first():
     view = ResidualOracle(base, {3, 1})
     view.evaluate([2, 0])
     assert seen == [[1, 3], [1, 3, 2, 0]]
+
+
+# ---------------------------------------------------------------------------
+# the cut and facility prefix caches
+
+
+def _exact_cut(arcs, members):
+    """The cut value as one exact Fraction sum, rounded once to a float."""
+    inside = set(members)
+    leaving = (Fraction(w) for a, b, w in arcs if a in inside and b not in inside)
+    return float(sum(leaving, Fraction(0)))
+
+
+@st.composite
+def cut_instances(draw):
+    """(n, arcs, integral): parallel arcs and self-loops allowed."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    integral = draw(st.booleans())
+    if integral:
+        weight = st.integers(min_value=0, max_value=20) | st.integers(0, 20).map(float)
+    else:
+        weight = st.floats(min_value=0.0, max_value=10.0)
+    return n, draw(st.lists(st.tuples(vertex, vertex, weight), max_size=20)), integral
+
+
+@st.composite
+def facility_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    clients = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=clients, max_size=clients))
+
+
+_PREFIX_OPS = ["extend", "prefix", "member", "repeat", "shorter", "empty", "fresh", "bad"]
+
+
+def _check_prefix_cache(f, data, expected):
+    """Interleave queries of every kind on ``f`` and a ``with_ledger`` clone.
+
+    Each query is built from the previous one: its members-but-last plus
+    one id, those alone, plus one of their own ids, plus a repeated id, a
+    shorter or empty list, a fresh list, or one with an out-of-range id
+    among its members (which must raise). Every answer must equal a
+    never-queried clone's and ``expected(query)``, and every call, raising
+    or not, charges exactly one query.
+    """
+    pristine = f.uncounted()
+    clone = f.with_ledger(QueryLedger())
+    ids = st.integers(min_value=0, max_value=f.n - 1)
+    last: list[int] = []
+    for op in data.draw(st.lists(st.sampled_from(_PREFIX_OPS), min_size=1, max_size=14)):
+        prefix = last[:-1]
+        if op == "extend":
+            query = prefix + [data.draw(ids)]
+        elif op == "prefix":
+            query = prefix
+        elif op == "member" and prefix:
+            query = prefix + [data.draw(st.sampled_from(prefix))]
+        elif op == "repeat" and last:
+            query = last + [data.draw(st.sampled_from(last))]
+        elif op == "shorter":
+            query = last[: data.draw(st.integers(min_value=0, max_value=max(len(last) - 1, 0)))]
+        elif op == "bad":
+            query = prefix + [data.draw(ids)]
+            position = data.draw(st.integers(min_value=0, max_value=len(query)))
+            query.insert(position, data.draw(st.sampled_from([f.n, -1])))
+        elif op == "fresh":
+            query = data.draw(st.lists(ids, max_size=f.n + 1))
+        else:
+            query = []
+        handle = data.draw(st.sampled_from([f, clone]))
+        before = handle.ledger.value_queries
+        if op == "bad":
+            with pytest.raises(InvalidInputError, match="outside ground set"):
+                handle.evaluate(query)
+        else:
+            value = handle.evaluate(query)
+            assert value == pristine.uncounted().evaluate(query)
+            assert value == expected(query)
+            last = query
+        assert handle.ledger.value_queries == before + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=cut_instances(), data=st.data())
+def test_cut_prefix_cache_matches_a_fresh_clone_and_the_exact_sum(instance, data):
+    n, arcs, integral = instance
+
+    def expected(query):
+        value = _exact_cut(arcs, query)
+        if integral:
+            # integral weights: bit for bit the float sum of the old oracle
+            assert value == reference_cut_value(n, arcs, query)
+        return value
+
+    _check_prefix_cache(DirectedCutOracle(n, arcs), data, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=facility_instances(), data=st.data())
+def test_facility_prefix_cache_matches_a_fresh_clone_and_the_reference(values, data):
+    _check_prefix_cache(
+        FacilityLocationOracle(values), data, lambda query: reference_facility_value(values, query)
+    )
+
+
+class TestCutAndFacilityPrefixCaches:
+    ARCS = [(0, 1, 2.0), (1, 2, 3.0), (2, 0, 1.0), (0, 2, 4.0), (3, 1, 5.0)]
+    VALUES = [[1.0, 4.0, 2.0, 0.5], [3.0, 0.0, 1.0, 2.5], [0.2, 0.7, 5.0, 1.0]]
+
+    def _handles(self):
+        return [
+            (DirectedCutOracle(4, self.ARCS), lambda q: reference_cut_value(4, self.ARCS, q)),
+            (FacilityLocationOracle(self.VALUES), lambda q: reference_facility_value(self.VALUES, q)),
+        ]
+
+    def test_bad_prefix_id_leaves_the_cache_sound(self):
+        for f, reference in self._handles():
+            assert f.evaluate([0, 1]) == reference([0, 1])
+            for bad in (4, -1):
+                with pytest.raises(InvalidInputError, match=f"element id {bad} outside"):
+                    f.evaluate([0, bad, 2])
+                # the rejected prefix was not cached
+                with pytest.raises(InvalidInputError, match=f"element id {bad} outside"):
+                    f.evaluate([0, bad, 3])
+            assert f.evaluate([0, 2]) == reference([0, 2])
+            assert f.evaluate([0, 3]) == reference([0, 3])
+            assert f.evaluate([0]) == reference([0])
+
+    def test_prefix_member_and_repeat_answer_the_prefix_value(self):
+        for f, reference in self._handles():
+            f.evaluate([3, 1, 2])
+            for query in ([3, 1], [3, 1, 3], [3, 1, 1], [3, 1, 1, 3]):
+                assert f.evaluate(query) == reference(query)
+
+    def test_non_dyadic_weights_give_the_correctly_rounded_sum(self):
+        arcs = [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3)]
+        f = DirectedCutOracle(4, arcs)
+        # 0.1 + 0.2 + 0.3 in float order is 0.6000000000000001
+        assert f.evaluate([0]) == _exact_cut(arcs, [0]) == 0.6
+        assert f.evaluate([0, 1]) == _exact_cut(arcs, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        CoverageOracle([[0], [1]], 2),
+        DirectedCutOracle(2, [(0, 1, 1.0)]),
+        FacilityLocationOracle([[1.0, 2.0]]),
+        ModularOracle([1.0, 2.0]),
+    ],
+    ids=["coverage", "cut", "facility", "modular"],
+)
+def test_fractional_id_is_named(f):
+    for query in ([0.5], [0, 0.5], [1, 0.5, 0]):
+        with pytest.raises(InvalidInputError, match=r"element id 0\.5 is not an integer"):
+            f.evaluate(query)
+    assert f.evaluate([0, 1]) == f.uncounted().evaluate([1, 0])
