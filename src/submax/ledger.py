@@ -9,6 +9,7 @@ ever increase; ``reset`` replaces the ledger for a new run instead.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,9 +52,16 @@ class Counted:
         self.n = n
         self.ledger = ledger if ledger is not None else QueryLedger()
 
-    def _check_id(self, u: int) -> None:
+    def _check_id(self, u) -> int:
+        """``u`` as an integer id of this ground set, else InvalidInputError naming it."""
+        try:
+            u = operator.index(u)
+        except TypeError:
+            _reject_non_integer((u,))
+            raise
         if not 0 <= u < self.n:
             raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
+        return u
 
     def _id_set(self, ids, field: str) -> frozenset[int]:
         """``ids`` as a set of integer ids of this ground set, else an error naming ``field``."""
@@ -99,6 +107,69 @@ class View(Counted):
         clone._base = self._base.with_ledger(ledger)
         clone.ledger = ledger
         return clone
+
+
+class PrefixCached(Counted):
+    """A handle that answers from the cache of one prefix ``P``.
+
+    ``_prefix`` is one tuple ``(P, answer for P, state...)``: ``P`` is a list
+    copy of a previous query's members-but-last, and the state is the kind's
+    own (a coverage union mask, cut totals, a per-client best, graphic
+    component labels). A list equal to ``P`` returns the stored answer;
+    ``P`` plus one id is answered by ``_extend`` once that id passed
+    ``_check_id``; any other query (and a tuple, set or array equal to
+    ``P``) first calls ``_cache`` on its own members-but-last, or on itself
+    when empty, which checks every id, then stores and returns the new
+    tuple. This is the one place where a query is compared with a cached
+    one (by ``==``).
+
+    The tuple is replaced whole, only after its ids passed their check, and
+    never mutated, so clones that share it stay correct. Value oracles
+    answer ``_value`` with this rule, matroids ``_indep``.
+    """
+
+    _prefix: tuple
+
+    def _answer(self, members: Iterable[int]):
+        cache = self._prefix
+        prefix = cache[0]
+        # only a list is compared as given: an array would compare elementwise
+        if members.__class__ is list and members == prefix:
+            return cache[1]
+        # a copy: the cache keeps it, and callers may extend their list in place
+        query = list(members)
+        if len(query) == len(prefix) + 1:
+            u = query.pop()
+            if query != prefix:
+                cache = self._cache(query)
+        elif query:
+            u = query.pop()
+            cache = self._cache(query)
+        else:
+            return self._cache(query)[1]
+        # a plain int in range skips the call: this runs on most queries
+        if u.__class__ is not int or not 0 <= u < self.n:
+            u = self._check_id(u)
+        return self._extend(cache, u)
+
+    _value = _indep = _answer
+
+    def _cache(self, prefix: list) -> tuple:
+        """Check the ids of ``prefix``, store its cache as ``_prefix`` and return it."""
+        raise NotImplementedError
+
+    def _extend(self, cache: tuple, u: int):
+        """The answer for ``P`` plus ``u`` from the cache of ``P``."""
+        raise NotImplementedError
+
+
+def _reject_non_integer(ids: Iterable) -> None:
+    """Raise InvalidInputError naming the first id of ``ids`` that is not an integer."""
+    for u in ids:
+        try:
+            operator.index(u)
+        except TypeError:
+            raise InvalidInputError(f"element id {u!r} is not an integer") from None
 
 
 def _shallow_copy(handle):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError
-from .ledger import Counted, QueryLedger, View
+from .ledger import Counted, PrefixCached, QueryLedger, View, _reject_non_integer
 from .oracles import Subset, ValueOracle
 
 
@@ -106,34 +106,31 @@ class PartitionMatroid(Matroid):
         block_of = self._block_of
         caps = self.capacities
         n = self.n
-        for u in members:
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            j = block_of[u]
-            counts[j] += 1
-            if counts[j] > caps[j]:
-                return False
+        try:
+            for u in members:
+                if not 0 <= u < n:
+                    raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+                j = block_of[u]
+                counts[j] += 1
+                if counts[j] > caps[j]:
+                    return False
+        except TypeError:
+            _reject_non_integer(members)
+            raise
         return True
 
     def partition_structure(self):
         return ([list(b) for b in self.blocks], list(self.capacities))
 
 
-class GraphicMatroid(Matroid):
+class GraphicMatroid(PrefixCached, Matroid):
     """Forests of an undirected multigraph; ground set elements are edge ids.
 
-    Each instance caches the union-find result of the previous query's
-    prefix (all members but the last): a component label per vertex, or
-    ``None`` when the prefix holds a cycle. A query that extends the cached
-    prefix by one edge is answered in O(1) by comparing the labels of that
-    edge's endpoints; a query equal to the prefix reads the cached flag; any
-    other query runs the union-find from scratch and replaces the cache.
-    Answers and charges are unchanged: every call still charges one query
-    and independence does not depend on member order. An id outside the
-    ground set raises wherever it sits in the query, and a prefix is cached
-    only after all of its ids passed that check. The cache is one
-    tuple, replaced whole and never mutated, so clones sharing it and
-    threads sharing the instance never see a torn state.
+    Answers through :class:`~submax.ledger.PrefixCached`; the state of a
+    prefix is the union-find result over its edges: a component label per
+    vertex, or None when the prefix holds a cycle. ``P`` plus one edge is
+    then answered in O(1) by comparing the labels of that edge's endpoints.
+    Independence does not depend on member order.
     """
 
     def __init__(
@@ -164,33 +161,10 @@ class GraphicMatroid(Matroid):
         super().__init__(len(checked), ledger)
         self.num_vertices = num_vertices
         self.edges = checked
-        self._prefix_labels: tuple[tuple[int, ...], Optional[tuple[int, ...]]] = (
-            (),
-            tuple(range(num_vertices)),
-        )
+        self._cache([])
 
-    def _indep(self, members: Iterable[int]) -> bool:
-        query = tuple(members)
-        if not query:
-            return True
-        prefix, labels = self._prefix_labels
-        if query[:-1] != prefix:
-            if query == prefix:
-                return labels is not None
-            prefix = query[:-1]
-            labels = self._component_labels(prefix)
-            self._prefix_labels = (prefix, labels)
-        last = query[-1]
-        self._check_id(last)
-        if labels is None:
-            return False
-        a, b = self.edges[last]
-        return labels[a] != labels[b]
-
-    def _component_labels(self, prefix: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """Union-find over ``prefix``: each vertex's root, or None on a cycle."""
-        for e in prefix:
-            self._check_id(e)
+    def _cache(self, prefix: list[int]) -> tuple[list[int], bool, Optional[tuple[int, ...]]]:
+        ids = [self._check_id(e) for e in prefix]
         parent = list(range(self.num_vertices))
 
         def find(x: int) -> int:
@@ -199,13 +173,24 @@ class GraphicMatroid(Matroid):
                 x = parent[x]
             return x
 
-        for e in prefix:
+        labels: Optional[tuple[int, ...]] = None
+        for e in ids:
             a, b = self.edges[e]
             ra, rb = find(a), find(b)
             if ra == rb:
-                return None
+                break
             parent[ra] = rb
-        return tuple(find(v) for v in range(self.num_vertices))
+        else:
+            labels = tuple(find(v) for v in range(self.num_vertices))
+        self._prefix = (prefix, labels is not None, labels)
+        return self._prefix
+
+    def _extend(self, cache: tuple[list[int], bool, Optional[tuple[int, ...]]], u: int) -> bool:
+        labels = cache[2]
+        if labels is None:
+            return False
+        a, b = self.edges[u]
+        return labels[a] != labels[b]
 
 
 class ExplicitMatroid(Matroid):
@@ -287,6 +272,30 @@ class RankCappedMatroid(View, Matroid):
         return min(self.cap, self._base.rank())
 
 
+def _split_real(members: Iterable[int], n_real: int, n: int) -> tuple[list[int], int]:
+    """The real ids of ``members`` (those below ``n_real``) and the number of dummy ids.
+
+    Every id must lie in ``{0, ..., n - 1}``. A dummy id never reaches the
+    base, so it is checked as an integer here; the base checks the real ones.
+    """
+    real = []
+    dummies = 0
+    try:
+        for u in members:
+            if not 0 <= u < n:
+                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+            if u < n_real:
+                real.append(u)
+            else:
+                if u.__class__ is not int:
+                    operator.index(u)
+                dummies += 1
+    except TypeError:
+        _reject_non_integer(members)
+        raise
+    return real, dummies
+
+
 class DummyValueOracle(View, ValueOracle):
     """f'(S) = f(S minus dummies); every call charges one base value query."""
 
@@ -296,14 +305,7 @@ class DummyValueOracle(View, ValueOracle):
         self.monotone = base.monotone
 
     def evaluate(self, members: Iterable[int]) -> float:
-        n_real, n = self.n_real, self.n
-        real = []
-        for u in members:
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            if u < n_real:
-                real.append(u)
-        return self._base.evaluate(real)
+        return self._base.evaluate(_split_real(members, self.n_real, self.n)[0])
 
 
 class DummyAugmentedMatroid(View, Matroid):
@@ -315,16 +317,8 @@ class DummyAugmentedMatroid(View, Matroid):
         self.k = k
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        n_real, n = self.n_real, self.n
-        real = []
-        size = 0
-        for u in members:
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            size += 1
-            if u < n_real:
-                real.append(u)
-        if size > self.k:
+        real, dummies = _split_real(members, self.n_real, self.n)
+        if len(real) + dummies > self.k:
             # dummy logic alone decides, but the query is charged anyway
             self.ledger.charge_independence(1)
             return False

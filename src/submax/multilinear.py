@@ -80,16 +80,22 @@ def estimate_marginal_F(
 
 
 def _estimate(f: ValueOracle, x_vec: np.ndarray, u: int, m: int, rng: np.random.Generator) -> float:
+    """The paired-sample loop of :func:`estimate_marginal_F`, without its checks.
+
+    Each pair asks f(R + u) first, then f(R). The second query is the first
+    one's members-but-last, so a prefix-cached oracle answers it from the
+    cache the first one left.
+    """
     inclusion = rng.random((m, x_vec.shape[0])) < x_vec
     inclusion[:, u] = False
     total = 0.0
     evaluate = f.evaluate
     for row in inclusion:
-        # f(R - u), then f(R - u + u): the second query extends the first by one id
         ids = row.nonzero()[0].tolist()
-        without_u = evaluate(ids)
         ids.append(u)
-        total += evaluate(ids) - without_u
+        with_u = evaluate(ids)
+        ids.pop()
+        total += with_u - evaluate(ids)
     return total / m
 
 

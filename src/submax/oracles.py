@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .ledger import Counted, QueryLedger, View
+from .ledger import Counted, PrefixCached, QueryLedger, View, _reject_non_integer
 
 ElementId = int
 Subset = Collection[int]
@@ -68,15 +68,13 @@ def members_with(solution: set[int], ordered: list[int], u: ElementId) -> list[i
     return ordered + [u]
 
 
-class CoverageOracle(ValueOracle):
+class CoverageOracle(PrefixCached, ValueOracle):
     """Weighted coverage: f(S) = total weight of universe items covered by S.
 
-    The handle keeps its previous query as ``(list copy, union mask)``. A
-    query whose ids, in order, are that list plus one id checks only the new
-    id and ORs one mask; any other query rebuilds the mask. The value is
-    always taken from the final mask, so a cached answer equals a fresh one
-    bit for bit. The pair is replaced whole, never mutated, so clones that
-    share it stay correct.
+    Answers through :class:`~submax.ledger.PrefixCached`; the state of a
+    prefix is its union mask, and ``P`` plus ``u`` ORs one mask. A value is
+    always taken from a final mask, so a cached answer equals a fresh one
+    bit for bit.
     """
 
     monotone = True
@@ -121,37 +119,31 @@ class CoverageOracle(ValueOracle):
             w = [float(x) for x in weights]
             # popcount fast path when the weighting is trivial
             self._weights = None if all(x == 1.0 for x in w) else w
-        self._last: tuple[list[int], int] = ([], 0)
+        self._cache([])
 
-    def _value(self, members: Iterable[int]) -> float:
-        # a copy: callers such as the estimator extend their list in place
-        query = list(members)
-        last, mask = self._last
+    def _cache(self, prefix: list[int]) -> tuple[list[int], float, int]:
         masks = self._masks
         n = self.n
-        hit = False
-        if len(query) == len(last) + 1:
-            # pop and push back rather than slice: no second copy
-            v = query.pop()
-            hit = query == last
-            query.append(v)
+        mask = 0
         try:
-            if hit:
-                if not 0 <= v < n:
-                    raise InvalidInputError(f"element id {v} outside ground set of size {n}")
-                mask |= masks[v]
-            else:
-                mask = 0
-                for u in query:
-                    if not 0 <= u < n:
-                        raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-                    mask |= masks[u]
+            for u in prefix:
+                if not 0 <= u < n:
+                    raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+                mask |= masks[u]
         except TypeError:
-            _reject_non_integer(query)
+            _reject_non_integer(prefix)
             raise
-        self._last = (query, mask)
-        if self._weights is None:
-            return float(mask.bit_count())
+        # popcount inline on the unweighted path: a call costs more than it
+        value = float(mask.bit_count()) if self._weights is None else self._weighted(mask)
+        self._prefix = (prefix, value, mask)
+        return self._prefix
+
+    def _extend(self, cache: tuple[list[int], float, int], u: int) -> float:
+        mask = cache[2] | self._masks[u]
+        return float(mask.bit_count()) if self._weights is None else self._weighted(mask)
+
+    def _weighted(self, mask: int) -> float:
+        """Total weight of the items in ``mask``, summed in item order."""
         total = 0.0
         weights = self._weights
         item = 0
@@ -163,65 +155,7 @@ class CoverageOracle(ValueOracle):
         return total
 
 
-class PrefixCachedOracle(ValueOracle):
-    """Base of oracles that answer "previous prefix + one id" from a cache.
-
-    The handle keeps ``_prefix``, a tuple whose first entry is a list copy
-    of ``P``, the members-but-last of its previous query; ``_cache`` builds
-    the rest. A query equal to ``P`` or ``P`` plus one id is answered by
-    ``_extend`` from that cache; any other query first rebuilds it for its
-    own members-but-last. The empty query is answered 0 without the cache.
-    The cache is replaced whole, only after all of its ids passed the range
-    check, and never mutated, so clones that share it stay correct.
-    """
-
-    _prefix: tuple
-
-    def _value(self, members: Iterable[int]) -> float:
-        # a copy: the cache keeps it, and callers may extend their list
-        query = list(members)
-        cache = self._prefix
-        try:
-            if len(query) == len(cache[0]) + 1:
-                u = query.pop()
-                if query != cache[0]:
-                    cache = self._cache(query)
-            elif query == cache[0]:
-                return self._extend(cache, None)
-            elif query:
-                u = query.pop()
-                cache = self._cache(query)
-            else:
-                return 0.0
-            u = operator.index(u)
-        except TypeError:
-            _reject_non_integer([*query, u])
-            raise
-        if not 0 <= u < self.n:
-            raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
-        return self._extend(cache, u)
-
-    def _cache(self, prefix: list[int]) -> tuple:
-        """Check the ids of ``prefix``, store its cache as ``_prefix`` and return it."""
-        raise NotImplementedError
-
-    def _extend(self, cache: tuple, u: Optional[int]) -> float:
-        """f(P + u) from the cache of P; f(P) when ``u`` is None."""
-        raise NotImplementedError
-
-    def _prefix_ids(self, prefix: list[int]) -> list[int]:
-        """``prefix`` as integer ids of the ground set, else InvalidInputError."""
-        n = self.n
-        ids = []
-        for u in prefix:
-            u = operator.index(u)
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            ids.append(u)
-        return ids
-
-
-class DirectedCutOracle(PrefixCachedOracle):
+class DirectedCutOracle(PrefixCached, ValueOracle):
     """Directed cut: f(S) = total weight of arcs leaving S. Non-monotone.
 
     Arc weights are kept as exact ints over one common power-of-two
@@ -230,9 +164,10 @@ class DirectedCutOracle(PrefixCachedOracle):
     counts, whichever way it was reached. Integral weights give exactly the
     float sum.
 
-    The prefix cache of ``P`` is ``(list copy, set, into, f(P))``, where
-    ``into[v]`` is the weight from ``P`` into ``v``, built with one pass
-    over ``P``'s out-arcs. ``P`` plus ``u`` is then
+    Answers through :class:`~submax.ledger.PrefixCached`; the state of a
+    prefix ``P`` is ``(set, into, total)``, where ``into[v]`` is the weight
+    from ``P`` into ``v`` and ``total`` is f(P) before the division, built
+    with one pass over ``P``'s out-arcs. ``P`` plus ``u`` is then
     ``f(P) + out(u -> outside P) - into[u]``, or ``f(P)`` when ``u`` is in
     ``P``.
     """
@@ -269,10 +204,10 @@ class DirectedCutOracle(PrefixCachedOracle):
             out[a].append((b, num * (denom // d)))
         self._out = out
         self._denom = denom
-        self._prefix: tuple[list[int], set[int], dict[int, int], int] = ([], set(), {}, 0)
+        self._cache([])
 
-    def _cache(self, prefix: list[int]) -> tuple[list[int], set[int], dict[int, int], int]:
-        inside = set(self._prefix_ids(prefix))
+    def _cache(self, prefix: list[int]) -> tuple[list[int], float, set[int], dict[int, int], int]:
+        inside = set(map(self._check_id, prefix))
         out = self._out
         total = 0
         into: dict[int, int] = {}
@@ -281,26 +216,28 @@ class DirectedCutOracle(PrefixCachedOracle):
                 if v not in inside:
                     total += w
                     into[v] = into.get(v, 0) + w
-        self._prefix = (prefix, inside, into, total)
+        self._prefix = (prefix, total / self._denom, inside, into, total)
         return self._prefix
 
-    def _extend(self, cache: tuple[list[int], set[int], dict[int, int], int], u: Optional[int]) -> float:
-        _, inside, into, total = cache
-        if u is not None and u not in inside:
-            total -= into.get(u, 0)
-            for v, w in self._out[u]:
-                if v not in inside:
-                    total += w
+    def _extend(self, cache: tuple[list[int], float, set[int], dict[int, int], int], u: int) -> float:
+        _, answer, inside, into, total = cache
+        if u in inside:
+            return answer
+        total -= into.get(u, 0)
+        for v, w in self._out[u]:
+            if v not in inside:
+                total += w
         return total / self._denom
 
 
-class FacilityLocationOracle(PrefixCachedOracle):
+class FacilityLocationOracle(PrefixCached, ValueOracle):
     """Max facility location: f(S) = sum over clients of the best value in S.
 
     Only the facilities x clients matrix is kept, so each facility's values
-    are one contiguous row. The prefix cache of ``P`` is
-    ``(list copy, per-client best over P)``, with None for the empty
-    prefix; ``P`` plus ``u`` sums ``max(best, row u)``. Max is exact and
+    are one contiguous row. Answers through
+    :class:`~submax.ledger.PrefixCached`; the state of a prefix ``P`` is its
+    per-client best, None for the empty prefix, and ``P`` plus ``u`` sums
+    ``max(best, row u)``. Max is exact and
     every sum runs over one contiguous per-client vector, so a cached answer
     equals a fresh one bit for bit.
     """
@@ -320,18 +257,17 @@ class FacilityLocationOracle(PrefixCachedOracle):
             raise InvalidInputError("facility values must be finite and non-negative")
         super().__init__(mat.shape[1], ledger)
         self._rows = np.ascontiguousarray(mat.T)
-        self._prefix: tuple[list[int], Optional[np.ndarray]] = ([], None)
+        self._cache([])
 
-    def _cache(self, prefix: list[int]) -> tuple[list[int], Optional[np.ndarray]]:
+    def _cache(self, prefix: list[int]) -> tuple[list[int], float, Optional[np.ndarray]]:
         # integer ids: numpy would read bools as a mask
-        ids = self._prefix_ids(prefix)
-        self._prefix = (prefix, self._rows[ids].max(axis=0) if ids else None)
+        ids = [self._check_id(u) for u in prefix]
+        best = self._rows[ids].max(axis=0) if ids else None
+        self._prefix = (prefix, 0.0 if best is None else float(best.sum()), best)
         return self._prefix
 
-    def _extend(self, cache: tuple[list[int], Optional[np.ndarray]], u: Optional[int]) -> float:
-        best = cache[1]
-        if u is None:
-            return 0.0 if best is None else float(best.sum())
+    def _extend(self, cache: tuple[list[int], float, Optional[np.ndarray]], u: int) -> float:
+        best = cache[2]
         row = self._rows[u]
         return float((row if best is None else np.maximum(best, row)).sum())
 
@@ -401,9 +337,9 @@ class ResidualOracle(View, ValueOracle):
 
     Each evaluation delegates one query to the wrapped oracle (the f(S) term
     is cached at construction, costing a single query there). The query
-    lists the sorted anchor S first, then the members in their order, so a
-    members list extended by one id reaches the base as its previous query
-    plus one id, which the coverage oracle's prefix mask answers.
+    lists the sorted anchor S first, then the members in their order, so
+    the estimator's pair, R + u then R, reaches the base as a query and its
+    members-but-last, which the base's prefix cache answers.
     """
 
     def __init__(self, base: ValueOracle, S: Subset):
@@ -463,15 +399,6 @@ def sample_correlated_subset(A: Subset, p: float, rng: np.random.Generator) -> s
         return set(items)
     draws = rng.random(len(items))
     return {u for u, d in zip(items, draws) if d < p}
-
-
-def _reject_non_integer(ids: Iterable) -> None:
-    """Raise InvalidInputError naming the first id of ``ids`` that is not an integer."""
-    for u in ids:
-        try:
-            operator.index(u)
-        except TypeError:
-            raise InvalidInputError(f"element id {u!r} is not an integer") from None
 
 
 def _check_weights(weights: Iterable[float], field: str) -> None:

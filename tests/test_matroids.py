@@ -27,7 +27,7 @@ from submax import (
     swap_round,
     thresholding_greedy,
 )
-from submax.matroids import DummyValueOracle
+from submax.matroids import DummyAugmentedMatroid, DummyValueOracle
 
 from .conftest import (
     compose_views,
@@ -74,6 +74,34 @@ class TestIsIndependent:
     def test_invalid_id_rejected(self):
         with pytest.raises(InvalidInputError):
             UniformMatroid(3, 1).is_independent({5})
+
+
+@pytest.mark.parametrize(
+    "handle",
+    [
+        GraphicMatroid(3, [(0, 1), (1, 2)]),
+        PartitionMatroid([[0, 1], [2]], [1, 1]),
+        UniformMatroid(3, 1),
+        ExplicitMatroid(3, [[], [0], [1], [2]]),
+        DummyAugmentedMatroid(UniformMatroid(2, 1), 2, 2),
+        DummyValueOracle(CoverageOracle([[0], [1]], 2), 2),
+        # every id a dummy: a fractional one never reaches the base
+        DummyAugmentedMatroid(UniformMatroid(0, 0), 2, 2),
+        DummyValueOracle(CoverageOracle([], 0), 2),
+    ],
+    ids=[
+        "graphic", "partition", "uniform", "explicit", "dummy_augmented", "dummy_value",
+        "dummy_augmented_no_real", "dummy_value_no_real",
+    ],
+)
+def test_non_integer_id_is_named(handle):
+    ask = handle.is_independent if isinstance(handle, Matroid) else handle.evaluate
+    for bad in (0.5, 1.5, "a"):
+        for query in ([bad], [0, bad]):
+            with pytest.raises(InvalidInputError, match=rf"element id {bad!r} is not an integer"):
+                ask(query)
+    # bool ids stay accepted
+    assert ask([True]) == ask([1])
 
 
 class TestContraction:

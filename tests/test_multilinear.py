@@ -15,6 +15,7 @@ from submax import (
     ModularOracle,
     PartitionMatroid,
     QueryLedger,
+    ResidualOracle,
     UniformMatroid,
     brute_force_opt,
     continuous_greedy,
@@ -61,6 +62,21 @@ class TestEstimateMarginalF:
         f = coverage4(ledger)
         estimate_marginal_F(f, np.array([0.5, 0.2, 0.1, 0.9]), 1, 13, rng)
         assert ledger.value_queries == 26
+
+    def test_pair_asks_the_query_then_its_prefix(self):
+        """f(R + u) first, then f(R): the coverage cache rebuilds at most once per pair."""
+        m, u = 60, 5
+        x = np.linspace(0.05, 0.95, 12)
+        base = coverage12()
+        view = ResidualOracle(base, [0, 3])
+        rebuild = base._cache
+        rebuilds = []
+        base._cache = lambda prefix: rebuilds.append(len(prefix)) or rebuild(prefix)
+        ref = ResidualOracle(coverage12(), [0, 3])
+        got = estimate_marginal_F(view, x, u, m, np.random.default_rng(4))
+        assert view.ledger.value_queries == 1 + 2 * m
+        assert 0 < len(rebuilds) <= m
+        assert got == reference_estimate(ref, x, u, m, np.random.default_rng(4))
 
     def test_unbiased_against_enumeration(self, rng):
         f = coverage4()

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from submax import (
     CoverageOracle,
     DirectedCutOracle,
     FacilityLocationOracle,
+    GraphicMatroid,
     InvalidInputError,
+    Matroid,
     ModularOracle,
     QueryLedger,
     ResidualOracle,
@@ -31,6 +34,7 @@ from .conftest import (
     mean_and_se,
     reference_cut_value,
     reference_facility_value,
+    small_multigraphs,
     zoo_functions,
 )
 
@@ -402,54 +406,76 @@ def facility_instances(draw):
     return draw(st.lists(row, min_size=clients, max_size=clients))
 
 
-_PREFIX_OPS = ["extend", "prefix", "member", "repeat", "shorter", "empty", "fresh", "bad"]
+_PREFIX_OPS = [
+    "extend", "prefix", "member", "repeat", "advance", "pair", "shorter", "empty", "fresh", "bad",
+]
 
 
 def _check_prefix_cache(f, data, expected):
     """Interleave queries of every kind on ``f`` and a ``with_ledger`` clone.
 
-    Each query is built from the previous one: its members-but-last plus
-    one id, those alone, plus one of their own ids, plus a repeated id, a
-    shorter or empty list, a fresh list, or one with an out-of-range id
-    among its members (which must raise). Every answer must equal a
-    never-queried clone's and ``expected(query)``, and every call, raising
-    or not, charges exactly one query.
+    ``f`` is a value oracle or a matroid. Each query is built from the
+    previous one: its members-but-last plus one id, those alone, plus one
+    of their own ids, plus a repeated id, the previous query plus one new
+    id, a pair ``P + u`` then ``P`` (the estimator's order), a shorter or
+    empty list, a fresh list, or one with an out-of-range id among its
+    members (which must raise), each passed as a list or a tuple. Every
+    answer must equal a never-queried clone's and ``expected(query)``, and
+    every call, raising or not, charges exactly one query of ``f``'s own
+    kind (value or independence) and none of the other.
     """
+    if isinstance(f, Matroid):
+        method, charge = "is_independent", (0, 1)
+    else:
+        method, charge = "evaluate", (1, 0)
+
+    def ask(handle, query):
+        return getattr(handle, method)(query)
+
     pristine = f.uncounted()
     clone = f.with_ledger(QueryLedger())
     ids = st.integers(min_value=0, max_value=f.n - 1)
     last: list[int] = []
     for op in data.draw(st.lists(st.sampled_from(_PREFIX_OPS), min_size=1, max_size=14)):
         prefix = last[:-1]
+        unused = [v for v in range(f.n) if v not in last]
         if op == "extend":
-            query = prefix + [data.draw(ids)]
+            queries = [prefix + [data.draw(ids)]]
         elif op == "prefix":
-            query = prefix
+            queries = [prefix]
         elif op == "member" and prefix:
-            query = prefix + [data.draw(st.sampled_from(prefix))]
+            queries = [prefix + [data.draw(st.sampled_from(prefix))]]
         elif op == "repeat" and last:
-            query = last + [data.draw(st.sampled_from(last))]
+            queries = [last + [data.draw(st.sampled_from(last))]]
+        elif op == "advance" and unused:
+            queries = [last + [data.draw(st.sampled_from(unused))]]
+        elif op == "pair":
+            base = data.draw(st.sampled_from([last, prefix]) | st.lists(ids, max_size=f.n))
+            queries = [base + [data.draw(ids)], base]
         elif op == "shorter":
-            query = last[: data.draw(st.integers(min_value=0, max_value=max(len(last) - 1, 0)))]
+            queries = [last[: data.draw(st.integers(min_value=0, max_value=max(len(last) - 1, 0)))]]
         elif op == "bad":
             query = prefix + [data.draw(ids)]
             position = data.draw(st.integers(min_value=0, max_value=len(query)))
             query.insert(position, data.draw(st.sampled_from([f.n, -1])))
+            queries = [query]
         elif op == "fresh":
-            query = data.draw(st.lists(ids, max_size=f.n + 1))
+            queries = [data.draw(st.lists(ids, max_size=f.n + 1))]
         else:
-            query = []
+            queries = [[]]
         handle = data.draw(st.sampled_from([f, clone]))
-        before = handle.ledger.value_queries
-        if op == "bad":
-            with pytest.raises(InvalidInputError, match="outside ground set"):
-                handle.evaluate(query)
-        else:
-            value = handle.evaluate(query)
-            assert value == pristine.uncounted().evaluate(query)
-            assert value == expected(query)
-            last = query
-        assert handle.ledger.value_queries == before + 1
+        shape = data.draw(st.sampled_from([list, tuple]))
+        for query in queries:
+            before = handle.ledger.snapshot()
+            if op == "bad":
+                with pytest.raises(InvalidInputError, match="outside ground set"):
+                    ask(handle, shape(query))
+            else:
+                answer = ask(handle, shape(query))
+                assert answer == ask(pristine.uncounted(), query)
+                assert answer == expected(query)
+                last = query
+            assert handle.ledger.snapshot() == (before[0] + charge[0], before[1] + charge[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -472,6 +498,34 @@ def test_cut_prefix_cache_matches_a_fresh_clone_and_the_exact_sum(instance, data
 def test_facility_prefix_cache_matches_a_fresh_clone_and_the_reference(values, data):
     _check_prefix_cache(
         FacilityLocationOracle(values), data, lambda query: reference_facility_value(values, query)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=coverage_instances(), data=st.data())
+def test_coverage_prefix_cache_matches_a_fresh_clone_and_the_reference(instance, data):
+    sets, universe, weights = instance
+    _check_prefix_cache(
+        CoverageOracle(sets, universe, weights), data, lambda query: _covered(sets, weights, query)
+    )
+
+
+def _networkx_forest(v, edges, members):
+    """Whether the listed edges (repeats kept) form a forest, by networkx."""
+    if not members:
+        return True
+    G = nx.MultiGraph()
+    G.add_nodes_from(range(v))
+    G.add_edges_from(edges[e] for e in members)
+    return nx.is_forest(G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=small_multigraphs(), data=st.data())
+def test_graphic_prefix_cache_matches_a_fresh_clone_and_networkx(graph, data):
+    v, edges = graph
+    _check_prefix_cache(
+        GraphicMatroid(v, edges), data, lambda query: _networkx_forest(v, edges, query)
     )
 
 
