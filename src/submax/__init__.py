@@ -39,14 +39,12 @@ from .matroid_algos import (
 )
 from .matroids import (
     ContractedMatroid,
-    DummyAugmentedProblem,
     ExplicitMatroid,
     GraphicMatroid,
     Matroid,
     PartitionMatroid,
     RankCappedMatroid,
     UniformMatroid,
-    augment_with_dummies,
     check_exchange_axiom,
     greedy_basis,
     matroid_rank,

@@ -3,8 +3,9 @@
 Random sampling (general, monotone and non-monotone parameterizations), the
 two lazy threshold-pool variants built on a resumable filler, and the
 standard/random greedy baselines. All randomness comes from the generator
-passed in; dummy padding is handled internally and stripped from returned
-solutions.
+passed in. The pool variants pad their pool with zero-value dummy elements,
+kept as a count: a dummy has no id, is never asked about and never appears
+in a returned solution.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .matroids import DummyAugmentedProblem, augment_with_dummies
 from .matroid_algos import geometric_level_count
 from .oracles import ValueOracle, members_with
 
@@ -205,26 +205,18 @@ def random_sampling_nonmonotone(
 
 
 class FillState:
-    """Resumable threshold filler (shared by the two lazy pool variants).
+    """The pool of the two lazy pool variants and its resumable filler.
 
-    Scans (level, element) pairs in a fixed order; ``fill`` resumes exactly
-    where the previous call stopped and returns once the pool holds k
-    elements, topping it up with zero-value dummies after the sweep is
-    exhausted. The externally visible threshold ``current_w`` is the last
-    level the sweep reached.
+    The pool is a set of real ids, ``pool``, plus ``dummies``, a count of
+    zero-value dummy elements. ``fill`` scans (level, element) pairs in a
+    fixed order, resumes exactly where the previous call stopped and returns
+    once the pool holds k elements, topping it up with dummies after the
+    sweep is exhausted. The externally visible threshold ``current_w`` is the
+    last level the sweep reached.
     """
 
-    def __init__(
-        self,
-        f: ValueOracle,
-        aug: DummyAugmentedProblem,
-        k: int,
-        delta: float,
-        W: float,
-    ):
+    def __init__(self, f: ValueOracle, k: int, delta: float, W: float):
         self.f = f
-        self.aug = aug
-        self.real_ids = list(range(aug.n_real))
         self.k = k
         self.delta = delta
         self.W = float(W)
@@ -234,26 +226,35 @@ class FillState:
             self.num_levels = 0
         self.level = 0
         self.pos = 0
+        self.pool: set[int] = set()
+        self.dummies = 0
 
     def current_w(self) -> float:
         return self.W * (1.0 - self.delta) ** self.level
 
+    def draw(self, rng: np.random.Generator) -> Optional[int]:
+        """A uniform pool member: an id, or None for a dummy (dummies sort last)."""
+        members = sorted(self.pool)
+        slot = int(rng.integers(len(members) + self.dummies))
+        return members[slot] if slot < len(members) else None
+
     def fill(
-        self, pool: set[int], solution: set[int], solution_value: float
-    ) -> tuple[list[int], list[float]]:
+        self, solution: set[int], solution_value: float
+    ) -> tuple[list[Optional[int]], list[float]]:
         """Resume the sweep until the pool reaches k elements.
 
-        Returns the newly added elements and their insertion-time marginals
-        (zero for dummies).
+        Returns the newly added elements, None for a dummy, and their
+        insertion-time marginals (zero for dummies).
         """
-        added: list[int] = []
+        pool = self.pool
+        added: list[Optional[int]] = []
         marginals: list[float] = []
         ordered = sorted(solution)
         one_minus = 1.0 - self.delta
         while self.level < self.num_levels:
             bar = self.W * one_minus ** self.level * one_minus
-            while self.pos < len(self.real_ids):
-                u = self.real_ids[self.pos]
+            while self.pos < self.f.n:
+                u = self.pos
                 self.pos += 1
                 gain = self.f.evaluate(members_with(solution, ordered, u)) - solution_value
                 if gain > bar:
@@ -261,17 +262,14 @@ class FillState:
                         pool.add(u)
                         added.append(u)
                         marginals.append(gain)
-                    if len(pool) == self.k:
+                    if len(pool) + self.dummies == self.k:
                         return added, marginals
             self.pos = 0
             self.level += 1
-        for d in self.aug.dummy_ids():
-            if len(pool) == self.k:
-                break
-            if d not in pool:
-                pool.add(d)
-                added.append(d)
-                marginals.append(0.0)
+        top_up = self.k - len(pool) - self.dummies
+        self.dummies += top_up
+        added += [None] * top_up
+        marginals += [0.0] * top_up
         return added, marginals
 
 
@@ -288,26 +286,30 @@ def lazy_greedy_simple(
     whose marginal fell under the current threshold.
     """
     _validate_lazy_params(f, k, delta)
-    aug = augment_with_dummies(f, None, 2 * k)
-    fa = aug.f
     W = max((f.evaluate([u]) for u in range(f.n)), default=0.0)
-    filler = FillState(fa, aug, k, delta, W)
+    filler = FillState(f, k, delta, W)
+    pool = filler.pool
     solution: set[int] = set()
-    current = fa.evaluate([])
-    pool: set[int] = set()
+    current = f.evaluate([])
     for _ in range(k):
-        filler.fill(pool, solution, current)
-        members = sorted(pool)
-        u_i = members[int(rng.integers(len(members)))]
-        solution.add(u_i)
-        current = fa.evaluate(sorted(solution))
-        bar = filler.current_w() * (1.0 - delta)
+        filler.fill(solution, current)
+        u_i = filler.draw(rng)
+        if u_i is not None:
+            solution.add(u_i)
         ordered = sorted(solution)
+        current = f.evaluate(ordered)
+        bar = filler.current_w() * (1.0 - delta)
         for u in sorted(pool):
-            gain = fa.evaluate(members_with(solution, ordered, u)) - current
+            gain = f.evaluate(members_with(solution, ordered, u)) - current
             if gain <= bar:
                 pool.discard(u)
-    return aug.strip(solution)
+        # each pool dummy is asked like a member, after them: its marginal is f(S) - f(S)
+        kept = 0
+        for _ in range(filler.dummies):
+            if f.evaluate(ordered) - current > bar:
+                kept += 1
+        filler.dummies = kept
+    return solution
 
 
 def lazy_greedy_improved(
@@ -322,24 +324,22 @@ def lazy_greedy_improved(
     A uniformly drawn pool member is used directly if it is a dummy or its
     marginal still clears (1 - delta) w; otherwise the pool is purged of
     stale members, refilled, and the pick is redrawn from the fresh arrivals.
+    ``trace`` records each pick (None for a dummy) and each rescan.
     """
     _validate_lazy_params(f, k, delta)
-    aug = augment_with_dummies(f, None, 2 * k)
-    fa = aug.f
     W = max((f.evaluate([u]) for u in range(f.n)), default=0.0)
-    filler = FillState(fa, aug, k, delta, W)
+    filler = FillState(f, k, delta, W)
+    pool = filler.pool
     solution: set[int] = set()
-    current = fa.evaluate([])
-    pool: set[int] = set()
-    filler.fill(pool, solution, current)
+    current = f.evaluate([])
+    filler.fill(solution, current)
     for _ in range(k):
-        members = sorted(pool)
-        candidate = members[int(rng.integers(len(members)))]
+        candidate = filler.draw(rng)
         ordered = sorted(solution)
-        if aug.is_dummy(candidate):
-            pick, pick_gain = candidate, 0.0
+        if candidate is None:
+            pick, pick_gain = None, 0.0
         else:
-            gain = fa.evaluate(members_with(solution, ordered, candidate)) - current
+            gain = f.evaluate(members_with(solution, ordered, candidate)) - current
             if gain > (1.0 - delta) * filler.current_w():
                 pick, pick_gain = candidate, gain
             else:
@@ -349,19 +349,17 @@ def lazy_greedy_improved(
                     )
                 bar = filler.current_w() * (1.0 - delta)
                 for u in sorted(pool):
-                    if aug.is_dummy(u):
-                        continue
-                    if fa.evaluate(members_with(solution, ordered, u)) - current <= bar:
+                    if f.evaluate(members_with(solution, ordered, u)) - current <= bar:
                         pool.discard(u)
-                fresh, fresh_gains = filler.fill(pool, solution, current)
+                fresh, fresh_gains = filler.fill(solution, current)
                 slot = int(rng.integers(len(fresh)))
                 pick, pick_gain = fresh[slot], fresh_gains[slot]
-        if pick not in solution:
+        if pick is not None and pick not in solution:
             solution.add(pick)
             current += pick_gain
         if trace is not None:
             trace.setdefault("picks", []).append(pick)
-    return aug.strip(solution)
+    return solution
 
 
 def _validate_k(f: ValueOracle, k: int) -> None:

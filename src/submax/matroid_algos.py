@@ -22,7 +22,6 @@ from .matroids import (
     Matroid,
     PartitionMatroid,
     RankCappedMatroid,
-    augment_with_dummies,
     matroid_rank,
     threshold_sweep,
 )
@@ -95,7 +94,9 @@ class LazyGreedyState:
     """Shared lazy-greedy bookkeeping across LinearGreedy calls of one run.
 
     Weight bounds are stored as integer level indices t (w_u = W (1-delta)^t)
-    so the per-level equality test of the scan is exact.
+    so the per-level equality test of the scan is exact. The solution is its
+    real ids plus ``dummies``, a count of zero-value dummy elements that
+    take up rank only.
     """
 
     def __init__(self, ground: list[int], W: float, delta: float, k: int):
@@ -108,6 +109,7 @@ class LazyGreedyState:
         )
         self.level = {u: 0 for u in self.ground}
         self.solution: set[int] = set()
+        self.dummies = 0
         self.solution_value = 0.0
         self.accept_marginals: dict[int, float] = {}
         self.adds = 0
@@ -123,8 +125,10 @@ def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int
     Scans each threshold level in id order; elements whose stored level does
     not match are skipped without any oracle use, and elements the
     independence check refuses are frozen at their level for the rest of the
-    call.
+    call. The solution's dummies take up rank: ``S + T`` must fit in
+    ``k - dummies``.
     """
+    M = RankCappedMatroid(M, state.k - state.dummies)
     S = state.solution
     ordered = sorted(S)
     f_S = state.solution_value
@@ -164,13 +168,13 @@ def linear_greedy_partition(state: LazyGreedyState, f: ValueOracle, M: Matroid) 
     if structure is None:
         raise InvalidInputError("partition LinearGreedy needs a generalized partition matroid")
     S = state.solution
-    ordered = sorted(u for u in S if u in state.level)
+    ordered = sorted(S)
     f_S = state.solution_value
     state.accept_marginals = {}
     chosen: set[int] = set()
     one_minus = 1.0 - state.delta
     # dummies in S occupy rank without living in any block
-    allowance = state.k - len(S)
+    allowance = state.k - len(S) - state.dummies
     for blk, cap in zip(*structure):
         blk = sorted(blk)
         room = min(cap - sum(1 for v in blk if v in S), allowance - len(chosen))
@@ -217,8 +221,9 @@ def random_lazy_greedy(
 
     Repeatedly builds an approximately maximum-weight residual independent set
     via LinearGreedy; while its weight stays at least B * opt, a uniformly
-    random member of the dummy-padded set joins the solution. Exhausting all
-    I iterations without hitting the low-weight stopping test is a failure.
+    random member of that set, padded with zero-value dummies to the
+    remaining rank, joins the solution. Exhausting all I iterations without
+    hitting the low-weight stopping test is a failure.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must be in (0, 1)")
@@ -229,7 +234,6 @@ def random_lazy_greedy(
     k = matroid_rank(M)
     if I > k / 2:
         raise InvalidInputError("iteration bound above k/2 voids the failure analysis")
-    aug = augment_with_dummies(f, M, max(k, 1))
     opt = crude_opt_estimate(f, M)
     ground = list(range(f.n))
     W = max((f.evaluate([u]) for u in ground), default=0.0)
@@ -237,29 +241,30 @@ def random_lazy_greedy(
     if use_partition and M.partition_structure() is None:
         raise InvalidInputError("partition fast path needs a partition matroid")
     state = LazyGreedyState(ground, W, delta, k)
-    state.solution_value = aug.f.evaluate([])
+    state.solution_value = f.evaluate([])
 
-    dummy_pool = list(aug.dummy_ids())
     for i in range(1, I + 1):
         if use_partition:
-            chosen = linear_greedy_partition(state, aug.f, M)
+            chosen = linear_greedy_partition(state, f, M)
         else:
-            chosen = linear_greedy(state, aug.f, aug.matroid)
+            chosen = linear_greedy(state, f, M)
         total_weight = sum(state.weight_of(u) for u in sorted(chosen))
         if (1.0 - delta) * total_weight >= B * opt:
-            need = aug.matroid.k - len(state.solution) - len(chosen)
-            padding = [d for d in dummy_pool if d not in state.solution][: max(0, need)]
-            pool = sorted(chosen) + padding
-            u_i = pool[int(rng.integers(len(pool)))]
-            state.solution.add(u_i)
-            if u_i < aug.n_real:
-                state.solution_value += state.accept_marginals[u_i]
+            # the pool: the chosen ids, then one dummy per unfilled unit of rank
+            pool = sorted(chosen)
+            need = k - len(state.solution) - state.dummies - len(pool)
+            slot = int(rng.integers(len(pool) + max(0, need)))
+            if slot < len(pool):
+                state.solution.add(pool[slot])
+                state.solution_value += state.accept_marginals[pool[slot]]
+            else:
+                state.dummies += 1
         else:
             return LazyGreedyOutcome(
-                solution=frozenset(aug.strip(state.solution)),
+                solution=frozenset(state.solution),
                 failed=False,
                 iterations=i - 1,
-                dummies_used=sum(1 for u in state.solution if aug.is_dummy(u)),
+                dummies_used=state.dummies,
                 opt_estimate=opt,
             )
     return LazyGreedyOutcome(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError
@@ -261,6 +260,8 @@ class RankCappedMatroid(View, Matroid):
         listed = list(members)
         if len(listed) > self.cap:
             # decidable from the cap alone; still charged (conservative accounting)
+            for u in listed:
+                self._check_id(u)
             self.ledger.charge_independence(1)
             return False
         return self._base.is_independent(listed)
@@ -275,20 +276,20 @@ class RankCappedMatroid(View, Matroid):
 def _split_real(members: Iterable[int], n_real: int, n: int) -> tuple[list[int], int]:
     """The real ids of ``members`` (those below ``n_real``) and the number of dummy ids.
 
-    Every id must lie in ``{0, ..., n - 1}``. A dummy id never reaches the
-    base, so it is checked as an integer here; the base checks the real ones.
+    Every id must be an integer in ``{0, ..., n - 1}``. It is checked here,
+    since the views may answer from the count alone before the base sees it.
     """
     real = []
     dummies = 0
     try:
         for u in members:
+            if u.__class__ is not int:
+                operator.index(u)
             if not 0 <= u < n:
                 raise InvalidInputError(f"element id {u} outside ground set of size {n}")
             if u < n_real:
                 real.append(u)
             else:
-                if u.__class__ is not int:
-                    operator.index(u)
                 dummies += 1
     except TypeError:
         _reject_non_integer(members)
@@ -297,7 +298,11 @@ def _split_real(members: Iterable[int], n_real: int, n: int) -> tuple[list[int],
 
 
 class DummyValueOracle(View, ValueOracle):
-    """f'(S) = f(S minus dummies); every call charges one base value query."""
+    """f'(S) = f(S minus dummies) over ids ``n, ..., n + d - 1`` added as dummies.
+
+    A library view: the algorithms keep dummies as a count instead. Every
+    call charges one base value query.
+    """
 
     def __init__(self, base: ValueOracle, d: int):
         super().__init__(base, base.n + d)
@@ -309,7 +314,11 @@ class DummyValueOracle(View, ValueOracle):
 
 
 class DummyAugmentedMatroid(View, Matroid):
-    """S independent iff S minus dummies is independent in the base and |S| <= k."""
+    """S independent iff S minus dummies is independent in the base and |S| <= k.
+
+    A library view like :class:`DummyValueOracle`; the lazy phase asks
+    ``RankCappedMatroid(M, k - dummies)`` with the real ids instead.
+    """
 
     def __init__(self, base: Matroid, d: int, k: int):
         super().__init__(base, base.n + d)
@@ -323,42 +332,6 @@ class DummyAugmentedMatroid(View, Matroid):
             self.ledger.charge_independence(1)
             return False
         return self._base.is_independent(real)
-
-
-@dataclass
-class DummyAugmentedProblem:
-    """Ground set extended by zero-value dummy elements.
-
-    The matroid part is present for the matroid-constrained variant (rank cap
-    ``k``; dummies make every independent set extendable to a base) and absent
-    for the plain cardinality variant.
-    """
-
-    f: ValueOracle
-    matroid: Optional[Matroid]
-    n_real: int
-    d: int
-
-    @property
-    def n_total(self) -> int:
-        return self.n_real + self.d
-
-    def dummy_ids(self) -> range:
-        return range(self.n_real, self.n_total)
-
-    def is_dummy(self, u: int) -> bool:
-        return u >= self.n_real
-
-    def strip(self, S: Subset) -> set[int]:
-        return {u for u in S if u < self.n_real}
-
-
-def augment_with_dummies(f: ValueOracle, M: Optional[Matroid], d: int) -> DummyAugmentedProblem:
-    if d < 1:
-        raise InvalidInputError("need at least one dummy element")
-    aug_f = DummyValueOracle(f, d)
-    aug_m = None if M is None else DummyAugmentedMatroid(M, d, matroid_rank(M))
-    return DummyAugmentedProblem(f=aug_f, matroid=aug_m, n_real=f.n, d=d)
 
 
 def greedy_basis(M: Matroid) -> set[int]:

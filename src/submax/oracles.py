@@ -36,10 +36,6 @@ class ValueOracle(Counted):
 
     monotone: bool = True
 
-    def __init__(self, n: int, ledger: Optional[QueryLedger] = None):
-        super().__init__(n, ledger)
-        self.n_real = n
-
     def evaluate(self, members: Iterable[int]) -> float:
         """Return f(S), charging one value query."""
         self.ledger.charge_value(1)
@@ -346,7 +342,6 @@ class ResidualOracle(View, ValueOracle):
         super().__init__(base)
         self._anchor = sorted(set(S))
         self._f_anchor = base.evaluate(self._anchor)
-        self.n_real = base.n_real
         self.monotone = base.monotone
 
     def evaluate(self, members: Iterable[int]) -> float:

@@ -13,7 +13,6 @@ from submax import (
     ModularOracle,
     QueryLedger,
     TableOracle,
-    augment_with_dummies,
     brute_force_opt,
     draw_rank,
     lazy_greedy_improved,
@@ -239,49 +238,44 @@ class TestFillState:
     def test_pool_always_filled_to_k(self, rng):
         f = coverage16()
         k = 4
-        aug = augment_with_dummies(f, None, 2 * k)
         W = max(f.uncounted().evaluate([u]) for u in range(16))
-        filler = FillState(aug.f, aug, k, 0.2, W)
-        pool: set[int] = set()
+        filler = FillState(f, k, 0.2, W)
+        pool = filler.pool
         solution: set[int] = set()
         value = 0.0
         for _ in range(12):
-            filler.fill(pool, solution, value)
-            assert len(pool) == k
+            filler.fill(solution, value)
+            assert len(pool) + filler.dummies == k
             pool.discard(min(pool))  # simulate a removal between calls
         # exhaust the sweep: dummies must top up the pool forever after
         filler.level = filler.num_levels
         pool.clear()
-        added, gains = filler.fill(pool, solution, value)
-        assert len(pool) == k
-        assert all(aug.is_dummy(u) for u in added)
+        added, gains = filler.fill(solution, value)
+        assert len(pool) + filler.dummies == k
+        assert added == [None] * k
         assert gains == [0.0] * k
 
     def test_resumption_preserves_scan_position(self):
         f = coverage16()
         k = 3
-        aug = augment_with_dummies(f, None, 2 * k)
         W = max(f.uncounted().evaluate([u]) for u in range(16))
-        filler = FillState(aug.f, aug, k, 0.2, W)
-        pool: set[int] = set()
-        filler.fill(pool, set(), 0.0)
+        filler = FillState(f, k, 0.2, W)
+        filler.fill(set(), 0.0)
         level, pos = filler.level, filler.pos
-        pool.discard(min(pool))
-        filler.fill(pool, set(), 0.0)
+        filler.pool.discard(min(filler.pool))
+        filler.fill(set(), 0.0)
         assert (filler.level, filler.pos) >= (level, pos)
 
     def test_inserted_elements_clear_the_threshold(self):
         f = coverage16()
         k = 4
-        aug = augment_with_dummies(f, None, 2 * k)
         probe = f.uncounted()
         W = max(probe.evaluate([u]) for u in range(16))
-        filler = FillState(aug.f, aug, k, 0.25, W)
-        pool: set[int] = set()
-        added, gains = filler.fill(pool, set(), 0.0)
+        filler = FillState(f, k, 0.25, W)
+        added, gains = filler.fill(set(), 0.0)
         bar = filler.current_w() * (1 - 0.25)
         for u, g in zip(added, gains):
-            if not aug.is_dummy(u):
+            if u is not None:
                 assert g > bar or filler.level > 0  # cleared its insertion level
 
 
@@ -343,7 +337,7 @@ class TestLazyGreedyImproved:
             for u in picks:
                 inclusion[u] += 1
         for u, count in inclusion.items():
-            if u >= f.n:
+            if u is None:
                 continue  # dummies are unconstrained
             rate = count / iterations
             assert rate <= 1.0 / k + 3 * wilson_halfwidth(count, iterations)

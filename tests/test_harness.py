@@ -221,6 +221,15 @@ _GOLDEN_GRAPHIC = generate_matroid("graphic", 24, 6, 7)
 # the cut and facility oracles answer "previous prefix + one id" from a cache
 _GOLDEN_CUT = generate_instance("cut", 40, 7, density=0.1)
 _GOLDEN_FACILITY = generate_instance("facility", 30, 7, clients=12)
+# dense coverage: the pool variants' sweeps run dry, so dummies top up the pool
+_GOLDEN_DENSE = generate_instance("coverage", 24, 7, universe=8, density=0.6)
+# three valued ids of rank 8: the lazy phase pads its pool and draws dummies
+_GOLDEN_PADDED = {"kind": "coverage", "sets": [[0, 1, 2], [3, 4], [5]] + [[]] * 9, "universe": 6}
+_GOLDEN_PADDED_PART = {
+    "kind": "partition",
+    "blocks": [[0, 3, 4, 5, 6, 7], [1, 2, 8, 9, 10, 11]],
+    "capacities": [4, 4],
+}
 
 
 def _golden(algo, matroid=None, instance=_GOLDEN_COV, **params):
@@ -332,6 +341,34 @@ GOLDEN_CSV = {
                 trials=3),
         "f6f6d626e5fcc5c6ea24b9e5ff6811bcaf839044d2fbe267e8c5dd7fbb0a5c1e",
         [(43, 0), (43, 0), (43, 0)],
+    ),
+    "lazy_greedy_improved-dummies": (
+        _golden("lazy_greedy_improved", instance=_GOLDEN_DENSE, k=8, delta=0.2, trials=3),
+        "ee01973f3d4dfd493e08d4c05b3bcb7ea3ef097b80853f02c532b43769a1c3d3",
+        [(452, 0), (452, 0), (452, 0)],
+    ),
+    "lazy_greedy_simple-dummies": (
+        _golden("lazy_greedy_simple", instance=_GOLDEN_DENSE, k=8, delta=0.2, trials=3),
+        "08254842bc4dce19dd41ae9fe7df8f9120e4ac6200d665c596832e94672090cc",
+        [(505, 0), (505, 0), (505, 0)],
+    ),
+    "random_lazy_greedy-dummies": (
+        _golden("random_lazy_greedy", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, delta=0.5,
+                B=0.01, I=4, trials=4),
+        "5e59dbe212365526827e25b8a2f289a0d3386a1e9b3e87bbdb90919902969bf8",
+        [(286, 92), (286, 92), (291, 97), (290, 96)],
+    ),
+    "combined-dummies": (
+        _golden("combined", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, epsilon=0.25, lam=8.0,
+                B=0.01, sample_scale=1e-4, trials=4),
+        "c418ac98b94dd30afa99eb5559dca83ae09ebe3c49c3c9cb5277e259a83f3840",
+        [(283, 89), (283, 89), (286, 92), (286, 92)],
+    ),
+    "combined_partition-dummies": (
+        _golden("combined_partition", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, epsilon=0.25,
+                lam=8.0, B=0.01, sample_scale=1e-4, trials=4),
+        "d6a49094e5a161078b7a593f2dfb558ff3817d7e59903736e9212fbed7c8f7fb",
+        [(283, 43), (283, 43), (286, 43), (286, 43)],
     ),
     # rank 1 takes the combined algorithm's single-element shortcut
     "combined-rank1": (

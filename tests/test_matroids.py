@@ -17,9 +17,9 @@ from submax import (
     Matroid,
     PartitionMatroid,
     QueryLedger,
+    RankCappedMatroid,
     ResidualOracle,
     UniformMatroid,
-    augment_with_dummies,
     check_exchange_axiom,
     greedy_basis,
     matroid_rank,
@@ -88,10 +88,14 @@ class TestIsIndependent:
         # every id a dummy: a fractional one never reaches the base
         DummyAugmentedMatroid(UniformMatroid(0, 0), 2, 2),
         DummyValueOracle(CoverageOracle([], 0), 2),
+        # [0, bad] is longer than the cap, which alone decides the answer
+        RankCappedMatroid(UniformMatroid(3, 3), 1),
+        DummyAugmentedMatroid(UniformMatroid(3, 3), 2, 1),
     ],
     ids=[
         "graphic", "partition", "uniform", "explicit", "dummy_augmented", "dummy_value",
-        "dummy_augmented_no_real", "dummy_value_no_real",
+        "dummy_augmented_no_real", "dummy_value_no_real", "rank_capped_cap_decides",
+        "dummy_augmented_cap_decides",
     ],
 )
 def test_non_integer_id_is_named(handle):
@@ -158,42 +162,39 @@ class TestContraction:
 class TestDummyAugmentation:
     def test_value_transparency_on_random_sets(self, rng):
         f = coverage4()
-        aug = augment_with_dummies(f, UniformMatroid(4, 2), 2)
+        view = DummyValueOracle(f, 2).with_ledger(QueryLedger())
         probe = f.uncounted()
-        aug_probe = aug.f.with_ledger(QueryLedger())
         for _ in range(1000):
-            members = {u for u in range(aug.n_total) if rng.random() < 0.5}
-            assert aug_probe.evaluate(members) == probe.evaluate(aug.strip(members))
+            members = {u for u in range(view.n) if rng.random() < 0.5}
+            assert view.evaluate(members) == probe.evaluate({u for u in members if u < f.n})
 
     def test_dummies_alone_have_empty_value(self):
         f = coverage4()
-        aug = augment_with_dummies(f, UniformMatroid(4, 2), 2)
-        assert aug.f.uncounted().evaluate(set(aug.dummy_ids())) == 0.0
+        assert DummyValueOracle(f, 2).uncounted().evaluate({4, 5}) == 0.0
 
     def test_size_cap_binds(self):
         M = UniformMatroid(6, 3)
-        f = coverage4()
-        aug = augment_with_dummies(f, M, 3)
+        view = DummyAugmentedMatroid(M, 3, matroid_rank(M)).uncounted()
+        assert not view.is_independent({0, 1, 4, 5})
+        assert view.is_independent({0, 1, 4})
         # two real independent elements plus two dummies exceed rank 3
-        assert not aug.matroid.uncounted().is_independent({0, 1, 4, 5})
-        assert aug.matroid.uncounted().is_independent({0, 1, 4})
+        assert not view.is_independent({0, 1, 6, 7})
+        assert view.is_independent({0, 1, 6})
 
     def test_augmented_independence_charges_exactly_one(self, ledger):
-        f = coverage4(ledger)
-        aug = augment_with_dummies(f, UniformMatroid(4, 2, ledger), 2)
+        view = DummyAugmentedMatroid(UniformMatroid(4, 2, ledger), 2, 2)
         before = ledger.independence_queries
-        aug.matroid.is_independent({0, 1, 4})  # decided by the size cap alone
+        view.is_independent({0, 1, 4})  # decided by the size cap alone
         assert ledger.independence_queries == before + 1
-        aug.matroid.is_independent({0, 4})  # needs the base oracle
+        view.is_independent({0, 4})  # needs the base oracle
         assert ledger.independence_queries == before + 2
 
     def test_wrapper_clones_charge_the_new_ledger(self):
         f = coverage4()
         M = UniformMatroid(4, 2)
-        aug = augment_with_dummies(f, M, 2)
         fresh = QueryLedger()
-        aug.f.with_ledger(fresh).evaluate({0, 4})
-        aug.matroid.with_ledger(fresh).is_independent({0, 4})
+        DummyValueOracle(f, 2).with_ledger(fresh).evaluate({0, 4})
+        DummyAugmentedMatroid(M, 2, 2).with_ledger(fresh).is_independent({0, 4})
         view = ContractedMatroid(M, {0}).with_ledger(fresh)
         view.is_independent({1})
         assert fresh.snapshot() == (1, 2)
@@ -201,9 +202,8 @@ class TestDummyAugmentation:
 
     def test_stripping_keeps_value(self, rng):
         f = coverage4()
-        aug = augment_with_dummies(f, UniformMatroid(4, 2), 4)
         members = {1, 2, 5, 6}
-        assert f.uncounted().evaluate(aug.strip(members)) == aug.f.uncounted().evaluate(members)
+        assert f.uncounted().evaluate({1, 2}) == DummyValueOracle(f, 4).uncounted().evaluate(members)
 
 
 class TestRankAndLoops:

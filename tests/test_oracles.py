@@ -199,7 +199,6 @@ class _ShimOracle(ValueOracle):
     def __init__(self, inner: ValueOracle):
         self._inner = inner
         self.n = inner.n
-        self.n_real = inner.n_real
         self.ledger = inner.ledger
         self.monotone = inner.monotone
         self.calls = 0
