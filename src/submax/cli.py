@@ -113,13 +113,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         density=args.density,
         clients=args.clients,
     )
-    save_json(spec, args.out)
-    print(f"wrote {args.out}")
+    mspec = None
     if args.matroid_kind is not None:
         if args.k is None:
             raise InvalidInputError("--k is required with --matroid-kind")
         mspec = generate_matroid(args.matroid_kind, args.n, args.k, args.seed,
                                  blocks=args.blocks)
+    # both specs are built before either file is written
+    save_json(spec, args.out)
+    print(f"wrote {args.out}")
+    if mspec is not None:
         out = args.matroid_out or str(Path(args.out).with_suffix(".matroid.json"))
         save_json(mspec, out)
         print(f"wrote {out}")

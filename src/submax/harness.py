@@ -154,6 +154,12 @@ def save_json(obj: dict, path: Union[str, Path]) -> None:
         fh.write("\n")
 
 
+def _require_non_negative(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 0:
+            raise InvalidInputError(f"{name} must be non-negative, got {size}")
+
+
 def generate_instance(
     family: str,
     n: int,
@@ -165,6 +171,7 @@ def generate_instance(
     weight_range: tuple[int, int] = (1, 10),
 ) -> dict:
     """Deterministic instance spec for a family; same arguments, same bytes."""
+    _require_non_negative(n=n)
     rng = np.random.default_rng(seed)
     if family == "coverage":
         m = universe if universe is not None else 3 * n
@@ -203,15 +210,16 @@ def generate_matroid(
     blocks: Optional[int] = None,
 ) -> dict:
     """Deterministic matroid spec; partition capacities always sum to k."""
+    _require_non_negative(n=n, k=k)
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         return {"kind": "uniform", "n": n, "k": k}
+    if kind in ("partition", "graphic") and k > n:
+        raise InvalidInputError(f"k={k} exceeds the ground set size n={n}")
     if kind == "partition":
-        h = blocks if blocks is not None else min(k, max(1, n // 4))
-        if h > n:
-            raise InvalidInputError("more blocks than elements")
-        if k > n:
-            raise InvalidInputError("rank cannot exceed the ground set size")
+        h = blocks if blocks is not None else max(1, min(k, n // 4))
+        if not 1 <= h <= n:
+            raise InvalidInputError(f"blocks must be between 1 and n={n}, got {h}")
         ids = list(rng.permutation(n))
         cut_points = sorted(rng.choice(np.arange(1, n), size=h - 1, replace=False).tolist()) if h > 1 else []
         pieces = []

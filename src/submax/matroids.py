@@ -75,7 +75,15 @@ class PartitionMatroid(Matroid):
         capacities: Sequence[int],
         ledger: Optional[QueryLedger] = None,
     ):
-        blocks = [sorted(b) for b in blocks]
+        checked = []
+        for j, b in enumerate(blocks):
+            try:
+                checked.append(sorted(map(operator.index, b)))
+            except TypeError:
+                raise InvalidInputError(
+                    f"blocks[{j}] must be a list of integer element ids, got {b!r}"
+                ) from None
+        blocks = checked
         if len(blocks) != len(capacities):
             raise InvalidInputError("need one capacity per block")
         caps = []
@@ -224,10 +232,7 @@ class ContractedMatroid(View, Matroid):
     """
 
     def __init__(self, base: Matroid, S: Subset):
-        contracted = sorted(set(S))
-        for u in contracted:
-            if not 0 <= u < base.n:
-                raise InvalidInputError("contracted element outside ground set")
+        contracted = sorted({base._check_id(u) for u in S})
         if contracted and not base.is_independent(contracted):
             raise InvalidInputError("can only contract an independent set")
         super().__init__(base)
@@ -251,6 +256,10 @@ class RankCappedMatroid(View, Matroid):
     """Truncation view: independent iff |T| <= cap and independent in the base."""
 
     def __init__(self, base: Matroid, cap: int):
+        try:
+            cap = operator.index(cap)
+        except TypeError:
+            raise InvalidInputError(f"rank cap must be an integer, got {cap!r}") from None
         if cap < 0:
             raise InvalidInputError("rank cap must be non-negative")
         super().__init__(base)

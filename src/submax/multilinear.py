@@ -3,8 +3,8 @@
 Sampling estimator for directional derivatives of F(x) = E[f(R(x))], the
 decreasing-threshold continuous greedy that consumes it, and randomized swap
 rounding of the resulting convex combination of bases. Swap rounding never
-touches the value oracle; the partition fast path also avoids independence
-queries entirely.
+touches the value oracle, and on a generalized partition matroid it answers
+independence from block counts without an independence query.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -164,138 +165,101 @@ def continuous_greedy(
 def swap_round(M: Matroid, x: FractionalPoint, rng: np.random.Generator) -> set[int]:
     """Round a convex combination of independent sets to a single one.
 
-    Bases are first padded to a common rank by greedy completion, then merged
+    Every base id is first checked as an integer id of M's ground set. Bases
+    are then padded to the rank by greedy completion in id order and merged
     pairwise: elements of the symmetric difference are exchanged with
-    probability proportional to the accumulated weights. No value oracle
-    queries are made. Generalized partition matroids make no oracle call at
-    all: bases are checked by block counts against the capacities and merged
-    by block-indexed exchanges. General matroids search for a feasible
-    exchange through the independence oracle.
+    probability proportional to the accumulated weights, and each exchange
+    is the first one that keeps both bases independent. No value oracle
+    queries are made. One loop serves every matroid; on a generalized
+    partition matroid it answers independence from block counts against
+    the capacities and makes no oracle call at all.
     """
     pairs = [(float(w), set(b)) for w, b in zip(x.weights, x.bases) if w > 0.0]
     if not pairs:
         raise InvalidInputError("decomposition must be non-empty")
     structure = M.partition_structure()
-    if structure is not None:
-        blocks, caps = structure
-        block_of: dict[int, int] = {}
-        for j, blk in enumerate(blocks):
-            for u in blk:
-                block_of[u] = j
-        for _, base in pairs:
-            counts = [0] * len(blocks)
-            for u in base:
-                if u not in block_of:
-                    raise InvalidInputError(f"element id {u} outside ground set of size {M.n}")
-                counts[block_of[u]] += 1
-            if any(have > cap for have, cap in zip(counts, caps)):
-                raise InvalidInputError("dependent base in decomposition")
-        _pad_partition(pairs, blocks, caps)
-        merged_w, merged = pairs[0]
-        for w_i, b_i in pairs[1:]:
-            merged = _merge_partition(merged, merged_w, b_i, w_i, rng, block_of)
-            merged_w += w_i
-        return merged
-
-    for w, base in pairs:
-        if not M.is_independent(sorted(base)):
-            raise InvalidInputError("dependent base in decomposition")
-    target = matroid_rank(M)
+    independent = M.is_independent if structure is None else _block_counts(*structure)
     for _, base in pairs:
-        _greedy_complete(M, base, target)
+        for u in base:
+            M._check_id(u)
+        if not independent(sorted(base)):
+            raise InvalidInputError("dependent base in decomposition")
+    if structure is None:
+        target = matroid_rank(M)
+    else:
+        target = sum(min(c, len(blk)) for blk, c in zip(*structure))
+    for _, base in pairs:
+        _greedy_complete(independent, M.ground(), base, target)
     merged_w, merged = pairs[0]
     for w_i, b_i in pairs[1:]:
-        merged = _merge_general(M, merged, merged_w, b_i, w_i, rng)
+        merged = _merge_general(independent, merged, merged_w, b_i, w_i, rng)
         merged_w += w_i
     return merged
 
 
-def _greedy_complete(M: Matroid, base: set[int], target: int) -> None:
+def _block_counts(blocks: list[list[int]], caps: list[int]) -> Callable[[list[int]], bool]:
+    """Independence in a generalized partition matroid, read from block counts.
+
+    Asks no oracle; an id in no block is a loop.
+    """
+    block_of = {u: j for j, blk in enumerate(blocks) for u in blk}
+
+    def independent(members: list[int]) -> bool:
+        counts = [0] * len(caps)
+        for u in members:
+            j = block_of.get(u)
+            if j is None or counts[j] >= caps[j]:
+                return False
+            counts[j] += 1
+        return True
+
+    return independent
+
+
+def _greedy_complete(
+    independent: Callable[[list[int]], bool], ground: Iterable[int], base: set[int], target: int
+) -> None:
     if len(base) >= target:
         return
     members = sorted(base)
-    for u in M.ground():
+    for u in ground:
         if len(base) >= target:
             return
         if u in base:
             continue
         members.append(u)
-        if M.is_independent(members):
+        if independent(members):
             base.add(u)
         else:
             members.pop()
 
 
 def _merge_general(
-    M: Matroid, B1: set[int], w1: float, B2: set[int], w2: float, rng: np.random.Generator
-) -> set[int]:
-    bias = w1 / (w1 + w2)
-    while B1 != B2:
-        i = min(B1 - B2)
-        j = _find_exchange(M, B1, B2, i)
-        if rng.random() < bias:
-            B2.discard(j)
-            B2.add(i)
-        else:
-            B1.discard(i)
-            B1.add(j)
-    return B1
-
-
-def _find_exchange(M: Matroid, B1: set[int], B2: set[int], i: int) -> int:
-    b1_minus = sorted(B1 - {i})
-    for j in sorted(B2 - B1):
-        if M.is_independent(b1_minus + [j]) and M.is_independent(sorted(B2 - {j}) + [i]):
-            return j
-    raise InvalidInputError("no feasible exchange: decomposition bases are inconsistent")
-
-
-def _pad_partition(
-    pairs: list[tuple[float, set[int]]], blocks: list[list[int]], caps: list[int]
-) -> None:
-    # fill every base to the block-wise maximum so all bases have equal rank
-    for _, base in pairs:
-        for j, blk in enumerate(blocks):
-            quota = min(caps[j], len(blk))
-            have = sum(1 for u in blk if u in base)
-            if have >= quota:
-                continue
-            for u in blk:
-                if have >= quota:
-                    break
-                if u not in base:
-                    base.add(u)
-                    have += 1
-
-
-def _merge_partition(
+    independent: Callable[[list[int]], bool],
     B1: set[int],
     w1: float,
     B2: set[int],
     w2: float,
     rng: np.random.Generator,
-    block_of: dict[int, int],
 ) -> set[int]:
     bias = w1 / (w1 + w2)
-    only1: dict[int, set[int]] = {}
-    only2: dict[int, set[int]] = {}
-    for u in B1 - B2:
-        only1.setdefault(block_of[u], set()).add(u)
-    for u in B2 - B1:
-        only2.setdefault(block_of[u], set()).add(u)
-    while any(only1.values()):
-        i = min(u for s in only1.values() for u in s)
-        blk = block_of[i]
-        j = min(only2[blk])
+    while B1 != B2:
+        i = min(B1 - B2)
+        j = _find_exchange(independent, B1, B2, i)
         if rng.random() < bias:
             B2.discard(j)
             B2.add(i)
-            only2[blk].discard(j)
-            only1[blk].discard(i)
         else:
             B1.discard(i)
             B1.add(j)
-            only1[blk].discard(i)
-            only2[blk].discard(j)
     return B1
 
+
+def _find_exchange(
+    independent: Callable[[list[int]], bool], B1: set[int], B2: set[int], i: int
+) -> int:
+    b1_minus = sorted(B1 - {i})
+    for j in sorted(B2 - B1):
+        if independent(b1_minus + [j]) and independent(sorted(B2 - {j}) + [i]):
+            return j
+    raise InvalidInputError("no feasible exchange: decomposition bases are inconsistent")

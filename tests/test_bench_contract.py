@@ -21,11 +21,13 @@ from .test_harness import GOLDEN_CSV
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# Golden configs whose lazy phase or pool variants draw dummies, and one
-# whose lazy phase has queries the rank cap alone decides; all on oracle and
-# matroid kinds the tracer lists.
+# Golden configs whose lazy phase or pool variants draw dummies, one whose
+# lazy phase has queries the rank cap alone decides, and two that round on a
+# partition structure, where swap rounding answers from block counts; all on
+# oracle and matroid kinds the tracer lists.
 DUMMY_CONFIGS = sorted(name for name in GOLDEN_CSV if name.endswith("-dummies"))
-TRACED_CONFIGS = DUMMY_CONFIGS + ["random_lazy_greedy"]
+PARTITION_ROUNDING = ["combined_partition-residual", "continuous_greedy-partition"]
+TRACED_CONFIGS = DUMMY_CONFIGS + ["random_lazy_greedy"] + PARTITION_ROUNDING
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +64,14 @@ def test_traced_run_matches_the_ledger(bench, name):
     with spans.install(tracer), workloads.capture_solutions(solutions):
         records = run_experiment(config)
     problems: list[str] = []
-    spans.analyse(tracer, records, problems)
+    result = spans.analyse(tracer, records, problems)
     assert problems == []
+    if name in PARTITION_ROUNDING:
+        # block counts answer every rounding question; the bench wraps
+        # swap_round where the combined algorithm calls it, not in the harness
+        traced = config.algo.startswith("combined")
+        assert result["calls"].get("multilinear.swap_round", 0) == (config.trials if traced else 0)
+        assert result["independence_queries"].get("multilinear.swap_round", 0) == 0
     # one captured solution per trial of the entry points the bench wraps
     captured = {attr for _, attr, _ in workloads.ALGORITHMS}
     wrapped = config.algo.startswith("combined") or config.algo in captured

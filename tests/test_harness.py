@@ -104,6 +104,29 @@ class TestGeneration:
         with pytest.raises(InvalidInputError):
             generate_instance("mystery", 5, seed=0)
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(InvalidInputError, match="n must be non-negative"):
+            generate_instance("coverage", -2, seed=0)
+        for n, k, field in ((-2, 1, "n"), (4, -1, "k")):
+            for kind in ("uniform", "partition", "graphic"):
+                with pytest.raises(InvalidInputError, match=f"{field} must be non-negative"):
+                    generate_matroid(kind, n, k, seed=0)
+
+    @pytest.mark.parametrize("blocks", [0, -1, 5])
+    def test_block_count_outside_one_to_n_rejected(self, blocks):
+        with pytest.raises(InvalidInputError, match=f"blocks must be between 1 and n=4, got {blocks}"):
+            generate_matroid("partition", 4, 2, seed=0, blocks=blocks)
+
+    @pytest.mark.parametrize("kind", ["partition", "graphic"])
+    def test_rank_above_n_rejected(self, kind):
+        with pytest.raises(InvalidInputError, match="k=9 exceeds the ground set size n=4"):
+            generate_matroid(kind, 4, 9, seed=0)
+
+    def test_rank_zero_partition_has_one_block(self):
+        spec = generate_matroid("partition", 8, 0, seed=0)
+        assert spec["capacities"] == [0] and spec["blocks"] == [list(range(8))]
+        assert matroid_rank(matroid_from_dict(spec)) == 0
+
 
 class TestGraphicSpecValidation:
     def test_edge_with_one_endpoint_rejected(self):
@@ -716,6 +739,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("submax: error: ") and field in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--n", "8", "--matroid-kind", "partition", "--k", "2", "--blocks", "0"], "blocks"),
+            (["--n", "8", "--matroid-kind", "partition", "--k", "2", "--blocks", "-1"], "blocks"),
+            (["--n", "4", "--matroid-kind", "graphic", "--k", "9"], "k=9"),
+            (["--n", "-2"], "n must be non-negative"),
+            (["--n", "4", "--matroid-kind", "uniform", "--k", "-1"], "k must be non-negative"),
+        ],
+    )
+    def test_bad_gen_sizes_are_one_line_errors(self, tmp_path, capsys, flags, field):
+        inst = tmp_path / "inst.json"
+        assert cli_main(["gen", "--family", "coverage", "--out", str(inst), *flags]) == 2
+        self._one_line_error(capsys, field)
+        # neither spec is written when one of them is refused
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_numeric_lambda_is_one_line_error(self, tmp_path, capsys):
         inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"

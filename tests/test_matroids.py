@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,37 @@ def test_non_integer_id_is_named(handle):
                 ask(query)
     # bool ids stay accepted
     assert ask([True]) == ask([1])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RankCappedMatroid(UniformMatroid(3, 3), 1.5), "rank cap must be an integer, got 1.5"),
+        (lambda: RankCappedMatroid(UniformMatroid(3, 3), float("nan")),
+         "rank cap must be an integer, got nan"),
+        (lambda: RankCappedMatroid(UniformMatroid(3, 3), "2"), "rank cap must be an integer, got '2'"),
+        (lambda: RankCappedMatroid(UniformMatroid(3, 3), -1), "rank cap must be non-negative"),
+        (lambda: ContractedMatroid(UniformMatroid(3, 3), ["a"]), "element id 'a' is not an integer"),
+        (lambda: ContractedMatroid(UniformMatroid(3, 3), [0, 1.5]), "element id 1.5 is not an integer"),
+        (lambda: ContractedMatroid(UniformMatroid(3, 3), [3]), "element id 3 outside ground set of size 3"),
+        (lambda: PartitionMatroid([[0, "a"]], [1]), "blocks[0] must be a list of integer element ids"),
+        (lambda: PartitionMatroid([[1], 5], [1, 1]), "blocks[1] must be a list of integer element ids"),
+    ],
+    ids=[
+        "cap_float", "cap_nan", "cap_str", "cap_negative", "contract_str", "contract_float",
+        "contract_out_of_range", "block_str_id", "block_not_a_list",
+    ],
+)
+def test_malformed_constructor_argument_is_named(build, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        build()
+
+
+def test_integer_like_constructor_arguments_accepted():
+    M = UniformMatroid(4, 4)
+    assert RankCappedMatroid(M, np.int64(2)).cap == 2
+    assert ContractedMatroid(M, [np.int64(1), True]).ground() == [0, 2, 3]
+    assert PartitionMatroid([[np.int64(1), 0], [2]], [1, 1]).blocks == [[0, 1], [2]]
 
 
 class TestContraction:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from submax import (
     CoverageOracle,
     DirectedCutOracle,
     FractionalPoint,
+    GraphicMatroid,
     InvalidInputError,
     ModularOracle,
     PartitionMatroid,
@@ -32,12 +34,14 @@ from .conftest import (
     coverage4,
     coverage12,
     draw_coverage,
+    draw_independent,
     exact_marginal_F,
     exact_multilinear,
     mean_and_se,
     partition12,
     reference_estimate,
     small_base_matroids,
+    small_partitions,
     small_value_oracles,
     zoo_matroids,
 )
@@ -456,6 +460,65 @@ class TestSwapRound:
         )
         out = swap_round(M, point, rng)
         assert len(out) == 2
+
+    def test_short_graphic_base_completed_to_the_rank(self, rng):
+        # a triangle 0-1-2 with a pendant edge 3: rank 3; edge 2 closes the cycle
+        M = GraphicMatroid(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        point = FractionalPoint(n=4, weights=[1.0], bases=[frozenset({1})])
+        assert swap_round(M, point, rng) == {0, 1, 3}
+        point = FractionalPoint(n=4, weights=[0.5, 0.5], bases=[frozenset({1}), frozenset({2})])
+        out = swap_round(M, point, rng)
+        assert len(out) == 3 and M.uncounted().is_independent(sorted(out))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("a", "element id 'a' is not an integer"),
+            (1.5, "element id 1.5 is not an integer"),
+            (7, "element id 7 outside ground set of size 3"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["partition", "graphic"])
+    def test_malformed_base_id_named_before_any_sort(self, kind, bad, message, rng):
+        ledger = QueryLedger()
+        if kind == "partition":
+            M = PartitionMatroid([[0, 1], [2]], [1, 1], ledger)
+        else:
+            M = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)], ledger)
+        point = FractionalPoint(n=3, weights=[0.5, 0.5], bases=[frozenset({0}), frozenset({0, bad})])
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            swap_round(M, point, rng)
+        assert ledger.value_queries == 0
+        if kind == "partition":
+            assert ledger.independence_queries == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure=small_partitions(), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       data=st.data())
+def test_block_counts_round_like_the_oracle(structure, seed, data):
+    """The free block-count answers change the bill of swap rounding, nothing else."""
+    M = PartitionMatroid(*structure)
+    ids = list(range(M.n))
+    bases = [
+        frozenset(draw_independent(data, M, ids))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
+    ]
+    weights = [data.draw(st.floats(min_value=0.05, max_value=1.0)) for _ in bases]
+    point = FractionalPoint(n=M.n, weights=weights, bases=bases)
+    runs = []
+    for hidden in (False, True):
+        ledger = QueryLedger()
+        handle = M.with_ledger(ledger)
+        if hidden:
+            handle.partition_structure = lambda: None
+        rng = np.random.default_rng(seed)
+        runs.append((swap_round(handle, point, rng), rng.bit_generator.state, ledger.snapshot()))
+    (free, free_state, free_bill), (asked, asked_state, asked_bill) = runs
+    assert free == asked
+    assert free_state == asked_state
+    assert free_bill == (0, 0)
+    assert asked_bill[0] == 0 and asked_bill[1] > 0
 
 
 class TestCrudeOptEstimate:
