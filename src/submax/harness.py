@@ -49,7 +49,7 @@ from .matroids import (
     UniformMatroid,
     matroid_rank,
 )
-from .multilinear import continuous_greedy, swap_round
+from .multilinear import check_sample_scale, continuous_greedy, swap_round
 from .oracles import (
     CoverageOracle,
     DirectedCutOracle,
@@ -455,6 +455,7 @@ def _check_config(config: RunConfig) -> Algorithm:
         raise InvalidInputError(f"algorithm {config.algo!r} takes no matroid")
     if config.trials < 1:
         raise InvalidInputError("need at least one trial")
+    check_sample_scale(config.sample_scale)
     return algorithm
 
 

@@ -25,7 +25,7 @@ from .matroids import (
     matroid_rank,
     threshold_sweep,
 )
-from .multilinear import continuous_greedy, swap_round
+from .multilinear import check_sample_scale, continuous_greedy, swap_round
 from .oracles import ResidualOracle, ValueOracle, members_with
 
 
@@ -326,6 +326,7 @@ def combined_algorithm(
         raise InvalidInputError("combined algorithm requires a monotone objective")
     if not 0.0 < eps < 1.0 - 1.0 / math.e:
         raise InvalidInputError("eps must be in (0, 1 - 1/e)")
+    check_sample_scale(sample_scale)
     k = matroid_rank(M)
     if k == 0:
         return CombinedResult(frozenset(), False, 0, frozenset(), None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
 from typing import Optional, Sequence, Union
@@ -57,11 +58,16 @@ def estimate_marginal_F(
     Averages f(R + u) - f(R - u) over m draws of R(x); costs exactly 2m value
     queries. The raw (unclamped) mean is returned so the estimator stays
     unbiased; callers that rely on monotonicity clamp at zero themselves.
-    Raises :class:`InvalidInputError` before any draw or query when ``u`` is
-    not an id of f's ground set or ``x`` is not a point of ``[0, 1]^n``.
+    Raises :class:`InvalidInputError` before any draw or query when ``m`` is
+    not a positive integer, ``u`` is not an id of f's ground set or ``x`` is
+    not a point of ``[0, 1]^n``.
     """
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise InvalidInputError(f"m must be an integer sample count, got {m!r}") from None
     if m < 1:
-        raise InvalidInputError("need at least one sample")
+        raise InvalidInputError(f"m must be at least 1, got {m}")
     try:
         u = operator.index(u)
     except TypeError:
@@ -77,22 +83,81 @@ def estimate_marginal_F(
     # NaN fails both comparisons
     if not ((x_vec >= 0.0) & (x_vec <= 1.0)).all():
         raise InvalidInputError("x entries must be finite and in [0, 1]")
-    return _estimate(f, x_vec, u, int(m), rng)
+    with _SampleRows(x_vec, rng) as rows:
+        return _estimate(f, rows, u, m)
 
 
-def _estimate(f: ValueOracle, x_vec: np.ndarray, u: int, m: int, rng: np.random.Generator) -> float:
+# Most uniforms one block of sample rows holds (256 KB of doubles).
+BLOCK_DOUBLES = 32_768
+
+
+class _SampleRows:
+    """The sample sets R(x) of the estimates made at one point x.
+
+    Each row is one draw of R(x): element j is in it when its uniform is
+    below x[j]. Rows are drawn in blocks with one ``rng.random`` call each,
+    which gives the numbers that one call per estimate would give, in the
+    same order. The first block holds the rows its first request needs and
+    each later one twice as many as the last, up to ``BLOCK_DOUBLES``
+    uniforms. Leaving the ``with`` block, also on an error, sets the
+    generator back to the state saved before the last block and draws only
+    the rows handed out of it, so ``rng`` ends where per-estimate draws
+    would have left it, for any bit generator.
+    """
+
+    def __init__(self, x: np.ndarray, rng: np.random.Generator):
+        self.x = x
+        self.rng = rng
+        self.size = 0  # rows in the current block
+        self.next = 0  # rows of it handed out
+        self.ids: list[int] = []  # ids of the block's members, row after row
+        self.ends: list[int] = [0]  # row r holds ids[ends[r]:ends[r + 1]]
+        self.saved: Optional[dict] = None
+
+    def __enter__(self) -> "_SampleRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.next < self.size:
+            self.rng.bit_generator.state = self.saved
+            self.rng.random((self.next, self.x.shape[0]))
+
+    def take(self, m: int) -> list[list[int]]:
+        """The next m rows, each a fresh ascending id list."""
+        rows = []
+        for left in range(m, 0, -1):
+            if self.next == self.size:
+                self._draw(left)
+            r = self.next
+            rows.append(self.ids[self.ends[r]:self.ends[r + 1]])
+            self.next = r + 1
+        return rows
+
+    def _draw(self, need: int) -> None:
+        n = self.x.shape[0]
+        size = min(max(1, BLOCK_DOUBLES // n), max(need, 2 * self.size))
+        self.saved = self.rng.bit_generator.state
+        # one flat scan: 2-D nonzero costs more than it saves
+        hits = np.flatnonzero(self.rng.random((size, n)) < self.x)
+        self.ends = np.searchsorted(hits, np.arange(0, (size + 1) * n, n)).tolist()
+        self.ids = (hits % n).tolist()
+        self.size, self.next = size, 0
+
+
+def _estimate(f: ValueOracle, rows: _SampleRows, u: int, m: int) -> float:
     """The paired-sample loop of :func:`estimate_marginal_F`, without its checks.
 
-    Each pair asks f(R + u) first, then f(R). The second query is the first
-    one's members-but-last, so a prefix-cached oracle answers it from the
-    cache the first one left.
+    Takes the estimate's m rows before its first query and drops u from
+    each. Each pair asks f(R + u) first, then f(R). The second query is the
+    first one's members-but-last, so a prefix-cached oracle answers it from
+    the cache the first one left.
     """
-    inclusion = rng.random((m, x_vec.shape[0])) < x_vec
-    inclusion[:, u] = False
     total = 0.0
     evaluate = f.evaluate
-    for row in inclusion:
-        ids = row.nonzero()[0].tolist()
+    for ids in rows.take(m):
+        i = bisect_left(ids, u)
+        if i < len(ids) and ids[i] == u:
+            del ids[i]
         ids.append(u)
         with_u = evaluate(ids)
         ids.pop()
@@ -104,6 +169,33 @@ def estimator_sample_count(c: float, n: int, delta: float, sample_scale: float =
     """m = ceil(scale * c * ln(n) / delta^2), floored at one sample."""
     n_eff = max(n, 2)
     return max(1, math.ceil(sample_scale * c * math.log(n_eff) / delta ** 2))
+
+
+def check_sample_scale(sample_scale: float) -> None:
+    """Refuse a ``sample_scale`` that is not a finite positive number."""
+    try:
+        ok = math.isfinite(sample_scale) and sample_scale > 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidInputError(
+            f"sample_scale must be a finite positive number, got {sample_scale!r}"
+        )
+
+
+def _ground_ids(ground: Iterable, n: int) -> list[int]:
+    """The ids of ``ground``, sorted, once they are distinct ids of [0, n)."""
+    ids = []
+    for u in ground:
+        try:
+            ids.append(operator.index(u))
+        except TypeError:
+            raise InvalidInputError(f"ground ids must be integers, got {u!r}") from None
+        if not 0 <= ids[-1] < n:
+            raise InvalidInputError(f"ground id {u} outside ground set of size {n}")
+    if len(set(ids)) != len(ids):
+        raise InvalidInputError("ground ids must be distinct")
+    return sorted(ids)
 
 
 def continuous_greedy(
@@ -125,20 +217,22 @@ def continuous_greedy(
     :func:`~submax.matroids.threshold_sweep`, which asks an independence
     question only while its answer is unknown and stops once the step's set
     reaches the matroid rank; neither shortcut changes an output or an
-    estimator draw. ``sample_scale`` rescales the per-estimate sample
+    estimator draw. The estimates of one step draw their sample rows in
+    blocks (see ``BLOCK_DOUBLES``); at the step's end the generator is
+    rewound to just past the rows used, so ``rng`` advances exactly as with
+    one draw per estimate. ``sample_scale`` rescales the per-estimate sample
     budget; 1.0 is the analysis-faithful count, which is far beyond
-    interactive budgets on all but tiny instances.
+    interactive budgets on all but tiny instances. ``ground`` (default: all
+    of M's ids) must hold distinct ids of f's ground set.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must be in (0, 1)")
-    if c < 1.0:
-        raise InvalidInputError("scale constant c must be at least 1")
+    if not (math.isfinite(c) and c >= 1.0):
+        raise InvalidInputError(f"c must be a finite scale constant of at least 1, got {c!r}")
+    check_sample_scale(sample_scale)
     if not f.monotone:
         raise InvalidInputError("continuous greedy requires a monotone objective")
-    if ground is None:
-        ground_ids = list(M.ground())
-    else:
-        ground_ids = sorted(ground)
+    ground_ids = _ground_ids(M.ground() if ground is None else ground, f.n)
     n_eff = max(len(ground_ids), 2)
     m = estimator_sample_count(c, n_eff, delta, sample_scale)
     steps = math.ceil(1.0 / delta)
@@ -149,12 +243,14 @@ def continuous_greedy(
     point = FractionalPoint(n=f.n)
     for t in range(steps):
         step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
-        d_max = max((max(0.0, _estimate(f, x, u, m, rng)) for u in ground_ids), default=0.0)
-        # every threshold is positive, so a raw estimate clears it iff its clamp does
-        base = threshold_sweep(
-            M, ground_ids, rank, d_max, delta * d_max / n_eff, 1.0 - delta,
-            lambda taken, u, w: _estimate(f, x, u, m, rng) >= w,
-        )
+        # x is fixed within a step, and only its estimates draw from rng
+        with _SampleRows(x, rng) as rows:
+            d_max = max((max(0.0, _estimate(f, rows, u, m)) for u in ground_ids), default=0.0)
+            # every threshold is positive, so a raw estimate clears it iff its clamp does
+            base = threshold_sweep(
+                M, ground_ids, rank, d_max, delta * d_max / n_eff, 1.0 - delta,
+                lambda taken, u, w: _estimate(f, rows, u, m) >= w,
+            )
         point.weights.append(step_weight)
         point.bases.append(frozenset(base))
         for u in base:

@@ -22,12 +22,15 @@ from .test_harness import GOLDEN_CSV
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Golden configs whose lazy phase or pool variants draw dummies, one whose
-# lazy phase has queries the rank cap alone decides, and two that round on a
-# partition structure, where swap rounding answers from block counts; all on
-# oracle and matroid kinds the tracer lists.
+# lazy phase has queries the rank cap alone decides, two that round on a
+# partition structure, where swap rounding answers from block counts, and two
+# whose continuous greedy runs on a graphic residual with a non-empty anchor,
+# the path of the closing-lambda-graphic workload; all on oracle and matroid
+# kinds the tracer lists.
 DUMMY_CONFIGS = sorted(name for name in GOLDEN_CSV if name.endswith("-dummies"))
 PARTITION_ROUNDING = ["combined_partition-residual", "continuous_greedy-partition"]
-TRACED_CONFIGS = DUMMY_CONFIGS + ["random_lazy_greedy"] + PARTITION_ROUNDING
+GRAPHIC_RESIDUAL = ["combined-graphic", "combined-graphic-contracted"]
+TRACED_CONFIGS = DUMMY_CONFIGS + ["random_lazy_greedy"] + PARTITION_ROUNDING + GRAPHIC_RESIDUAL
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,11 @@ def test_traced_run_matches_the_ledger(bench, name):
         traced = config.algo.startswith("combined")
         assert result["calls"].get("multilinear.swap_round", 0) == (config.trials if traced else 0)
         assert result["independence_queries"].get("multilinear.swap_round", 0) == 0
+    if name in GRAPHIC_RESIDUAL:
+        # every estimator query reaches the base through the anchored residual
+        residual = result["calls"]["oracles.residual"]
+        assert residual == result["value_queries"]["multilinear.continuous_greedy"] > 0
+        assert result["calls"]["matroids.contracted"] > 0
     # one captured solution per trial of the entry points the bench wraps
     captured = {attr for _, attr, _ in workloads.ALGORITHMS}
     wrapped = config.algo.startswith("combined") or config.algo in captured

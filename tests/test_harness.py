@@ -505,6 +505,15 @@ class TestConfigCheck:
         with pytest.raises(InvalidInputError, match="needs a matroid"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_sample_scale_named_before_any_file(self, tmp_path, scale):
+        config = RunConfig(
+            algo="combined", instance=tmp_path / "missing.json", matroid=tmp_path / "m.json",
+            epsilon=0.25, lam=1.0, sample_scale=scale,
+        )
+        with pytest.raises(InvalidInputError, match=r"^sample_scale\b"):
+            run_experiment(config)
+
     def test_instance_file_not_read_for_a_bad_config(self, tmp_path):
         config = RunConfig(algo="bogus", instance=tmp_path / "missing.json", k=3)
         with pytest.raises(InvalidInputError, match="unknown algorithm"):
@@ -766,6 +775,18 @@ class TestCli:
             "--epsilon", "0.25", "--lambdas", "1,x", "--out", str(tmp_path / "s.csv"),
         ]) == 2
         self._one_line_error(capsys, "--lambdas")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_bad_sample_scale_is_one_line_error(self, tmp_path, capsys, scale):
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        save_json(COV4_SPEC, inst)
+        save_json({"kind": "partition", "blocks": [[0, 1], [2, 3]], "capacities": [1, 1]}, mat)
+        assert cli_main([
+            "sweep-lambda", "--instance", str(inst), "--matroid", str(mat),
+            "--epsilon", "0.25", "--lambdas", "1,2", "--sample-scale", scale,
+            "--out", str(tmp_path / "s.csv"),
+        ]) == 2
+        self._one_line_error(capsys, "sample_scale")
 
     def test_instance_file_holding_a_list_is_one_line_error(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

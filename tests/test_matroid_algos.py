@@ -491,6 +491,18 @@ class TestCombinedAlgorithm:
         with pytest.raises(InvalidInputError):
             combined_algorithm(cut, UniformMatroid(3, 2), 0.25, 1.0, rng)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_sample_scale_named_before_any_query(self, scale):
+        ledger = QueryLedger()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match=r"^sample_scale\b"):
+            combined_algorithm(
+                coverage12(ledger), partition12(ledger), 0.25, 2.0, rng, sample_scale=scale
+            )
+        assert ledger.snapshot() == (0, 0)
+        assert rng.bit_generator.state == state
+
     def test_solution_is_independent(self):
         f = coverage12()
         M = partition12()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -27,7 +28,7 @@ from submax import (
     matroid_rank,
     swap_round,
 )
-from submax.multilinear import _estimate
+from submax import multilinear
 
 from .conftest import (
     compose_views,
@@ -125,6 +126,16 @@ class TestEstimatorInputContract:
         assert f.ledger.value_queries == 0
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("m", [2.5, float("nan"), "3", None, 0, -1])
+    def test_rejects_bad_m(self, m):
+        f = CoverageOracle([[0], [1], [2]], 3)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match=r"^m\b"):
+            estimate_marginal_F(f, [0.5, 0.5, 0.5], 0, m, rng)
+        assert f.ledger.value_queries == 0
+        assert rng.bit_generator.state == state
+
     def test_fractional_point_of_another_size_rejected(self, rng):
         f = CoverageOracle([[0], [1], [2]], 3)
         x = FractionalPoint(n=2, weights=[1.0], bases=[frozenset({0})])
@@ -153,7 +164,7 @@ def test_estimator_matches_the_reference_loop(f, data):
         u = data.draw(st.integers(min_value=0, max_value=view.n - 1))
         m = data.draw(st.integers(min_value=1, max_value=9))
         before, ref_before = view.ledger.value_queries, ref.ledger.value_queries
-        got = _estimate(view, x, u, m, rng)
+        got = estimate_marginal_F(view, x, u, m, rng)
         assert got == reference_estimate(ref, x, u, m, ref_rng)
         assert view.ledger.value_queries - before == 2 * m
         assert ref.ledger.value_queries - ref_before == 2 * m
@@ -230,6 +241,48 @@ class TestContinuousGreedy:
             assert ledger.value_queries <= bound
 
 
+class TestContinuousGreedyInputContract:
+    """Bad input fails before any draw or query, naming the field."""
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"sample_scale": float("nan")}, "sample_scale"),
+            ({"sample_scale": float("inf")}, "sample_scale"),
+            ({"sample_scale": -1.0}, "sample_scale"),
+            ({"sample_scale": 0.0}, "sample_scale"),
+            ({"c": float("nan")}, "c"),
+            ({"c": float("inf")}, "c"),
+            ({"ground": [0, 5]}, "ground"),
+            ({"ground": [-1, 0]}, "ground"),
+            ({"ground": [0.5, 1]}, "ground"),
+            ({"ground": ["0"]}, "ground"),
+            ({"ground": [0, 0, 1]}, "ground"),
+        ],
+    )
+    def test_rejects_bad_field(self, kwargs, field):
+        ledger = QueryLedger()
+        f = ModularOracle((3.0, 1.0, 2.0)).with_ledger(ledger)
+        M = UniformMatroid(3, 2, ledger)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        args = {"c": 2.0, "delta": 0.25, "sample_scale": 0.05, **kwargs}
+        with pytest.raises(InvalidInputError, match=rf"^{field}\b"):
+            continuous_greedy(f, M, rng=rng, **args)
+        assert ledger.snapshot() == (0, 0)
+        assert rng.bit_generator.state == state
+
+    def test_ground_of_numpy_ids_in_any_order(self):
+        f = ModularOracle((3.0, 1.0, 2.0))
+        M = UniformMatroid(3, 2)
+        runs = [
+            continuous_greedy(f, M, 2.0, 0.25, np.random.default_rng(5), ground=ground,
+                              sample_scale=0.05)
+            for ground in ([0, 1, 2], np.array([2, 0, 1]))
+        ]
+        assert runs[0] == runs[1]
+
+
 def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale):
     """The sweep without known answers: one query per non-member per level."""
     ground_ids = list(M.ground())
@@ -242,7 +295,7 @@ def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale):
     for t in range(steps):
         step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
         base: set[int] = set()
-        estimates = {u: max(0.0, _estimate(f, x, u, m, rng)) for u in ground_ids}
+        estimates = {u: max(0.0, reference_estimate(f, x, u, m, rng)) for u in ground_ids}
         d_max = max(estimates.values(), default=0.0)
         if d_max > 0.0 and rank > 0:
             floor = delta * d_max / n_eff
@@ -259,7 +312,7 @@ def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale):
                         members.pop()
                         continue
                     members.pop()
-                    if max(0.0, _estimate(f, x, u, m, rng)) >= w:
+                    if max(0.0, reference_estimate(f, x, u, m, rng)) >= w:
                         base.add(u)
                         members.append(u)
                 w *= 1.0 - delta
@@ -293,6 +346,102 @@ def test_known_answers_change_only_the_independence_bill(base, delta, seed, data
     assert ledger.value_queries == ref_ledger.value_queries
     assert state == ref_state
     assert ledger.independence_queries <= ref_ledger.independence_queries
+
+
+BIT_GENERATORS = ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"]
+
+
+def _generator(name, seed):
+    return np.random.Generator(getattr(np.random, name)(seed))
+
+
+def _state(rng):
+    """The bit generator's state in a form ``==`` compares; some states hold arrays."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=small_base_matroids(),
+    bit_generator=st.sampled_from(BIT_GENERATORS),
+    delta=st.sampled_from([0.2, 0.35, 0.6]),
+    sample_scale=st.sampled_from([0.05, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_block_rows_leave_every_bit_generator_where_per_estimate_draws_do(
+    base, bit_generator, delta, sample_scale, seed, data
+):
+    """Point, value bill, final generator state and the next draw all match."""
+    f = draw_coverage(data, base.n)
+    runs = []
+    for algorithm in (_reference_continuous_greedy, continuous_greedy):
+        ledger = QueryLedger()
+        rng = _generator(bit_generator, seed)
+        point = algorithm(
+            f.with_ledger(ledger), base.with_ledger(ledger), 2.0, delta, rng,
+            sample_scale=sample_scale,
+        )
+        runs.append((point, ledger.value_queries, _state(rng), rng.random()))
+    assert runs[1] == runs[0]
+
+
+class TestSampleRows:
+    """The row source against one ``rng.random((m, n))`` call per estimate."""
+
+    N = 128  # a power of two, so a full block holds BLOCK_DOUBLES // N rows
+
+    def _check(self, bit_generator, estimates, m):
+        n = self.N
+        x = np.linspace(0.0, 1.0, n)
+        rng, ref_rng = _generator(bit_generator, 9), _generator(bit_generator, 9)
+        with multilinear._SampleRows(x, rng) as rows:
+            for _ in range(estimates):
+                ref = ref_rng.random((m, n)) < x
+                assert rows.take(m) == [np.flatnonzero(row).tolist() for row in ref]
+        assert _state(rng) == _state(ref_rng)
+        assert rng.random() == ref_rng.random()
+        return rows
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_estimate_counts_around_block_ends(self, bit_generator):
+        block = multilinear.BLOCK_DOUBLES // self.N
+        # blocks of 1, 2, 4, ... rows, then full blocks: the first full one
+        # ends after 2 * block - 1 one-row estimates
+        first_full_end = 2 * block - 1
+        for estimates in (0, 1, first_full_end - 1, first_full_end, first_full_end + 1):
+            rows = self._check(bit_generator, estimates, 1)
+            if estimates == first_full_end:
+                assert (rows.size, rows.next) == (block, block)
+            if estimates == first_full_end + 1:
+                assert (rows.size, rows.next) == (block, 1)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_estimate_larger_than_one_block(self, bit_generator):
+        block = multilinear.BLOCK_DOUBLES // self.N
+        m = block + block // 2
+        assert m * self.N > multilinear.BLOCK_DOUBLES
+        self._check(bit_generator, 3, m)
+
+    def test_oracle_error_leaves_the_generator_past_the_failed_estimate(self):
+        """As one draw per estimate would: all m rows of the failed estimate are used."""
+
+        class Failing(ModularOracle):
+            def evaluate(self, members):
+                self.asked = getattr(self, "asked", 0) + 1
+                if self.asked == 25:  # inside the second estimate of 9 pairs
+                    raise RuntimeError("oracle down")
+                return super().evaluate(members)
+
+        runs = []
+        for algorithm in (_reference_continuous_greedy, continuous_greedy):
+            rng = np.random.default_rng(2)
+            with pytest.raises(RuntimeError):
+                algorithm(Failing((1.0, 2.0, 3.0, 4.0)), UniformMatroid(4, 2), 2.0, 0.25, rng,
+                          sample_scale=0.2)
+            runs.append((_state(rng), rng.random()))
+        assert estimator_sample_count(2.0, 4, 0.25, 0.2) == 9
+        assert runs[1] == runs[0]
 
 
 class _RecordingPartition(PartitionMatroid):
