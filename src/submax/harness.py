@@ -40,7 +40,7 @@ import numpy as np
 from . import cardinality as card
 from . import matroid_algos as malg
 from .errors import InstanceTooLargeError, InvalidInputError
-from .ledger import QueryLedger
+from .ledger import QueryLedger, checked_int
 from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -154,12 +154,6 @@ def save_json(obj: dict, path: Union[str, Path]) -> None:
         fh.write("\n")
 
 
-def _require_non_negative(**sizes: int) -> None:
-    for name, size in sizes.items():
-        if size < 0:
-            raise InvalidInputError(f"{name} must be non-negative, got {size}")
-
-
 def generate_instance(
     family: str,
     n: int,
@@ -171,7 +165,7 @@ def generate_instance(
     weight_range: tuple[int, int] = (1, 10),
 ) -> dict:
     """Deterministic instance spec for a family; same arguments, same bytes."""
-    _require_non_negative(n=n)
+    n = checked_int(n, "n")
     rng = np.random.default_rng(seed)
     if family == "coverage":
         m = universe if universe is not None else 3 * n
@@ -210,7 +204,8 @@ def generate_matroid(
     blocks: Optional[int] = None,
 ) -> dict:
     """Deterministic matroid spec; partition capacities always sum to k."""
-    _require_non_negative(n=n, k=k)
+    n = checked_int(n, "n")
+    k = checked_int(k, "k")
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         return {"kind": "uniform", "n": n, "k": k}

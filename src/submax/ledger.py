@@ -16,6 +16,18 @@ from typing import Optional
 from .errors import InvalidInputError
 
 
+def checked_int(value, field: str, least: int = 0) -> int:
+    """``value`` as an int of at least ``least``, else InvalidInputError naming ``field``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{field} must be an integer, got {value!r}") from None
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise InvalidInputError(f"{field} must be {bound}")
+    return value
+
+
 @dataclass
 class QueryLedger:
     value_queries: int = 0
@@ -43,22 +55,19 @@ class Counted:
     """
 
     def __init__(self, n: int, ledger: Optional[QueryLedger] = None):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise InvalidInputError(f"ground set size n must be an integer, got {n!r}") from None
-        if n < 0:
-            raise InvalidInputError("ground set size must be non-negative")
-        self.n = n
+        self.n = checked_int(n, "ground set size n")
         self.ledger = ledger if ledger is not None else QueryLedger()
 
     def _check_id(self, u) -> int:
-        """``u`` as an integer id of this ground set, else InvalidInputError naming it."""
+        """``u`` as an integer id of this ground set, else InvalidInputError naming it.
+
+        The one place an element-id error is built: loops that test ids
+        inline call it on the id that failed.
+        """
         try:
             u = operator.index(u)
         except TypeError:
-            _reject_non_integer((u,))
-            raise
+            raise InvalidInputError(f"element id {u!r} is not an integer") from None
         if not 0 <= u < self.n:
             raise InvalidInputError(f"element id {u} outside ground set of size {self.n}")
         return u
@@ -161,15 +170,6 @@ class PrefixCached(Counted):
     def _extend(self, cache: tuple, u: int):
         """The answer for ``P`` plus ``u`` from the cache of ``P``."""
         raise NotImplementedError
-
-
-def _reject_non_integer(ids: Iterable) -> None:
-    """Raise InvalidInputError naming the first id of ``ids`` that is not an integer."""
-    for u in ids:
-        try:
-            operator.index(u)
-        except TypeError:
-            raise InvalidInputError(f"element id {u!r} is not an integer") from None
 
 
 def _shallow_copy(handle):

@@ -139,7 +139,7 @@ def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int
     for t in range(state.num_levels):
         bar = one_minus * (state.W * one_minus ** t)
         for u in state.ground:
-            if state.level[u] != t or u in chosen:
+            if state.level[u] != t:
                 continue
             if not M.is_independent(members_with(S, work, u)):
                 continue
@@ -357,7 +357,8 @@ def combined_algorithm(
         return CombinedResult(frozenset(S), False, outcome.iterations, frozenset(S), params)
 
     residual: Matroid
-    if use_partition and outcome.dummies_used == 0 and M.partition_structure() is not None:
+    if use_partition and outcome.dummies_used == 0:
+        # random_lazy_greedy refused use_partition on any other matroid
         blocks, caps = M.partition_structure()
         res_blocks = [[u for u in blk if u not in S] for blk in blocks]
         res_caps = [c - sum(1 for u in blk if u in S) for blk, c in zip(blocks, caps)]

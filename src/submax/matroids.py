@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError
-from .ledger import Counted, PrefixCached, QueryLedger, View, _reject_non_integer
+from .ledger import Counted, PrefixCached, QueryLedger, View, checked_int
 from .oracles import Subset, ValueOracle
 
 
@@ -42,30 +42,6 @@ class Matroid(Counted):
         return None
 
 
-class UniformMatroid(Matroid):
-    def __init__(self, n: int, k: int, ledger: Optional[QueryLedger] = None):
-        super().__init__(n, ledger)
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise InvalidInputError(f"k must be an integer, got {k!r}") from None
-        if k < 0:
-            raise InvalidInputError("rank bound must be non-negative")
-        self.k = k
-
-    def _indep(self, members: Iterable[int]) -> bool:
-        count = 0
-        for u in members:
-            self._check_id(u)
-            count += 1
-            if count > self.k:
-                return False
-        return True
-
-    def partition_structure(self):
-        return ([list(range(self.n))], [self.k])
-
-
 class PartitionMatroid(Matroid):
     """Generalized partition matroid: at most ``capacities[j]`` elements per block."""
 
@@ -86,16 +62,7 @@ class PartitionMatroid(Matroid):
         blocks = checked
         if len(blocks) != len(capacities):
             raise InvalidInputError("need one capacity per block")
-        caps = []
-        for j, c in enumerate(capacities):
-            try:
-                caps.append(operator.index(c))
-            except TypeError:
-                raise InvalidInputError(
-                    f"capacities[{j}] must be an integer, got {c!r}"
-                ) from None
-        if any(c < 0 for c in caps):
-            raise InvalidInputError("capacities must be non-negative")
+        caps = [checked_int(c, f"capacities[{j}]") for j, c in enumerate(capacities)]
         all_ids = [u for b in blocks for u in b]
         n = len(all_ids)
         if sorted(all_ids) != list(range(n)):
@@ -113,21 +80,30 @@ class PartitionMatroid(Matroid):
         block_of = self._block_of
         caps = self.capacities
         n = self.n
-        try:
-            for u in members:
+        for u in members:
+            try:
                 if not 0 <= u < n:
-                    raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+                    self._check_id(u)
                 j = block_of[u]
-                counts[j] += 1
-                if counts[j] > caps[j]:
-                    return False
-        except TypeError:
-            _reject_non_integer(members)
-            raise
+            except TypeError:
+                # the id rule names a non-integer, or gives an index-only integer's int
+                j = block_of[self._check_id(u)]
+            counts[j] += 1
+            if counts[j] > caps[j]:
+                return False
         return True
 
     def partition_structure(self):
         return ([list(b) for b in self.blocks], list(self.capacities))
+
+
+class UniformMatroid(PartitionMatroid):
+    """At most ``k`` elements: the partition matroid with the one block ``range(n)``."""
+
+    def __init__(self, n: int, k: int, ledger: Optional[QueryLedger] = None):
+        n = checked_int(n, "ground set size n")
+        self.k = checked_int(k, "k")
+        super().__init__([range(n)], [self.k], ledger)
 
 
 class GraphicMatroid(PrefixCached, Matroid):
@@ -146,14 +122,7 @@ class GraphicMatroid(PrefixCached, Matroid):
         edges: Sequence[tuple[int, int]],
         ledger: Optional[QueryLedger] = None,
     ):
-        try:
-            num_vertices = operator.index(num_vertices)
-        except TypeError:
-            raise InvalidInputError(
-                f"vertices must be an integer, got {num_vertices!r}"
-            ) from None
-        if num_vertices < 0:
-            raise InvalidInputError("vertices must be non-negative")
+        num_vertices = checked_int(num_vertices, "vertices")
         checked = []
         for i, edge in enumerate(edges):
             try:
@@ -256,12 +225,7 @@ class RankCappedMatroid(View, Matroid):
     """Truncation view: independent iff |T| <= cap and independent in the base."""
 
     def __init__(self, base: Matroid, cap: int):
-        try:
-            cap = operator.index(cap)
-        except TypeError:
-            raise InvalidInputError(f"rank cap must be an integer, got {cap!r}") from None
-        if cap < 0:
-            raise InvalidInputError("rank cap must be non-negative")
+        cap = checked_int(cap, "rank cap")
         super().__init__(base)
         self.cap = cap
 
@@ -282,27 +246,24 @@ class RankCappedMatroid(View, Matroid):
         return min(self.cap, self._base.rank())
 
 
-def _split_real(members: Iterable[int], n_real: int, n: int) -> tuple[list[int], int]:
-    """The real ids of ``members`` (those below ``n_real``) and the number of dummy ids.
+def _split_real(view: View, members: Iterable[int]) -> tuple[list[int], int]:
+    """The real ids of ``members`` (those below ``view.n_real``) and the number of dummy ids.
 
-    Every id must be an integer in ``{0, ..., n - 1}``. It is checked here,
+    Every id must be an id of the view's ground set. It is checked here,
     since the views may answer from the count alone before the base sees it.
     """
     real = []
     dummies = 0
-    try:
-        for u in members:
-            if u.__class__ is not int:
-                operator.index(u)
-            if not 0 <= u < n:
-                raise InvalidInputError(f"element id {u} outside ground set of size {n}")
-            if u < n_real:
-                real.append(u)
-            else:
-                dummies += 1
-    except TypeError:
-        _reject_non_integer(members)
-        raise
+    n_real = view.n_real
+    n = view.n
+    for u in members:
+        # a float passes the range test, so the class is tested first
+        if u.__class__ is not int or not 0 <= u < n:
+            u = view._check_id(u)
+        if u < n_real:
+            real.append(u)
+        else:
+            dummies += 1
     return real, dummies
 
 
@@ -319,7 +280,7 @@ class DummyValueOracle(View, ValueOracle):
         self.monotone = base.monotone
 
     def evaluate(self, members: Iterable[int]) -> float:
-        return self._base.evaluate(_split_real(members, self.n_real, self.n)[0])
+        return self._base.evaluate(_split_real(self, members)[0])
 
 
 class DummyAugmentedMatroid(View, Matroid):
@@ -335,7 +296,7 @@ class DummyAugmentedMatroid(View, Matroid):
         self.k = k
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        real, dummies = _split_real(members, self.n_real, self.n)
+        real, dummies = _split_real(self, members)
         if len(real) + dummies > self.k:
             # dummy logic alone decides, but the query is charged anyway
             self.ledger.charge_independence(1)

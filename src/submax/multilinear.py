@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
+from .ledger import checked_int
 from .matroids import Matroid, matroid_rank, threshold_sweep
 from .oracles import ValueOracle
 
@@ -62,12 +63,7 @@ def estimate_marginal_F(
     not a positive integer, ``u`` is not an id of f's ground set or ``x`` is
     not a point of ``[0, 1]^n``.
     """
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise InvalidInputError(f"m must be an integer sample count, got {m!r}") from None
-    if m < 1:
-        raise InvalidInputError(f"m must be at least 1, got {m}")
+    m = checked_int(m, "m", least=1)
     try:
         u = operator.index(u)
     except TypeError:

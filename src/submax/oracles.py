@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .ledger import Counted, PrefixCached, QueryLedger, View, _reject_non_integer
+from .ledger import Counted, PrefixCached, QueryLedger, View, checked_int
 
 ElementId = int
 Subset = Collection[int]
@@ -83,14 +83,7 @@ class CoverageOracle(PrefixCached, ValueOracle):
         ledger: Optional[QueryLedger] = None,
     ):
         super().__init__(len(sets), ledger)
-        try:
-            universe_size = operator.index(universe_size)
-        except TypeError:
-            raise InvalidInputError(
-                f"universe must be an integer, got {universe_size!r}"
-            ) from None
-        if universe_size < 0:
-            raise InvalidInputError("universe size must be non-negative")
+        universe_size = checked_int(universe_size, "universe")
         self.universe_size = universe_size
         masks = []
         for i, s in enumerate(sets):
@@ -121,14 +114,13 @@ class CoverageOracle(PrefixCached, ValueOracle):
         masks = self._masks
         n = self.n
         mask = 0
-        try:
-            for u in prefix:
+        for u in prefix:
+            try:
                 if not 0 <= u < n:
-                    raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+                    self._check_id(u)
                 mask |= masks[u]
-        except TypeError:
-            _reject_non_integer(prefix)
-            raise
+            except TypeError:
+                mask |= masks[self._check_id(u)]
         # popcount inline on the unweighted path: a call costs more than it
         value = float(mask.bit_count()) if self._weights is None else self._weighted(mask)
         self._prefix = (prefix, value, mask)
@@ -282,14 +274,13 @@ class ModularOracle(ValueOracle):
         n = self.n
         weights = self._weights
         total = 0.0
-        try:
-            for u in members:
+        for u in members:
+            try:
                 if not 0 <= u < n:
-                    raise InvalidInputError(f"element id {u} outside ground set of size {n}")
+                    self._check_id(u)
                 total += weights[u]
-        except TypeError:
-            _reject_non_integer(members)
-            raise
+            except TypeError:
+                total += weights[self._check_id(u)]
         return total
 
 

@@ -112,6 +112,20 @@ class TestGeneration:
                 with pytest.raises(InvalidInputError, match=f"{field} must be non-negative"):
                     generate_matroid(kind, n, k, seed=0)
 
+    @pytest.mark.parametrize(
+        "generate, field",
+        [
+            (lambda: generate_instance("coverage", 2.5, 1), "n"),
+            (lambda: generate_matroid("graphic", 4, 1.5, 0), "k"),
+            (lambda: generate_matroid("uniform", 2.5, 1, 0), "n"),
+            (lambda: generate_matroid("partition", 4, 1.5, 0), "k"),
+        ],
+        ids=["coverage_n", "graphic_k", "uniform_n", "partition_k"],
+    )
+    def test_fractional_size_rejected(self, generate, field):
+        with pytest.raises(InvalidInputError, match=rf"^{field} must be an integer, got \d\.5$"):
+            generate()
+
     @pytest.mark.parametrize("blocks", [0, -1, 5])
     def test_block_count_outside_one_to_n_rejected(self, blocks):
         with pytest.raises(InvalidInputError, match=f"blocks must be between 1 and n=4, got {blocks}"):

@@ -16,6 +16,7 @@ from submax import (
     GraphicMatroid,
     InvalidInputError,
     Matroid,
+    ModularOracle,
     PartitionMatroid,
     QueryLedger,
     RankCappedMatroid,
@@ -103,8 +104,10 @@ def test_non_integer_id_is_named(handle):
     ask = handle.is_independent if isinstance(handle, Matroid) else handle.evaluate
     for bad in (0.5, 1.5, "a"):
         for query in ([bad], [0, bad]):
-            with pytest.raises(InvalidInputError, match=rf"element id {bad!r} is not an integer"):
-                ask(query)
+            # a one-shot iterator is named too: the id is never read twice
+            for given in (query, iter(query)):
+                with pytest.raises(InvalidInputError, match=rf"element id {bad!r} is not an integer"):
+                    ask(given)
     # bool ids stay accepted
     assert ask([True]) == ask([1])
 
@@ -138,6 +141,32 @@ def test_integer_like_constructor_arguments_accepted():
     assert RankCappedMatroid(M, np.int64(2)).cap == 2
     assert ContractedMatroid(M, [np.int64(1), True]).ground() == [0, 2, 3]
     assert PartitionMatroid([[np.int64(1), 0], [2]], [1, 1]).blocks == [[0, 1], [2]]
+
+
+class _IndexOnly:
+    """An integer known only through ``__index__``: it has no order comparisons."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "handle",
+    [
+        PartitionMatroid([[0, 1], [2]], [1, 1]),
+        UniformMatroid(3, 2),
+        CoverageOracle([[0], [1], [0, 2]], 3),
+        ModularOracle([1.0, 2.0, 4.0]),
+    ],
+    ids=["partition", "uniform", "coverage", "modular"],
+)
+def test_index_only_ids_are_read_through_index(handle):
+    ask = handle.is_independent if isinstance(handle, Matroid) else handle.evaluate
+    for query in ([1], [0, 2], [2, 1, 0]):
+        assert ask([_IndexOnly(u) for u in query]) == ask(query)
 
 
 class TestContraction:
@@ -426,6 +455,40 @@ def test_contracted_graphic_matches_explicit_contraction(graph, data):
             queries += 1
     assert ledger.independence_queries == before + queries
     assert check_exchange_axiom(view)
+
+
+def _assert_same_answers(view, explicit, ids):
+    """Every subset of ``ids`` gets one answer from both; each call charges one tick."""
+    for r in range(len(ids) + 1):
+        for T in itertools.combinations(ids, r):
+            before = (view.ledger.snapshot(), explicit.ledger.snapshot())
+            assert view.is_independent(T) == explicit.is_independent(T)
+            assert (view.ledger.snapshot(), explicit.ledger.snapshot()) == tuple(
+                (v, i + 1) for v, i in before
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition=small_partitions(), data=st.data())
+def test_contracted_partition_is_the_explicit_residual(partition, data):
+    blocks, caps = partition
+    M = PartitionMatroid(blocks, caps)
+    S = set(draw_independent(data, M, list(M.ground())))
+    res_blocks = [[u for u in blk if u not in S] for blk in blocks]
+    res_caps = [c - sum(1 for u in blk if u in S) for blk, c in zip(blocks, caps)]
+    # the residual the combined algorithm builds on the partition fast path
+    explicit = PartitionMatroid(res_blocks + [sorted(S)], res_caps + [0])
+    rest = [u for u in range(M.n) if u not in S]
+    _assert_same_answers(ContractedMatroid(M, S), explicit, rest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=0, max_value=7), data=st.data())
+def test_rank_capped_uniform_is_the_smaller_uniform(n, data):
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    cap = data.draw(st.integers(min_value=0, max_value=n))
+    view = RankCappedMatroid(UniformMatroid(n, k), cap)
+    _assert_same_answers(view, UniformMatroid(n, min(k, cap)), list(range(n)))
 
 
 # ---------------------------------------------------------------------------

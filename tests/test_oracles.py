@@ -577,6 +577,7 @@ class TestCutAndFacilityPrefixCaches:
 )
 def test_fractional_id_is_named(f):
     for query in ([0.5], [0, 0.5], [1, 0.5, 0]):
-        with pytest.raises(InvalidInputError, match=r"element id 0\.5 is not an integer"):
-            f.evaluate(query)
+        for given in (query, iter(query)):
+            with pytest.raises(InvalidInputError, match=r"element id 0\.5 is not an integer"):
+                f.evaluate(given)
     assert f.evaluate([0, 1]) == f.uncounted().evaluate([1, 0])
