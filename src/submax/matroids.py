@@ -186,10 +186,7 @@ class ExplicitMatroid(Matroid):
         }
 
     def _indep(self, members: Iterable[int]) -> bool:
-        key = frozenset(members)
-        for u in key:
-            self._check_id(u)
-        return key in self._family
+        return frozenset(map(self._check_id, members)) in self._family
 
 
 class ContractedMatroid(View, Matroid):

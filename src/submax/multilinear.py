@@ -2,7 +2,9 @@
 
 Sampling estimator for directional derivatives of F(x) = E[f(R(x))], the
 decreasing-threshold continuous greedy that consumes it, and randomized swap
-rounding of the resulting convex combination of bases. Swap rounding never
+rounding of the resulting convex combination of bases. A sample row of R(x)
+draws one uniform for each coordinate with x_j > 0, in id order, and none
+for the others, which can never join R(x). Swap rounding never
 touches the value oracle, and on a generalized partition matroid it answers
 independence from block counts without an independence query.
 """
@@ -57,8 +59,13 @@ def estimate_marginal_F(
     """Paired-sample estimate of the derivative of F at x along coordinate u.
 
     Averages f(R + u) - f(R - u) over m draws of R(x); costs exactly 2m value
-    queries. The raw (unclamped) mean is returned so the estimator stays
-    unbiased; callers that rely on monotonicity clamp at zero themselves.
+    queries. The draws are the rows of one ``rng.random((m, len(support)))``
+    call over the support of x (its ids with x_j > 0, in id order): element
+    j is in a row when its uniform is below x_j. At x = 0 nothing is drawn.
+    The rows come in blocks of at most ``BLOCK_DOUBLES // n`` rows, and
+    ``rng`` ends where that one call would have left it. The raw
+    (unclamped) mean is returned so the estimator stays unbiased; callers
+    that rely on monotonicity clamp at zero themselves.
     Raises :class:`InvalidInputError` before any draw or query when ``m`` is
     not a positive integer, ``u`` is not an id of f's ground set or ``x`` is
     not a point of ``[0, 1]^n``.
@@ -83,27 +90,33 @@ def estimate_marginal_F(
         return _estimate(f, rows, u, m)
 
 
-# Most uniforms one block of sample rows holds (256 KB of doubles).
+# One block of sample rows holds at most BLOCK_DOUBLES // n rows, so at most
+# 256 KB of uniforms whatever the support of x (a row draws one per x_j > 0).
 BLOCK_DOUBLES = 32_768
 
 
 class _SampleRows:
     """The sample sets R(x) of the estimates made at one point x.
 
-    Each row is one draw of R(x): element j is in it when its uniform is
-    below x[j]. Rows are drawn in blocks with one ``rng.random`` call each,
-    which gives the numbers that one call per estimate would give, in the
-    same order. The first block holds the rows its first request needs and
-    each later one twice as many as the last, up to ``BLOCK_DOUBLES``
-    uniforms. Leaving the ``with`` block, also on an error, sets the
-    generator back to the state saved before the last block and draws only
-    the rows handed out of it, so ``rng`` ends where per-estimate draws
-    would have left it, for any bit generator.
+    Each row is one draw of R(x). It takes one uniform for each coordinate
+    with x[j] > 0, in id order, and element j is in it when its uniform is
+    below x[j]; an element with x[j] = 0 never is, so it takes none. Rows
+    are drawn in blocks with one ``rng.random`` call each, which gives the
+    numbers that one ``rng.random((m, len(support)))`` call per estimate
+    would give, in the same order. The first block holds the rows its first
+    request needs and each later one twice as many as the last, up to
+    ``BLOCK_DOUBLES // n`` rows. At x = 0 every row is empty and nothing is
+    drawn. Leaving the ``with`` block, also on an error, sets the generator
+    back to the state saved before the last block and draws only the rows
+    handed out of it, so ``rng`` ends where per-estimate draws would have
+    left it, for any bit generator.
     """
 
     def __init__(self, x: np.ndarray, rng: np.random.Generator):
-        self.x = x
+        self.cols = np.flatnonzero(x)  # the support of x, ascending
+        self.p = x[self.cols]
         self.rng = rng
+        self.n = x.shape[0]
         self.size = 0  # rows in the current block
         self.next = 0  # rows of it handed out
         self.ids: list[int] = []  # ids of the block's members, row after row
@@ -116,10 +129,12 @@ class _SampleRows:
     def __exit__(self, *exc) -> None:
         if self.next < self.size:
             self.rng.bit_generator.state = self.saved
-            self.rng.random((self.next, self.x.shape[0]))
+            self.rng.random((self.next, len(self.cols)))
 
     def take(self, m: int) -> list[list[int]]:
         """The next m rows, each a fresh ascending id list."""
+        if not self.cols.size:
+            return [[] for _ in range(m)]
         rows = []
         for left in range(m, 0, -1):
             if self.next == self.size:
@@ -130,13 +145,13 @@ class _SampleRows:
         return rows
 
     def _draw(self, need: int) -> None:
-        n = self.x.shape[0]
-        size = min(max(1, BLOCK_DOUBLES // n), max(need, 2 * self.size))
+        width = len(self.cols)
+        size = min(max(1, BLOCK_DOUBLES // self.n), max(need, 2 * self.size))
         self.saved = self.rng.bit_generator.state
         # one flat scan: 2-D nonzero costs more than it saves
-        hits = np.flatnonzero(self.rng.random((size, n)) < self.x)
-        self.ends = np.searchsorted(hits, np.arange(0, (size + 1) * n, n)).tolist()
-        self.ids = (hits % n).tolist()
+        hits = np.flatnonzero(self.rng.random((size, width)) < self.p)
+        self.ends = np.searchsorted(hits, np.arange(0, (size + 1) * width, width)).tolist()
+        self.ids = self.cols[hits % width].tolist()
         self.size, self.next = size, 0
 
 
@@ -216,7 +231,8 @@ def continuous_greedy(
     estimator draw. The estimates of one step draw their sample rows in
     blocks (see ``BLOCK_DOUBLES``); at the step's end the generator is
     rewound to just past the rows used, so ``rng`` advances exactly as with
-    one draw per estimate. ``sample_scale`` rescales the per-estimate sample
+    one draw per estimate over the support of x (see
+    :func:`estimate_marginal_F`). ``sample_scale`` rescales the per-estimate sample
     budget; 1.0 is the analysis-faithful count, which is far beyond
     interactive budgets on all but tiny instances. ``ground`` (default: all
     of M's ids) must hold distinct ids of f's ground set.

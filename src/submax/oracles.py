@@ -306,10 +306,7 @@ class TableOracle(ValueOracle):
         self.monotone = self._is_monotone()
 
     def _value(self, members: Iterable[int]) -> float:
-        key = frozenset(members)
-        for u in key:
-            self._check_id(u)
-        return self._table[key]
+        return self._table[frozenset(map(self._check_id, members))]
 
     def _is_monotone(self) -> bool:
         for members, value in self._table.items():

@@ -138,14 +138,15 @@ def exact_marginal_F(f, x, u):
 
 
 def reference_estimate(f, x_vec, u, m, rng):
-    """The paired-sample estimator loop as it was before its rows were split
-    with one ``nonzero`` per row; the estimator must match it bit for bit."""
-    inclusion = rng.random((m, x_vec.shape[0])) < x_vec
+    """The paired-sample estimator loop, one ``rng.random`` call per estimate
+    over the support of x and one ``nonzero`` per row; the estimator must
+    match it bit for bit."""
+    cols = np.flatnonzero(x_vec)
+    inclusion = rng.random((m, len(cols))) < x_vec[cols]
     total = 0.0
     evaluate = f.evaluate
     for row in inclusion:
-        row[u] = False
-        ids = np.flatnonzero(row).tolist()
+        ids = [j for j in cols[np.flatnonzero(row)].tolist() if j != u]
         without_u = evaluate(ids)
         ids.append(u)
         total += evaluate(ids) - without_u

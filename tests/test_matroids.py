@@ -21,6 +21,7 @@ from submax import (
     QueryLedger,
     RankCappedMatroid,
     ResidualOracle,
+    TableOracle,
     UniformMatroid,
     check_exchange_axiom,
     greedy_basis,
@@ -160,8 +161,11 @@ class _IndexOnly:
         UniformMatroid(3, 2),
         CoverageOracle([[0], [1], [0, 2]], 3),
         ModularOracle([1.0, 2.0, 4.0]),
+        ExplicitMatroid(3, [[], [0], [1], [2], [0, 2]]),
+        TableOracle(3, {frozenset(s): float(len(s)) for r in range(4)
+                        for s in itertools.combinations(range(3), r)}),
     ],
-    ids=["partition", "uniform", "coverage", "modular"],
+    ids=["partition", "uniform", "coverage", "modular", "explicit", "table"],
 )
 def test_index_only_ids_are_read_through_index(handle):
     ask = handle.is_independent if isinstance(handle, Matroid) else handle.evaluate

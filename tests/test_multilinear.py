@@ -387,18 +387,18 @@ def test_block_rows_leave_every_bit_generator_where_per_estimate_draws_do(
 
 
 class TestSampleRows:
-    """The row source against one ``rng.random((m, n))`` call per estimate."""
+    """The row source against one ``rng.random((m, len(support)))`` call per estimate."""
 
     N = 128  # a power of two, so a full block holds BLOCK_DOUBLES // N rows
 
     def _check(self, bit_generator, estimates, m):
-        n = self.N
-        x = np.linspace(0.0, 1.0, n)
+        x = np.linspace(0.0, 1.0, self.N)  # x[0] = 0: the support leaves id 0 out
+        cols = np.flatnonzero(x)
         rng, ref_rng = _generator(bit_generator, 9), _generator(bit_generator, 9)
         with multilinear._SampleRows(x, rng) as rows:
             for _ in range(estimates):
-                ref = ref_rng.random((m, n)) < x
-                assert rows.take(m) == [np.flatnonzero(row).tolist() for row in ref]
+                ref = ref_rng.random((m, len(cols))) < x[cols]
+                assert rows.take(m) == [cols[np.flatnonzero(row)].tolist() for row in ref]
         assert _state(rng) == _state(ref_rng)
         assert rng.random() == ref_rng.random()
         return rows
@@ -422,6 +422,49 @@ class TestSampleRows:
         m = block + block // 2
         assert m * self.N > multilinear.BLOCK_DOUBLES
         self._check(bit_generator, 3, m)
+
+    def test_zero_coordinates_never_join_a_row(self):
+        x = np.zeros(40)
+        x[1::3] = 0.5
+        x[[4, 22]] = 1e-3
+        x[[7, 31]] = 1.0
+        with multilinear._SampleRows(x, np.random.default_rng(6)) as rows:
+            drawn = rows.take(3000)
+        seen = set().union(*drawn)
+        assert seen == set(np.flatnonzero(x).tolist())
+        assert all(row == sorted(row) for row in drawn)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_estimate_at_zero_leaves_the_generator_untouched(self, bit_generator):
+        f = coverage4()
+        rng = _generator(bit_generator, 8)
+        state = _state(rng)
+        probe = f.uncounted()
+        for u in range(4):
+            assert estimate_marginal_F(f, np.zeros(4), u, 9, rng) == probe.evaluate([u])
+        assert _state(rng) == state
+        assert f.ledger.value_queries == 4 * 2 * 9
+        with multilinear._SampleRows(np.zeros(4), rng) as rows:
+            drawn = rows.take(5)
+        assert drawn == [[]] * 5 and len({id(row) for row in drawn}) == 5
+        assert _state(rng) == state
+
+    def test_inclusion_frequencies_match_x(self):
+        """Over 24,000 rows of seed 10, taken in estimates of 1 to 50 rows
+        across block ends, each frequency is within 4.5 binomial standard
+        errors of x_j (exactly 0 or 1 at x_j = 0 or 1)."""
+        x = np.array([0.0, 0.01, 0.1, 0.25, 0.5, 0.0, 0.75, 0.9, 0.99, 1.0, 0.33, 0.0])
+        counts = np.zeros(x.shape[0])
+        total = 0
+        with multilinear._SampleRows(x, np.random.default_rng(10)) as rows:
+            while total < 24_000:
+                m = 1 + total % 50
+                for row in rows.take(m):
+                    counts[row] += 1
+                total += m
+        freq = counts / total
+        tolerance = 4.5 * np.sqrt(x * (1.0 - x) / total)
+        assert (np.abs(freq - x) <= tolerance).all(), (freq, x)
 
     def test_oracle_error_leaves_the_generator_past_the_failed_estimate(self):
         """As one draw per estimate would: all m rows of the failed estimate are used."""
