@@ -464,7 +464,8 @@ def run_trial(
     """Run one trial on clones of the handles bound to a fresh ledger.
 
     The handles must never have been queried, so each trial starts from a
-    fresh handle's state and pays for its own rank scan.
+    fresh handle's state and measures its own rank: a scan on a handle
+    without a partition structure, the block sum on one with it.
     """
     ledger = QueryLedger()
     oracle = oracle.with_ledger(ledger)
@@ -475,7 +476,7 @@ def run_trial(
     solution, failed = ALGORITHMS[config.algo].run(config, oracle, matroid, rng)
     wall_ms = (time.perf_counter() - started) * 1000.0 if config.record_wall_time else 0.0
     f_value = oracle.uncounted().evaluate(sorted(solution))
-    # a rank the run measured is kept on the handle; otherwise an uncounted scan
+    # a rank the run measured is kept on the handle; otherwise an uncounted clone measures it
     k = config.k if matroid is None else matroid_rank(matroid.uncounted())
     return RunRecord(
         algo=config.algo,
@@ -498,7 +499,8 @@ def run_experiment(config: RunConfig) -> list[RunRecord]:
     """Run all trials of a config; trial t uses seed = base seed + t.
 
     The oracle and matroid are built once. The trials and the brute force
-    query only clones of them.
+    query only clones of them. A matroid over another ground set than the
+    instance's is refused before either runs.
     """
     algorithm = _check_config(config)
     oracle = oracle_from_dict(_resolve(config.instance))
@@ -507,6 +509,10 @@ def run_experiment(config: RunConfig) -> list[RunRecord]:
         if algorithm.matroid
         else None
     )
+    if matroid is not None and matroid.n != oracle.n:
+        raise InvalidInputError(
+            f"matroid ground set size {matroid.n} differs from instance ground set size {oracle.n}"
+        )
     opt_value = None
     if config.compute_opt:
         opt_value, _ = brute_force_opt(oracle, config.k if matroid is None else matroid)

@@ -22,6 +22,7 @@ from .matroids import (
     Matroid,
     PartitionMatroid,
     RankCappedMatroid,
+    independence_test,
     matroid_rank,
     threshold_sweep,
 )
@@ -51,8 +52,9 @@ def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
     Expects self-loops removed and f monotone. The scan is
     :func:`~submax.matroids.threshold_sweep`: an element costs one value
     query per level at which it can join, and an independence query only
-    when its answer is unknown. Solution members cost nothing, and the scan
-    stops once the solution is a base.
+    when its answer is unknown (none on a handle that reports its blocks).
+    Solution members cost nothing, and the scan stops once the solution is
+    a base.
     """
     solution, _ = _thresholding_greedy_value(f, M, eps)
     return solution
@@ -223,7 +225,9 @@ def random_lazy_greedy(
     via LinearGreedy; while its weight stays at least B * opt, a uniformly
     random member of that set, padded with zero-value dummies to the
     remaining rank, joins the solution. Exhausting all I iterations without
-    hitting the low-weight stopping test is a failure.
+    hitting the low-weight stopping test is a failure. ``use_partition``
+    needs a matroid that reports its blocks; any other is refused before
+    the first query.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must be in (0, 1)")
@@ -231,6 +235,8 @@ def random_lazy_greedy(
         raise InvalidInputError("B must be non-negative")
     if I < 0:
         raise InvalidInputError("iteration bound must be non-negative")
+    if use_partition and M.partition_structure() is None:
+        raise InvalidInputError("partition fast path needs a partition matroid")
     k = matroid_rank(M)
     if I > k / 2:
         raise InvalidInputError("iteration bound above k/2 voids the failure analysis")
@@ -238,8 +244,6 @@ def random_lazy_greedy(
     ground = list(range(f.n))
     W = max((f.evaluate([u]) for u in ground), default=0.0)
 
-    if use_partition and M.partition_structure() is None:
-        raise InvalidInputError("partition fast path needs a partition matroid")
     state = LazyGreedyState(ground, W, delta, k)
     state.solution_value = f.evaluate([])
 
@@ -333,9 +337,10 @@ def combined_algorithm(
     if not 1.0 <= lam <= k:
         raise InvalidInputError("lambda must lie in [1, rank]")
     if k == 1:
+        independent = independence_test(M)
         best_u, best_v = None, -math.inf
         for u in M.ground():
-            if M.is_independent([u]):
+            if independent([u]):
                 v = f.evaluate([u])
                 if v > best_v:
                     best_u, best_v = u, v
@@ -364,9 +369,6 @@ def combined_algorithm(
         res_caps = [c - sum(1 for u in blk if u in S) for blk, c in zip(blocks, caps)]
         # contracted ids form one block of capacity zero: loops of the residual
         residual = PartitionMatroid(res_blocks + [sorted(S)], res_caps + [0], M.ledger)
-        # S is independent, so each block keeps min(c_j, |B_j|) - |S & B_j| and
-        # the residual rank is k - |S| = cap: no scan needed
-        residual._rank = cap
     else:
         residual = RankCappedMatroid(ContractedMatroid(M, sorted(S)), cap)
     shifted = ResidualOracle(f, S)

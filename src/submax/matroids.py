@@ -3,6 +3,12 @@
 Every ``is_independent`` call charges exactly one independence query to the
 attached ledger. Views (contraction, rank caps, dummy augmentation) follow
 the one accounting rule of :class:`~submax.ledger.View`.
+
+The structure rule lives here: a handle that reports
+``partition_structure()`` is answered from its blocks, so its rank and every
+question asked through :func:`independence_test` cost no query. Views never
+report a structure and forward every query as a charged query.
+``greedy_basis`` and ``remove_self_loops`` ask the oracle on any handle.
 """
 
 from __future__ import annotations
@@ -28,13 +34,16 @@ class Matroid(Counted):
         raise NotImplementedError
 
     def rank(self) -> int:
-        """The rank: one greedy scan on the first call, then kept on the handle.
+        """The rank, kept on the handle after the first call.
 
-        Clones made after the scan share the result; views derive theirs
-        from their base's rank without a query.
+        A handle that reports its blocks sums ``min(capacity, |block|)``
+        over them; any other handle pays for one greedy scan. Clones made
+        after the first call share the result; views derive theirs from
+        their base's rank without a query.
         """
         if self._rank is None:
-            self._rank = len(greedy_basis(self))
+            counts = _block_counts(self)
+            self._rank = len(greedy_basis(self)) if counts is None else counts[0]
         return self._rank
 
     def partition_structure(self) -> Optional[tuple[list[list[int]], list[int]]]:
@@ -320,6 +329,47 @@ def matroid_rank(M: Matroid) -> int:
     return M.rank()
 
 
+def independence_test(M: Matroid) -> Callable[[list[int]], bool]:
+    """The independence question a phase asks of ``M``.
+
+    On a handle that reports its blocks, a predicate that answers from
+    block counts, as the oracle would (an id outside the ground set raises
+    the oracle's error), and charges nothing; on any other handle,
+    ``M.is_independent``.
+    """
+    counts = _block_counts(M)
+    return M.is_independent if counts is None else counts[1]
+
+
+def _block_counts(M: Matroid) -> Optional[tuple[int, Callable[[list[int]], bool]]]:
+    """M's rank and an uncharged independence predicate, read from its blocks.
+
+    None when ``M`` reports no structure. An id in no block is a loop.
+    """
+    structure = M.partition_structure()
+    if structure is None:
+        return None
+    blocks, caps = structure
+    n = M.n
+    block_of: list[Optional[int]] = [None] * n
+    for j, blk in enumerate(blocks):
+        for u in blk:
+            block_of[u] = j
+
+    def independent(members: list[int]) -> bool:
+        counts = [0] * len(caps)
+        for u in members:
+            if u.__class__ is not int or not 0 <= u < n:
+                u = M._check_id(u)
+            j = block_of[u]
+            if j is None or counts[j] >= caps[j]:
+                return False
+            counts[j] += 1
+        return True
+
+    return sum(min(c, len(blk)) for blk, c in zip(blocks, caps)), independent
+
+
 def threshold_sweep(
     M: Matroid,
     ground: Sequence[int],
@@ -337,8 +387,10 @@ def threshold_sweep(
     its answer is unknown: an id found dependent stays dependent while
     ``taken`` grows, an independent answer holds until ``taken`` grows, and
     once ``taken`` reaches ``rank`` every answer is dependent and the scan
-    stops.
+    stops. The questions go through :func:`independence_test`, so a handle
+    that reports its blocks is asked none.
     """
+    independent = independence_test(M)
     taken: list[int] = []
     # ids never asked about again: the taken ones and those found dependent
     blocked: set[int] = set()
@@ -350,9 +402,9 @@ def threshold_sweep(
                 continue
             if free_at.get(u) != len(taken):
                 taken.append(u)
-                independent = M.is_independent(taken)
+                free = independent(taken)
                 taken.pop()
-                if not independent:
+                if not free:
                     blocked.add(u)
                     continue
                 free_at[u] = len(taken)

@@ -5,8 +5,9 @@ decreasing-threshold continuous greedy that consumes it, and randomized swap
 rounding of the resulting convex combination of bases. A sample row of R(x)
 draws one uniform for each coordinate with x_j > 0, in id order, and none
 for the others, which can never join R(x). Swap rounding never
-touches the value oracle, and on a generalized partition matroid it answers
-independence from block counts without an independence query.
+touches the value oracle, and asks its independence questions through
+:func:`~submax.matroids.independence_test`, so a handle that reports its
+blocks is asked none.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .ledger import checked_int
-from .matroids import Matroid, matroid_rank, threshold_sweep
+from .matroids import Matroid, independence_test, matroid_rank, threshold_sweep
 from .oracles import ValueOracle
 
 
@@ -278,24 +279,19 @@ def swap_round(M: Matroid, x: FractionalPoint, rng: np.random.Generator) -> set[
     pairwise: elements of the symmetric difference are exchanged with
     probability proportional to the accumulated weights, and each exchange
     is the first one that keeps both bases independent. No value oracle
-    queries are made. One loop serves every matroid; on a generalized
-    partition matroid it answers independence from block counts against
-    the capacities and makes no oracle call at all.
+    queries are made. One loop serves every matroid; its independence
+    questions go through :func:`~submax.matroids.independence_test`.
     """
     pairs = [(float(w), set(b)) for w, b in zip(x.weights, x.bases) if w > 0.0]
     if not pairs:
         raise InvalidInputError("decomposition must be non-empty")
-    structure = M.partition_structure()
-    independent = M.is_independent if structure is None else _block_counts(*structure)
+    independent = independence_test(M)
     for _, base in pairs:
         for u in base:
             M._check_id(u)
         if not independent(sorted(base)):
             raise InvalidInputError("dependent base in decomposition")
-    if structure is None:
-        target = matroid_rank(M)
-    else:
-        target = sum(min(c, len(blk)) for blk, c in zip(*structure))
+    target = matroid_rank(M)
     for _, base in pairs:
         _greedy_complete(independent, M.ground(), base, target)
     merged_w, merged = pairs[0]
@@ -303,25 +299,6 @@ def swap_round(M: Matroid, x: FractionalPoint, rng: np.random.Generator) -> set[
         merged = _merge_general(independent, merged, merged_w, b_i, w_i, rng)
         merged_w += w_i
     return merged
-
-
-def _block_counts(blocks: list[list[int]], caps: list[int]) -> Callable[[list[int]], bool]:
-    """Independence in a generalized partition matroid, read from block counts.
-
-    Asks no oracle; an id in no block is a loop.
-    """
-    block_of = {u: j for j, blk in enumerate(blocks) for u in blk}
-
-    def independent(members: list[int]) -> bool:
-        counts = [0] * len(caps)
-        for u in members:
-            j = block_of.get(u)
-            if j is None or counts[j] >= caps[j]:
-                return False
-            counts[j] += 1
-        return True
-
-    return independent
 
 
 def _greedy_complete(

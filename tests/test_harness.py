@@ -284,13 +284,13 @@ GOLDEN_CSV = {
     "combined-partition": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
         "bf7e702ac79c3cc8ab87970940fd667eb4bef160de803c847f45db2b342048ab",
-        [(20192, 1707), (20102, 1649)],
+        [(20192, 1602), (20102, 1544)],
     ),
     "combined-partition-contracted": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
         "f1da8d55b406328ed5df8cb48db6ef9c0112b597a5701221e9c48b236b85a4b4",
-        [(5175, 1400), (4893, 1513)],
+        [(5175, 1295), (4893, 1408)],
     ),
     "combined-graphic": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
@@ -307,12 +307,12 @@ GOLDEN_CSV = {
         _golden("combined_partition", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
         "a19ec07d8d6efa95544e586f70d798eeb8934b908989b3bd3b1bab6f9d900ab2",
-        [(5172, 1309), (4890, 1414)],
+        [(5172, 0), (4890, 0)],
     ),
     "continuous_greedy-partition": (
         _golden("continuous_greedy", _GOLDEN_PART, epsilon=0.25, sample_scale=0.05),
         "1046055b238154b00f776032c347f59a14f233ad52b825ca87998fc0802169ba",
-        [(4272, 304)],
+        [(4272, 0)],
     ),
     "continuous_greedy-graphic": (
         _golden("continuous_greedy", _GOLDEN_GRAPHIC, epsilon=0.25, sample_scale=0.05),
@@ -327,7 +327,7 @@ GOLDEN_CSV = {
     "random_lazy_greedy": (
         _golden("random_lazy_greedy", _GOLDEN_PART, delta=0.5, B=0.3, I=2, trials=2),
         "9c13d08622e4f87ee58a83c3858a594b7178cc8854ad3808aa10d6ed7cc96094",
-        [(206, 171), (202, 167)],
+        [(206, 66), (202, 62)],
     ),
     "lazy_greedy_improved": (
         _golden("lazy_greedy_improved", k=6, delta=0.2, trials=2),
@@ -394,26 +394,26 @@ GOLDEN_CSV = {
         _golden("random_lazy_greedy", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, delta=0.5,
                 B=0.01, I=4, trials=4),
         "5e59dbe212365526827e25b8a2f289a0d3386a1e9b3e87bbdb90919902969bf8",
-        [(286, 92), (286, 92), (291, 97), (290, 96)],
+        [(286, 49), (286, 49), (291, 54), (290, 53)],
     ),
     "combined-dummies": (
         _golden("combined", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, epsilon=0.25, lam=8.0,
                 B=0.01, sample_scale=1e-4, trials=4),
         "c418ac98b94dd30afa99eb5559dca83ae09ebe3c49c3c9cb5277e259a83f3840",
-        [(283, 89), (283, 89), (286, 92), (286, 92)],
+        [(283, 46), (283, 46), (286, 49), (286, 49)],
     ),
     "combined_partition-dummies": (
         _golden("combined_partition", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, epsilon=0.25,
                 lam=8.0, B=0.01, sample_scale=1e-4, trials=4),
         "d6a49094e5a161078b7a593f2dfb558ff3817d7e59903736e9212fbed7c8f7fb",
-        [(283, 43), (283, 43), (286, 43), (286, 43)],
+        [(283, 0), (283, 0), (286, 0), (286, 0)],
     ),
     # rank 1 takes the combined algorithm's single-element shortcut
     "combined-rank1": (
         _golden("combined", {"kind": "uniform", "n": 24, "k": 1}, epsilon=0.25, lam=1.0,
                 trials=2),
         "53087e8cae153f4e281b835d5ad499eda3dba2a440c6ad4488792f2f29e037d3",
-        [(24, 48), (24, 48)],
+        [(24, 0), (24, 0)],
     ),
 }
 
@@ -462,9 +462,14 @@ def test_golden_csv_bytes_with_per_estimate_rows(monkeypatch, name):
     assert _blanked_csv_and_bill(run_experiment(config)) == (expected_digest, expected_bill)
 
 
-def test_combined_scans_for_the_rank_once_per_trial(monkeypatch):
+@pytest.mark.parametrize(
+    "name, scans_per_trial",
+    [("combined-graphic", 1), ("combined-partition", 0), ("combined_partition-residual", 0)],
+)
+def test_combined_scans_for_the_rank_once_per_trial(monkeypatch, name, scans_per_trial):
     # the lazy phase, the crude OPT estimate, continuous greedy, swap rounding
-    # and the CSV's k all read the one rank kept on the trial's handle
+    # and the CSV's k all read the one rank kept on the trial's handle; a
+    # partition matroid and its residual sum their blocks instead of scanning
     scans = []
     scan = matroids.greedy_basis
 
@@ -473,9 +478,9 @@ def test_combined_scans_for_the_rank_once_per_trial(monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(matroids, "greedy_basis", counting_scan)
-    config = GOLDEN_CSV["combined-graphic"][0]
+    config = GOLDEN_CSV[name][0]
     run_experiment(config)
-    assert len(scans) == config.trials
+    assert len(scans) == scans_per_trial * config.trials
 
 
 _MODULAR12 = generate_instance("modular", 12, 3)
@@ -557,6 +562,19 @@ class TestConfigCheck:
             epsilon=0.25, lam=1.0, sample_scale=scale,
         )
         with pytest.raises(InvalidInputError, match=r"^sample_scale\b"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("algo", ["thresholding_greedy", "continuous_greedy", "combined"])
+    def test_matroid_over_another_ground_set_refused_before_brute_force(self, monkeypatch, algo):
+        def no_brute_force(*args, **kwargs):
+            raise AssertionError("brute force ran")
+
+        monkeypatch.setattr(harness, "brute_force_opt", no_brute_force)
+        config = RunConfig(
+            algo=algo, instance=generate_instance("coverage", 30, 7, universe=60, density=0.1),
+            matroid=_GOLDEN_PART, epsilon=0.25, lam=2.0, compute_opt=True,
+        )
+        with pytest.raises(InvalidInputError, match=r"matroid ground set size 24 .* size 30$"):
             run_experiment(config)
 
     def test_instance_file_not_read_for_a_bad_config(self, tmp_path):
@@ -776,6 +794,18 @@ class TestCli:
         ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("submax: error: ") and str(missing) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_matroid_over_another_ground_set_is_one_line_error(self, tmp_path, capsys):
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        save_json(COV4_SPEC, inst)
+        save_json({"kind": "uniform", "n": 3, "k": 2}, mat)
+        assert cli_main([
+            "run", "--algo", "thresholding_greedy", "--instance", str(inst),
+            "--matroid", str(mat), "--epsilon", "0.2", "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("submax: error: ") and "size 3" in err and "size 4" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ['{"kind": "mystery"}', '{"kind": "coverage", "sets": ['])

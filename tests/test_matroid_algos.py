@@ -55,11 +55,17 @@ def make_state(f, M, delta, k=None):
 
 
 class _RecordingUniform(UniformMatroid):
-    """Uniform matroid that records the members of every independence query."""
+    """Uniform matroid that records the members of every independence query.
+
+    It reports no partition structure, so its questions reach the oracle.
+    """
 
     def __init__(self, n, k):
         super().__init__(n, k)
         self.queries = []
+
+    def partition_structure(self):
+        return None
 
     def is_independent(self, members):
         self.queries.append(list(members))
@@ -397,6 +403,16 @@ class TestRandomLazyGreedy:
         assert not outcome.failed
         assert outcome.iterations == 0
         assert outcome.solution == frozenset()
+
+    def test_partition_path_refused_before_any_query(self, rng):
+        from submax import GraphicMatroid
+
+        ledger = QueryLedger()
+        f = coverage12(ledger)
+        M = GraphicMatroid(13, [(u, u + 1) for u in range(12)], ledger)
+        with pytest.raises(InvalidInputError, match="needs a partition matroid"):
+            random_lazy_greedy(f, M, 0.5, 0.3, 2, rng, use_partition=True)
+        assert ledger.snapshot() == (0, 0)
 
     def test_iteration_bound_above_half_rank_rejected(self, rng):
         f = coverage12()

@@ -30,7 +30,7 @@ from submax import (
     swap_round,
     thresholding_greedy,
 )
-from submax.matroids import DummyAugmentedMatroid, DummyValueOracle
+from submax.matroids import DummyAugmentedMatroid, DummyValueOracle, independence_test
 
 from .conftest import (
     compose_views,
@@ -327,11 +327,17 @@ class TestExchangeAxiom:
 
 
 class _MatroidShim(UniformMatroid):
-    """Hand-count interposer for independence queries."""
+    """Hand-count interposer for independence queries.
+
+    It reports no partition structure, so its questions reach the oracle.
+    """
 
     def __init__(self, n, k, ledger):
         super().__init__(n, k, ledger)
         self.calls = 0
+
+    def partition_structure(self):
+        return None
 
     def is_independent(self, members):
         self.calls += 1
@@ -374,6 +380,31 @@ def test_random_partition_matroids_satisfy_the_axioms(caps, data):
     if next_id > 8:
         return
     assert check_exchange_axiom(PartitionMatroid(blocks, caps))
+
+
+def _answer(ask, members):
+    try:
+        return ask(members)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure=small_partitions())
+def test_block_counts_answer_like_the_oracle_for_free(structure):
+    M = PartitionMatroid(*structure)
+    probe = M.uncounted()
+    independent = independence_test(M)
+    for r in range(M.n + 1):
+        for combo in itertools.combinations(range(M.n), r):
+            assert independent(list(combo)) == probe.is_independent(combo)
+    for bad in ([M.n], [0, M.n], [0, "a"], [1.5], [-1]):
+        assert _answer(independent, bad) == _answer(probe.is_independent, bad)
+    assert matroid_rank(M) == len(greedy_basis(probe))
+    assert M.ledger.snapshot() == (0, 0)
+    # a view reports no structure: its questions are the oracle's
+    view = RankCappedMatroid(M, 1)
+    assert independence_test(view) == view.is_independent
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +568,11 @@ def test_view_ranks_derive_from_the_base_rank(base, data):
     before = base.ledger.snapshot()
     assert matroid_rank(view) == expected
     assert base.ledger.snapshot() == before
-    # a clone made before the scan measures once, through its own chain
+    # a clone made before the scan measures once, through its own chain: a
+    # scan, or the block sum on a base that reports its structure
     assert matroid_rank(clone) == expected
-    assert clone.ledger.independence_queries == base.n
+    structured = base.partition_structure() is not None
+    assert clone.ledger.independence_queries == (0 if structured else base.n)
 
 
 @settings(max_examples=60, deadline=None)

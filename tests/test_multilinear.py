@@ -21,14 +21,16 @@ from submax import (
     ResidualOracle,
     UniformMatroid,
     brute_force_opt,
+    combined_algorithm,
     continuous_greedy,
     crude_opt_estimate,
     estimate_marginal_F,
     estimator_sample_count,
     matroid_rank,
     swap_round,
+    thresholding_greedy,
 )
-from submax import multilinear
+from submax import matroids, multilinear
 
 from .conftest import (
     compose_views,
@@ -488,11 +490,17 @@ class TestSampleRows:
 
 
 class _RecordingPartition(PartitionMatroid):
-    """Partition matroid that records every independence query and its answer."""
+    """Partition matroid that records every independence query and its answer.
+
+    It reports no partition structure, so its questions reach the oracle.
+    """
 
     def __init__(self, blocks, caps):
         super().__init__(blocks, caps)
         self.queries = []
+
+    def partition_structure(self):
+        return None
 
     def is_independent(self, members):
         members = list(members)
@@ -685,32 +693,64 @@ class TestSwapRound:
             assert ledger.independence_queries == 0
 
 
+_BLOCK_COUNT_RUNS = {
+    "swap_round": lambda f, M, rng, lam, point: swap_round(M, point, rng),
+    "thresholding_greedy": lambda f, M, rng, lam, point: thresholding_greedy(f, M, 0.25),
+    "continuous_greedy": lambda f, M, rng, lam, point: continuous_greedy(
+        f, M, 2.0, 0.25, rng, sample_scale=0.05
+    ),
+    "combined": lambda f, M, rng, lam, point: combined_algorithm(
+        f, M, 0.25, lam, rng, sample_scale=1e-6
+    ),
+    "combined_partition": lambda f, M, rng, lam, point: combined_algorithm(
+        f, M, 0.25, lam, rng, sample_scale=1e-6, use_partition=True
+    ),
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(structure=small_partitions(), seed=st.integers(min_value=0, max_value=2**32 - 1),
-       data=st.data())
-def test_block_counts_round_like_the_oracle(structure, seed, data):
-    """The free block-count answers change the bill of swap rounding, nothing else."""
+       algo=st.sampled_from(sorted(_BLOCK_COUNT_RUNS)), data=st.data())
+def test_block_counts_round_like_the_oracle(structure, seed, algo, data):
+    """The free block-count answers change the independence bill, nothing else.
+
+    Each run is repeated with the structure hidden from the rule in
+    ``matroids``, so the rank is a scan and every question is an oracle
+    query; the partition lazy phase still reads the blocks it needs.
+    """
     M = PartitionMatroid(*structure)
-    ids = list(range(M.n))
-    bases = [
-        frozenset(draw_independent(data, M, ids))
-        for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
-    ]
-    weights = [data.draw(st.floats(min_value=0.05, max_value=1.0)) for _ in bases]
-    point = FractionalPoint(n=M.n, weights=weights, bases=bases)
+    f = draw_coverage(data, M.n)
+    lam = float(data.draw(st.integers(min_value=1, max_value=max(1, M.uncounted().rank()))))
+    point = None
+    if algo == "swap_round":
+        ids = list(range(M.n))
+        bases = [
+            frozenset(draw_independent(data, M, ids))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
+        ]
+        weights = [data.draw(st.floats(min_value=0.05, max_value=1.0)) for _ in bases]
+        point = FractionalPoint(n=M.n, weights=weights, bases=bases)
     runs = []
     for hidden in (False, True):
         ledger = QueryLedger()
-        handle = M.with_ledger(ledger)
-        if hidden:
-            handle.partition_structure = lambda: None
         rng = np.random.default_rng(seed)
-        runs.append((swap_round(handle, point, rng), rng.bit_generator.state, ledger.snapshot()))
+        with pytest.MonkeyPatch.context() as mp:
+            if hidden:
+                mp.setattr(matroids, "_block_counts", lambda M: None)
+            out = _BLOCK_COUNT_RUNS[algo](
+                f.with_ledger(ledger), M.with_ledger(ledger), rng, lam, point
+            )
+        runs.append((out, rng.bit_generator.state, ledger.snapshot()))
     (free, free_state, free_bill), (asked, asked_state, asked_bill) = runs
     assert free == asked
     assert free_state == asked_state
-    assert free_bill == (0, 0)
-    assert asked_bill[0] == 0 and asked_bill[1] > 0
+    assert free_bill[0] == asked_bill[0]
+    assert free_bill[1] <= asked_bill[1]
+    if algo in ("swap_round", "thresholding_greedy", "continuous_greedy"):
+        assert free_bill[1] == 0
+    if algo == "swap_round":
+        assert free_bill == (0, 0)
+        assert asked_bill[0] == 0 and asked_bill[1] > 0
 
 
 class TestCrudeOptEstimate:
