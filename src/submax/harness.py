@@ -47,6 +47,7 @@ from .matroids import (
     Matroid,
     PartitionMatroid,
     UniformMatroid,
+    check_same_ground,
     matroid_rank,
 )
 from .multilinear import check_sample_scale, continuous_greedy, swap_round
@@ -509,10 +510,8 @@ def run_experiment(config: RunConfig) -> list[RunRecord]:
         if algorithm.matroid
         else None
     )
-    if matroid is not None and matroid.n != oracle.n:
-        raise InvalidInputError(
-            f"matroid ground set size {matroid.n} differs from instance ground set size {oracle.n}"
-        )
+    if matroid is not None:
+        check_same_ground(oracle, matroid)
     opt_value = None
     if config.compute_opt:
         opt_value, _ = brute_force_opt(oracle, config.k if matroid is None else matroid)

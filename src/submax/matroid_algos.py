@@ -11,6 +11,7 @@ the lazy phase's iteration allowance).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,12 +23,13 @@ from .matroids import (
     Matroid,
     PartitionMatroid,
     RankCappedMatroid,
+    check_same_ground,
     independence_test,
     matroid_rank,
     threshold_sweep,
 )
 from .multilinear import check_sample_scale, continuous_greedy, swap_round
-from .oracles import ResidualOracle, ValueOracle, members_with
+from .oracles import ResidualOracle, ValueOracle
 
 
 def geometric_level_count(delta: float, ratio: float) -> int:
@@ -63,6 +65,7 @@ def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
 def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[set[int], float]:
     if not 0.0 < eps < 1.0:
         raise InvalidInputError("eps must be in (0, 1)")
+    check_same_ground(f, M)
     ground = list(M.ground())
     current = f.evaluate([])
     w_max = max((f.evaluate([u]) for u in ground), default=0.0)
@@ -121,31 +124,32 @@ class LazyGreedyState:
         return self.W * (1.0 - self.delta) ** self.level[u]
 
 
-def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int]:
-    """General LinearGreedy: one value query per weight decay or acceptance.
+def _linear_greedy(
+    state: LazyGreedyState, f: ValueOracle, independent: Callable[[list[int]], bool]
+) -> set[int]:
+    """LinearGreedy over M/S: one value query per weight decay or acceptance.
 
-    Scans each threshold level in id order; elements whose stored level does
-    not match are skipped without any oracle use, and elements the
-    independence check refuses are frozen at their level for the rest of the
-    call. The solution's dummies take up rank: ``S + T`` must fit in
-    ``k - dummies``.
+    Scans each threshold level in id order. An element whose stored level
+    does not match is skipped without any oracle use, and so is a member of
+    the solution S: it is a loop of M/S and its marginal is 0. An element
+    that ``independent`` refuses (asked about S plus the chosen ids plus
+    the element) is frozen at its level for the rest of the call.
     """
-    M = RankCappedMatroid(M, state.k - state.dummies)
     S = state.solution
     ordered = sorted(S)
     f_S = state.solution_value
     chosen: set[int] = set()
-    work = sorted(S)
+    work = list(ordered)
     state.accept_marginals = {}
     one_minus = 1.0 - state.delta
     for t in range(state.num_levels):
         bar = one_minus * (state.W * one_minus ** t)
         for u in state.ground:
-            if state.level[u] != t:
+            if state.level[u] != t or u in S:
                 continue
-            if not M.is_independent(members_with(S, work, u)):
+            if not independent(work + [u]):
                 continue
-            gain = f.evaluate(members_with(S, ordered, u)) - f_S
+            gain = f.evaluate(ordered + [u]) - f_S
             if gain <= bar:
                 state.level[u] = t + 1
                 state.decays += 1
@@ -157,47 +161,27 @@ def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int
     return chosen
 
 
-def linear_greedy_partition(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int]:
-    """Partition LinearGreedy: no independence queries at all.
+def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int]:
+    """General LinearGreedy: the scan asks ``M`` truncated to ``k - dummies``.
 
-    Reads blocks and capacities from ``M.partition_structure()`` and handles
-    each block separately, scanning its elements in (level, id) order; the
-    per-element feasibility test of the general variant collapses to a block
-    quota check. A decayed element is rescanned at its next level in the
-    same sweep.
+    The solution's dummies take up rank: ``S + T`` must fit in
+    ``k - dummies``. Every independence question is one charged query.
     """
-    structure = M.partition_structure()
-    if structure is None:
+    return _linear_greedy(state, f, RankCappedMatroid(M, state.k - state.dummies).is_independent)
+
+
+def linear_greedy_partition(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int]:
+    """Partition LinearGreedy: the same scan, answered from block counts.
+
+    ``M`` must report its blocks; each question is answered by
+    :func:`~submax.matroids.independence_test` plus the length check
+    against ``k - dummies``, so the call asks no independence query.
+    """
+    if M.partition_structure() is None:
         raise InvalidInputError("partition LinearGreedy needs a generalized partition matroid")
-    S = state.solution
-    ordered = sorted(S)
-    f_S = state.solution_value
-    state.accept_marginals = {}
-    chosen: set[int] = set()
-    one_minus = 1.0 - state.delta
-    # dummies in S occupy rank without living in any block
-    allowance = state.k - len(S) - state.dummies
-    for blk, cap in zip(*structure):
-        blk = sorted(blk)
-        room = min(cap - sum(1 for v in blk if v in S), allowance - len(chosen))
-        for t in range(state.num_levels):
-            bar = one_minus * (state.W * one_minus ** t)
-            for u in blk:
-                if room <= 0:
-                    break
-                if state.level[u] != t:
-                    continue
-                # solution members ride the levels down like any element
-                gain = f.evaluate(members_with(S, ordered, u)) - f_S
-                if gain <= bar:
-                    state.level[u] = t + 1
-                    state.decays += 1
-                else:
-                    chosen.add(u)
-                    room -= 1
-                    state.adds += 1
-                    state.accept_marginals[u] = gain
-    return chosen
+    independent = independence_test(M)
+    cap = state.k - state.dummies
+    return _linear_greedy(state, f, lambda members: len(members) <= cap and independent(members))
 
 
 @dataclass
@@ -226,8 +210,9 @@ def random_lazy_greedy(
     random member of that set, padded with zero-value dummies to the
     remaining rank, joins the solution. Exhausting all I iterations without
     hitting the low-weight stopping test is a failure. ``use_partition``
-    needs a matroid that reports its blocks; any other is refused before
-    the first query.
+    answers the scan's independence questions from block counts, and needs
+    a matroid that reports its blocks; any other is refused before the
+    first query.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must be in (0, 1)")
@@ -237,6 +222,7 @@ def random_lazy_greedy(
         raise InvalidInputError("iteration bound must be non-negative")
     if use_partition and M.partition_structure() is None:
         raise InvalidInputError("partition fast path needs a partition matroid")
+    check_same_ground(f, M)
     k = matroid_rank(M)
     if I > k / 2:
         raise InvalidInputError("iteration bound above k/2 voids the failure analysis")
@@ -331,6 +317,7 @@ def combined_algorithm(
     if not 0.0 < eps < 1.0 - 1.0 / math.e:
         raise InvalidInputError("eps must be in (0, 1 - 1/e)")
     check_sample_scale(sample_scale)
+    check_same_ground(f, M)
     k = matroid_rank(M)
     if k == 0:
         return CombinedResult(frozenset(), False, 0, frozenset(), None)

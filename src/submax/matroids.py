@@ -329,6 +329,14 @@ def matroid_rank(M: Matroid) -> int:
     return M.rank()
 
 
+def check_same_ground(f: ValueOracle, M: Matroid) -> None:
+    """Refuse a value oracle and a matroid over ground sets of different sizes."""
+    if M.n != f.n:
+        raise InvalidInputError(
+            f"matroid ground set size {M.n} differs from instance ground set size {f.n}"
+        )
+
+
 def independence_test(M: Matroid) -> Callable[[list[int]], bool]:
     """The independence question a phase asks of ``M``.
 

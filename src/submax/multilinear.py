@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .ledger import checked_int
-from .matroids import Matroid, independence_test, matroid_rank, threshold_sweep
+from .matroids import (
+    Matroid, check_same_ground, independence_test, matroid_rank, threshold_sweep,
+)
 from .oracles import ValueOracle
 
 
@@ -245,6 +247,7 @@ def continuous_greedy(
     check_sample_scale(sample_scale)
     if not f.monotone:
         raise InvalidInputError("continuous greedy requires a monotone objective")
+    check_same_ground(f, M)
     ground_ids = _ground_ids(M.ground() if ground is None else ground, f.n)
     n_eff = max(len(ground_ids), 2)
     m = estimator_sample_count(c, n_eff, delta, sample_scale)

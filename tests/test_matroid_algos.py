@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submax import (
@@ -19,12 +19,15 @@ from submax import (
     choose_lambda,
     combined_algorithm,
     combined_parameters,
+    continuous_greedy,
+    crude_opt_estimate,
     linear_greedy,
     linear_greedy_partition,
     matroid_rank,
     random_lazy_greedy,
     thresholding_greedy,
 )
+from submax import matroid_algos
 from submax.matroid_algos import _thresholding_greedy_value, geometric_level_count
 
 from .conftest import (
@@ -70,6 +73,18 @@ class _RecordingUniform(UniformMatroid):
     def is_independent(self, members):
         self.queries.append(list(members))
         return super().is_independent(members)
+
+
+class _RecordingModular(ModularOracle):
+    """Modular oracle that records the members of every value query."""
+
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.queries = []
+
+    def evaluate(self, members):
+        self.queries.append(list(members))
+        return super().evaluate(members)
 
 
 class TestThresholdingGreedy:
@@ -271,15 +286,47 @@ class TestLinearGreedy:
                 state.solution_value += state.accept_marginals[u]
 
     def test_every_value_query_is_an_add_or_decay(self):
-        ledger = QueryLedger()
-        f = coverage12(ledger)
-        M = partition12(ledger)
+        for variant in (linear_greedy, linear_greedy_partition):
+            ledger = QueryLedger()
+            f = coverage12(ledger)
+            M = partition12(ledger)
+            state = make_state(f, M, 0.5)
+            state.solution_value = 0.0
+            # the second call starts from a non-empty solution
+            for _ in range(2):
+                before, events = ledger.value_queries, state.adds + state.decays
+                chosen = variant(state, f, M)
+                assert ledger.value_queries - before == state.adds + state.decays - events
+                u = min(chosen)
+                state.solution.add(u)
+                state.solution_value += state.accept_marginals[u]
+            assert len(state.solution) == 2
+
+    @pytest.mark.parametrize("variant", [linear_greedy, linear_greedy_partition])
+    def test_asks_no_question_about_a_solution_member(self, monkeypatch, variant):
+        # a member of S is a loop of M/S with marginal 0: every answer about it is known
+        f = _RecordingModular([float(12 - u) for u in range(12)])
+        if variant is linear_greedy:
+            M = _RecordingUniform(12, 4)
+            asked = M.queries
+        else:
+            M, asked = partition12(), []
+            real = matroid_algos.independence_test
+
+            def recording_test(matroid):
+                test = real(matroid)
+                return lambda members: asked.append(list(members)) or test(members)
+
+            monkeypatch.setattr(matroid_algos, "independence_test", recording_test)
         state = make_state(f, M, 0.5)
-        state.solution_value = 0.0
-        before = ledger.value_queries
-        linear_greedy(state, f, M)
-        events = state.adds + state.decays
-        assert ledger.value_queries - before == events
+        state.solution = {1, 6}
+        state.solution_value = f.uncounted().evaluate([1, 6])
+        f.queries.clear()
+        asked.clear()
+        variant(state, f, M)
+        assert f.queries and asked
+        for q in f.queries + asked:
+            assert q[:2] == [1, 6] and q[-1] not in state.solution
 
 
 def contracted(M, S):
@@ -302,11 +349,7 @@ class TestLinearGreedyPartition:
             general = linear_greedy(s_gen, f, M)
             fast = linear_greedy_partition(s_par, f, M)
             assert general == fast
-            # levels agree except for solution members, whose dead decays the
-            # partition variant's early block exit skips
-            for u in range(8):
-                if u not in s_gen.solution:
-                    assert s_gen.level[u] == s_par.level[u]
+            assert s_gen.level == s_par.level
             if general:
                 u = min(general)
                 for s in (s_gen, s_par):
@@ -360,14 +403,47 @@ class TestLinearGreedyPartition:
             linear_greedy_partition(state, f, M)
 
 
+@st.composite
+def linear_greedy_calls(draw):
+    """A partition matroid, a coverage function on its ids, delta, and a state
+    partway through a run: an independent solution and dummies that fill
+    part of the remaining rank."""
+    structure = draw(small_partitions())
+    probe = PartitionMatroid(*structure).uncounted()
+    f = draw_coverage(draw(st.data()), probe.n)
+    solution: list[int] = []
+    for u in draw(st.lists(st.integers(min_value=0, max_value=probe.n - 1), unique=True)):
+        if probe.is_independent(solution + [u]):
+            solution.append(u)
+    spare = matroid_rank(probe) - len(solution)
+    dummies = draw(st.integers(min_value=0, max_value=spare))
+    return structure, f, draw(st.sampled_from([0.2, 0.5, 0.7])), solution, dummies
+
+
 @settings(max_examples=150, deadline=None)
-@given(structure=small_partitions(), delta=st.sampled_from([0.2, 0.5, 0.7]), data=st.data())
-def test_one_partition_linear_greedy_call_matches_the_general_one(structure, delta, data):
-    M = PartitionMatroid(*structure)
-    f = draw_coverage(data, M.n)
-    general, fast = make_state(f, M, delta), make_state(f, M, delta)
-    assert linear_greedy_partition(fast, f, M) == linear_greedy(general, f, M)
-    assert fast.accept_marginals == general.accept_marginals
+@given(call=linear_greedy_calls())
+# block 0 is scanned first, but the shared allowance of 2 belongs to block 1's weights
+@example(call=(
+    ([[0, 1, 2, 3], [4, 5, 6, 7]], [2, 2]),
+    ModularOracle([1.0, 1.0, 0.9, 0.9, 10.0, 9.0, 8.0, 7.0]),
+    0.5,
+    [],
+    2,
+))
+def test_one_partition_linear_greedy_call_matches_the_general_one(call):
+    structure, f, delta, solution, dummies = call
+    runs = []
+    for variant in (linear_greedy_partition, linear_greedy):
+        ledger = QueryLedger()
+        fc, M = f.with_ledger(ledger), PartitionMatroid(*structure, ledger)
+        state = make_state(fc, M, delta)
+        state.solution, state.dummies = set(solution), dummies
+        state.solution_value = f.uncounted().evaluate(solution)
+        chosen = variant(state, fc, M)
+        assert M.uncounted().is_independent(sorted(state.solution | chosen))
+        assert len(state.solution) + len(chosen) + dummies <= state.k
+        runs.append((chosen, state.accept_marginals, state.level, ledger.value_queries))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,6 +463,31 @@ def test_partition_fast_path_matches_the_general_path(structure, delta, B, seed,
         for flag in (True, False)
     )
     assert fast == general
+
+
+_GROUND_SET_ENTRY_POINTS = {
+    "thresholding_greedy": lambda f, M, rng: thresholding_greedy(f, M, 0.25),
+    "crude_opt_estimate": lambda f, M, rng: crude_opt_estimate(f, M),
+    "continuous_greedy": lambda f, M, rng: continuous_greedy(f, M, 2.0, 0.25, rng),
+    "random_lazy_greedy": lambda f, M, rng: random_lazy_greedy(f, M, 0.5, 0.3, 1, rng),
+    "random_lazy_greedy-partition": lambda f, M, rng: random_lazy_greedy(
+        f, M, 0.5, 0.3, 1, rng, use_partition=True
+    ),
+    "combined_algorithm": lambda f, M, rng: combined_algorithm(f, M, 0.25, 1.0, rng),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GROUND_SET_ENTRY_POINTS))
+def test_matroid_over_another_ground_set_refused_before_any_query(entry, rng):
+    # ids 24-29 carry all the weight, and M cannot see them
+    ledger = QueryLedger()
+    f = ModularOracle([1.0] * 24 + [100.0] * 6, ledger)
+    M = UniformMatroid(24, 3, ledger)
+    with pytest.raises(
+        InvalidInputError, match=r"^matroid ground set size 24 differs from .* size 30$"
+    ):
+        _GROUND_SET_ENTRY_POINTS[entry](f, M, rng)
+    assert ledger.snapshot() == (0, 0)
 
 
 class TestRandomLazyGreedy:
