@@ -323,7 +323,8 @@ class RunConfig:
     record_wall_time: bool = True
 
 
-@dataclass
+# slots: no per-record dict, which callers that keep many runs' records pay for
+@dataclass(slots=True)
 class RunRecord:
     algo: str
     n: int

@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Optional
 
 from .errors import InvalidInputError
@@ -123,18 +124,25 @@ class PrefixCached(Counted):
 
     ``_prefix`` is one tuple ``(P, answer for P, state...)``: ``P`` is a list
     copy of a previous query's members-but-last, and the state is the kind's
-    own (a coverage union mask, cut totals, a per-client best, graphic
-    component labels). A list equal to ``P`` returns the stored answer;
-    ``P`` plus one id is answered by ``_extend`` once that id passed
-    ``_check_id``; any other query (and a tuple, set or array equal to
-    ``P``) first calls ``_cache`` on its own members-but-last, or on itself
-    when empty, which checks every id, then stores and returns the new
-    tuple. This is the one place where a query is compared with a cached
-    one (by ``==``).
+    own (a coverage union mask, cut gains and total, a per-client best,
+    graphic component labels). A list equal to ``P`` returns the stored
+    answer; ``P`` plus one id is answered by ``_extend`` once that id passed
+    ``_check_id``. Any other query (and a tuple, set or array equal to
+    ``P``) first replaces the cache by one for its own members-but-last, or
+    for itself when empty. When those are a non-empty ``P`` with one id
+    ``v`` inserted at any position, ``P``'s order kept, and every one of
+    them is a plain int, ``_grow`` derives the new tuple from the cached one
+    once ``v`` passed its check; otherwise ``_cache`` rebuilds it and checks
+    every id (from the empty prefix, a rebuild of one id costs no more).
+    This is the one place where a query is compared with a cached one (by
+    ``==``); an id that is not a plain int is never matched into a grown
+    prefix, so it is read by the rebuild's check.
 
     The tuple is replaced whole, only after its ids passed their check, and
-    never mutated, so clones that share it stay correct. Value oracles
-    answer ``_value`` with this rule, matroids ``_indep``.
+    never mutated, so clones that share it stay correct. A grown tuple
+    equals the one a rebuild of the same prefix would give in every answer,
+    bit for bit. Value oracles answer ``_value`` with this rule, matroids
+    ``_indep``.
     """
 
     _prefix: tuple
@@ -147,10 +155,21 @@ class PrefixCached(Counted):
             return cache[1]
         # a copy: the cache keeps it, and callers may extend their list in place
         query = list(members)
-        if len(query) == len(prefix) + 1:
+        longer = len(query) - len(prefix)
+        if longer == 1:
             u = query.pop()
             if query != prefix:
                 cache = self._cache(query)
+        elif (
+            longer == 2
+            and prefix
+            # P with one id inserted keeps P's last id last or next to last,
+            # and its first id first or second
+            and (query[-2] == prefix[-1] or query[-3] == prefix[-1])
+            and (query[0] == prefix[0] or query[1] == prefix[0])
+        ):
+            u = query.pop()
+            cache = self._grow_or_cache(cache, query)
         elif query:
             u = query.pop()
             cache = self._cache(query)
@@ -163,13 +182,34 @@ class PrefixCached(Counted):
 
     _value = _indep = _answer
 
+    def _grow_or_cache(self, cache: tuple, query: list) -> tuple:
+        """The cache of ``query``, one id longer than the cached ``P``."""
+        prefix = cache[0]
+        # the first position where the two differ holds the inserted id
+        at = next(compress(count(), map(operator.ne, query, prefix)), len(prefix))
+        # an id that is not a plain int may equal a cached one and still be
+        # no id: the rebuild's check reads it
+        if query[at + 1 :] != prefix[at:] or set(map(type, query)) != _PLAIN_INT:
+            return self._cache(query)
+        v = query[at]
+        if not 0 <= v < self.n:
+            self._check_id(v)
+        return self._grow(cache, query, v)
+
     def _cache(self, prefix: list) -> tuple:
         """Check the ids of ``prefix``, store its cache as ``_prefix`` and return it."""
+        raise NotImplementedError
+
+    def _grow(self, cache: tuple, prefix: list, v: int) -> tuple:
+        """Store and return the cache of ``prefix``, the cached ``P`` with ``v`` inserted."""
         raise NotImplementedError
 
     def _extend(self, cache: tuple, u: int):
         """The answer for ``P`` plus ``u`` from the cache of ``P``."""
         raise NotImplementedError
+
+
+_PLAIN_INT = {int}
 
 
 def _shallow_copy(handle):

@@ -121,7 +121,8 @@ class GraphicMatroid(PrefixCached, Matroid):
     Answers through :class:`~submax.ledger.PrefixCached`; the state of a
     prefix is the union-find result over its edges: a component label per
     vertex, or None when the prefix holds a cycle. ``P`` plus one edge is
-    then answered in O(1) by comparing the labels of that edge's endpoints.
+    then answered in O(1) by comparing the labels of that edge's endpoints,
+    and growing ``P`` by one edge relabels one component in O(V).
     Independence does not depend on member order.
     """
 
@@ -167,6 +168,20 @@ class GraphicMatroid(PrefixCached, Matroid):
             parent[ra] = rb
         else:
             labels = tuple(find(v) for v in range(self.num_vertices))
+        self._prefix = (prefix, labels is not None, labels)
+        return self._prefix
+
+    def _grow(
+        self, cache: tuple[list[int], bool, Optional[tuple[int, ...]]], prefix: list[int], e: int
+    ) -> tuple:
+        labels = cache[2]
+        if labels is not None:
+            a, b = self.edges[e]
+            joined, into = labels[a], labels[b]
+            if joined == into:
+                labels = None
+            else:
+                labels = tuple([into if label == joined else label for label in labels])
         self._prefix = (prefix, labels is not None, labels)
         return self._prefix
 

@@ -68,9 +68,9 @@ class CoverageOracle(PrefixCached, ValueOracle):
     """Weighted coverage: f(S) = total weight of universe items covered by S.
 
     Answers through :class:`~submax.ledger.PrefixCached`; the state of a
-    prefix is its union mask, and ``P`` plus ``u`` ORs one mask. A value is
-    always taken from a final mask, so a cached answer equals a fresh one
-    bit for bit.
+    prefix is its union mask, and ``P`` plus ``u`` ORs one mask, as does
+    growing ``P`` by one id. A value is always taken from a final mask, so a
+    cached answer equals a fresh one bit for bit.
     """
 
     monotone = True
@@ -126,6 +126,12 @@ class CoverageOracle(PrefixCached, ValueOracle):
         self._prefix = (prefix, value, mask)
         return self._prefix
 
+    def _grow(self, cache: tuple[list[int], float, int], prefix: list[int], v: int) -> tuple:
+        mask = cache[2] | self._masks[v]
+        value = float(mask.bit_count()) if self._weights is None else self._weighted(mask)
+        self._prefix = (prefix, value, mask)
+        return self._prefix
+
     def _extend(self, cache: tuple[list[int], float, int], u: int) -> float:
         mask = cache[2] | self._masks[u]
         return float(mask.bit_count()) if self._weights is None else self._weighted(mask)
@@ -153,11 +159,18 @@ class DirectedCutOracle(PrefixCached, ValueOracle):
     float sum.
 
     Answers through :class:`~submax.ledger.PrefixCached`; the state of a
-    prefix ``P`` is ``(set, into, total)``, where ``into[v]`` is the weight
-    from ``P`` into ``v`` and ``total`` is f(P) before the division, built
-    with one pass over ``P``'s out-arcs. ``P`` plus ``u`` is then
-    ``f(P) + out(u -> outside P) - into[u]``, or ``f(P)`` when ``u`` is in
-    ``P``.
+    prefix ``P`` is ``(gain, total)``, where ``total`` is f(P) before the
+    division, ``gain[x] = -(w(x -> P) + w(P -> x))`` for ``x`` outside
+    ``P`` and ``gain[x]`` is None for ``x`` in ``P``. ``P`` plus ``u`` is
+    then ``total + out(u) + gain[u]``, where ``out(u)`` is the weight of
+    all of ``u``'s out-arcs, or ``f(P)`` when ``u`` is in ``P``: one lookup
+    per query. Growing ``P`` by ``v`` adds that to ``total``, marks ``v``
+    and subtracts the weight of each arc between ``v`` and an outside ``x``
+    from ``gain[x]``, on a copy of ``gain``; a rebuild grows the empty
+    prefix by each of its ids in place. Membership is read from ``gain``,
+    so a grown prefix copies one list and no set. Each node keeps the other
+    ends and weights of its arcs, both directions, in two parallel lists
+    that share the weight ints.
     """
 
     monotone = False
@@ -184,38 +197,62 @@ class DirectedCutOracle(PrefixCached, ValueOracle):
             if not finite:
                 raise InvalidInputError("arc weights must be finite and non-negative")
             if a != b:
-                kept.append((a, b, float(w).as_integer_ratio()))
+                kept.append((a, b, *float(w).as_integer_ratio()))
         # the denominators are powers of two, so the largest is a common one
-        denom = max((d for _, _, (_, d) in kept), default=1)
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for a, b, (num, d) in kept:
-            out[a].append((b, num * (denom // d)))
-        self._out = out
+        denom = max((d for *_, d in kept), default=1)
+        ends: list[list[int]] = [[] for _ in range(n)]
+        weights: list[list[int]] = [[] for _ in range(n)]
+        out_total = [0] * n
+        for a, b, num, d in kept:
+            w = num * (denom // d)
+            ends[a].append(b)
+            weights[a].append(w)
+            ends[b].append(a)
+            weights[b].append(w)
+            out_total[a] += w
+        self._ends = ends
+        self._arc_weights = weights
+        self._out_total = out_total
         self._denom = denom
         self._cache([])
 
-    def _cache(self, prefix: list[int]) -> tuple[list[int], float, set[int], dict[int, int], int]:
-        inside = set(map(self._check_id, prefix))
-        out = self._out
+    def _cache(self, prefix: list[int]) -> tuple[list[int], float, list, int]:
+        gain: list = [0] * self.n
         total = 0
-        into: dict[int, int] = {}
-        for u in inside:
-            for v, w in out[u]:
-                if v not in inside:
-                    total += w
-                    into[v] = into.get(v, 0) + w
-        self._prefix = (prefix, total / self._denom, inside, into, total)
+        for v in map(self._check_id, prefix):
+            if gain[v] is not None:
+                total = self._join(gain, total, v)
+        self._prefix = (prefix, total / self._denom, gain, total)
         return self._prefix
 
-    def _extend(self, cache: tuple[list[int], float, set[int], dict[int, int], int], u: int) -> float:
-        _, answer, inside, into, total = cache
-        if u in inside:
-            return answer
-        total -= into.get(u, 0)
-        for v, w in self._out[u]:
-            if v not in inside:
-                total += w
-        return total / self._denom
+    def _grow(self, cache: tuple[list[int], float, list, int], prefix: list[int], v: int) -> tuple:
+        _, answer, gain, total = cache
+        if gain[v] is None:
+            self._prefix = (prefix, answer, gain, total)
+        else:
+            gain = gain.copy()
+            total = self._join(gain, total, v)
+            self._prefix = (prefix, total / self._denom, gain, total)
+        return self._prefix
+
+    def _join(self, gain: list, total: int, v: int) -> int:
+        """Move ``v`` into the prefix whose ``gain`` list (updated in place) and total are given.
+
+        Returns the new total; ``v`` must be outside the prefix.
+        """
+        total += self._out_total[v] + gain[v]
+        gain[v] = None
+        for x, w in zip(self._ends[v], self._arc_weights[v]):
+            g = gain[x]
+            if g is not None:
+                gain[x] = g - w
+        return total
+
+    def _extend(self, cache: tuple[list[int], float, list, int], u: int) -> float:
+        g = cache[2][u]
+        if g is None:
+            return cache[1]
+        return (cache[3] + self._out_total[u] + g) / self._denom
 
 
 class FacilityLocationOracle(PrefixCached, ValueOracle):
@@ -225,16 +262,17 @@ class FacilityLocationOracle(PrefixCached, ValueOracle):
     are one contiguous row. Answers through
     :class:`~submax.ledger.PrefixCached`; the state of a prefix ``P`` is its
     per-client best, None for the empty prefix, and ``P`` plus ``u`` sums
-    ``max(best, row u)``. Max is exact and
-    every sum runs over one contiguous per-client vector, so a cached answer
-    equals a fresh one bit for bit.
+    ``max(best, row u)``; growing ``P`` by one id takes that same
+    ``np.maximum``. Max is exact and every sum runs over one contiguous
+    per-client vector, so a cached answer equals a fresh one bit for bit.
     """
 
     monotone = True
 
     def __init__(self, values: Sequence[Sequence[float]], ledger: Optional[QueryLedger] = None):
         try:
-            mat = np.asarray(values, dtype=float)
+            # column-major, so that the facility-major rows below are a view
+            mat = np.asarray(values, dtype=float, order="F")
         except (TypeError, ValueError):
             raise InvalidInputError(
                 "facility values must be a clients x facilities matrix of numbers"
@@ -252,6 +290,15 @@ class FacilityLocationOracle(PrefixCached, ValueOracle):
         ids = [self._check_id(u) for u in prefix]
         best = self._rows[ids].max(axis=0) if ids else None
         self._prefix = (prefix, 0.0 if best is None else float(best.sum()), best)
+        return self._prefix
+
+    def _grow(
+        self, cache: tuple[list[int], float, Optional[np.ndarray]], prefix: list[int], v: int
+    ) -> tuple:
+        best = cache[2]
+        row = self._rows[v]
+        best = row if best is None else np.maximum(best, row)
+        self._prefix = (prefix, float(best.sum()), best)
         return self._prefix
 
     def _extend(self, cache: tuple[list[int], float, Optional[np.ndarray]], u: int) -> float:

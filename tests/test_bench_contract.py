@@ -23,14 +23,23 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Golden configs whose lazy phase or pool variants draw dummies, one whose
 # lazy phase has queries the rank cap alone decides, two that round on a
-# partition structure, where swap rounding answers from block counts, and two
+# partition structure, where swap rounding answers from block counts, two
 # whose continuous greedy runs on a graphic residual with a non-empty anchor,
-# the path of the closing-lambda-graphic workload; all on oracle and matroid
-# kinds the tracer lists.
+# the path of the closing-lambda-graphic workload, and the cut and facility
+# runs of the cardinality-short-trials workload's algorithms; all on oracle
+# and matroid kinds the tracer lists.
 DUMMY_CONFIGS = sorted(name for name in GOLDEN_CSV if name.endswith("-dummies"))
 PARTITION_ROUNDING = ["combined_partition-residual", "continuous_greedy-partition"]
 GRAPHIC_RESIDUAL = ["combined-graphic", "combined-graphic-contracted"]
-TRACED_CONFIGS = DUMMY_CONFIGS + ["random_lazy_greedy"] + PARTITION_ROUNDING + GRAPHIC_RESIDUAL
+CARDINALITY = {
+    "lazy_greedy_improved-cut": "oracles.cut",
+    "lazy_greedy_simple-cut": "oracles.cut",
+    "random_sampling_monotone-facility": "oracles.facility",
+}
+TRACED_CONFIGS = (
+    DUMMY_CONFIGS + ["random_lazy_greedy"] + PARTITION_ROUNDING + GRAPHIC_RESIDUAL
+    + sorted(CARDINALITY)
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +89,13 @@ def test_traced_run_matches_the_ledger(bench, name):
         residual = result["calls"]["oracles.residual"]
         assert residual == result["value_queries"]["multilinear.continuous_greedy"] > 0
         assert result["calls"]["matroids.contracted"] > 0
+    if name in CARDINALITY:
+        # every value query of the run is one call of the instance's oracle;
+        # the one call more per trial is run_trial's f_value, asked of an
+        # uncounted clone
+        queries = sum(record.value_queries for record in records)
+        assert queries > 0
+        assert result["calls"][CARDINALITY[name]] == queries + config.trials
     # one captured solution per trial of the entry points the bench wraps
     captured = {attr for _, attr, _ in workloads.ALGORITHMS}
     wrapped = config.algo.startswith("combined") or config.algo in captured

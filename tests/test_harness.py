@@ -21,7 +21,7 @@ from submax import (
     run_experiment,
     summarize,
 )
-from submax import harness, matroid_algos, matroids, multilinear
+from submax import harness, matroid_algos, matroids, multilinear, oracles
 from submax.cli import main as cli_main
 from submax.harness import (
     ALGORITHMS,
@@ -481,6 +481,46 @@ def test_combined_scans_for_the_rank_once_per_trial(monkeypatch, name, scans_per
     config = GOLDEN_CSV[name][0]
     run_experiment(config)
     assert len(scans) == scans_per_trial * config.trials
+
+
+def _one_id_inserted(prefix: list, grown: list) -> bool:
+    """Whether ``grown`` is a non-empty ``prefix`` with one id inserted, the order kept."""
+    return len(grown) == len(prefix) + 1 > 1 and any(
+        grown[:i] + grown[i + 1 :] == prefix for i in range(len(grown))
+    )
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [
+        ("lazy_greedy_improved-cut", oracles.DirectedCutOracle),
+        ("lazy_greedy_simple-cut", oracles.DirectedCutOracle),
+        ("random_sampling_monotone-facility", oracles.FacilityLocationOracle),
+        ("combined-graphic", matroids.GraphicMatroid),
+    ],
+)
+def test_a_prefix_one_id_longer_than_the_cached_one_grows_it(monkeypatch, name, kind):
+    # the cardinality algorithms and continuous greedy grow their solution one
+    # id at a time; each such step derives the cache instead of rebuilding it
+    rebuild, grow = kind._cache, kind._grow
+    rebuilt_grown, grown = [], []
+
+    def counting_rebuild(self, prefix):
+        cached = getattr(self, "_prefix", None)
+        if cached is not None and _one_id_inserted(cached[0], prefix):
+            rebuilt_grown.append(prefix)
+        return rebuild(self, prefix)
+
+    def counting_grow(self, cache, prefix, v):
+        grown.append(prefix)
+        return grow(self, cache, prefix, v)
+
+    monkeypatch.setattr(kind, "_cache", counting_rebuild)
+    monkeypatch.setattr(kind, "_grow", counting_grow)
+    config, _, expected_bill = GOLDEN_CSV[name]
+    assert _blanked_csv_and_bill(run_experiment(config))[1] == expected_bill
+    assert rebuilt_grown == []
+    assert grown
 
 
 @pytest.mark.parametrize(

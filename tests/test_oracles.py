@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -407,6 +409,7 @@ def facility_instances(draw):
 
 _PREFIX_OPS = [
     "extend", "prefix", "member", "repeat", "advance", "pair", "shorter", "empty", "fresh", "bad",
+    "insert", "bad insert",
 ]
 
 
@@ -417,11 +420,14 @@ def _check_prefix_cache(f, data, expected):
     previous one: its members-but-last plus one id, those alone, plus one
     of their own ids, plus a repeated id, the previous query plus one new
     id, a pair ``P + u`` then ``P`` (the estimator's order), a shorter or
-    empty list, a fresh list, or one with an out-of-range id among its
-    members (which must raise), each passed as a list or a tuple. Every
-    answer must equal a never-queried clone's and ``expected(query)``, and
-    every call, raising or not, charges exactly one query of ``f``'s own
-    kind (value or independence) and none of the other.
+    empty list, a fresh list, one with an out-of-range id among its
+    members, or its members-but-last with one unused id inserted at any
+    position, then one id (a grown prefix), or with an out-of-range id
+    inserted there (each out-of-range query must raise), each passed as a
+    list or a tuple. Every answer must equal a never-queried clone's and
+    ``expected(query)``, and every call, raising or not, charges exactly
+    one query of ``f``'s own kind (value or independence) and none of the
+    other.
     """
     if isinstance(f, Matroid):
         method, charge = "is_independent", (0, 1)
@@ -458,6 +464,16 @@ def _check_prefix_cache(f, data, expected):
             position = data.draw(st.integers(min_value=0, max_value=len(query)))
             query.insert(position, data.draw(st.sampled_from([f.n, -1])))
             queries = [query]
+        elif op == "insert" and unused:
+            query = list(prefix)
+            position = data.draw(st.integers(min_value=0, max_value=len(query)))
+            query.insert(position, data.draw(st.sampled_from(unused)))
+            queries = [query + [data.draw(ids)]]
+        elif op == "bad insert":
+            query = list(prefix)
+            position = data.draw(st.integers(min_value=0, max_value=len(query)))
+            query.insert(position, data.draw(st.sampled_from([f.n, -1])))
+            queries = [query + [data.draw(ids)]]
         elif op == "fresh":
             queries = [data.draw(st.lists(ids, max_size=f.n + 1))]
         else:
@@ -466,7 +482,7 @@ def _check_prefix_cache(f, data, expected):
         shape = data.draw(st.sampled_from([list, tuple]))
         for query in queries:
             before = handle.ledger.snapshot()
-            if op == "bad":
+            if op in ("bad", "bad insert"):
                 with pytest.raises(InvalidInputError, match="outside ground set"):
                     ask(handle, shape(query))
             else:
@@ -551,6 +567,16 @@ class TestCutAndFacilityPrefixCaches:
             assert f.evaluate([0, 3]) == reference([0, 3])
             assert f.evaluate([0]) == reference([0])
 
+    def test_a_clone_keeps_the_shared_cache_when_the_original_grows(self):
+        for f, reference in self._handles():
+            f.evaluate([0, 1])
+            clone = f.with_ledger(QueryLedger())
+            # the original grows the shared cache of [0] to [0, 2]; the clone
+            # still answers from the cache of [0]
+            assert f.evaluate([0, 2, 3]) == reference([0, 2, 3])
+            for query in ([0, 1], [0, 2], [0, 3]):
+                assert clone.evaluate(query) == reference(query)
+
     def test_prefix_member_and_repeat_answer_the_prefix_value(self):
         for f, reference in self._handles():
             f.evaluate([3, 1, 2])
@@ -581,3 +607,48 @@ def test_fractional_id_is_named(f):
             with pytest.raises(InvalidInputError, match=r"element id 0\.5 is not an integer"):
                 f.evaluate(given)
     assert f.evaluate([0, 1]) == f.uncounted().evaluate([1, 0])
+
+
+class _IndexOnly:
+    """An integer known only through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "handle",
+    [
+        CoverageOracle([[0], [1], [0, 2], [3]], 4),
+        DirectedCutOracle(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 0, 1.0), (0, 3, 4.0), (3, 1, 5.0)]),
+        FacilityLocationOracle([[1.0, 4.0, 2.0, 0.5], [3.0, 0.0, 1.0, 2.5]]),
+        GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    ],
+    ids=["coverage", "cut", "facility", "graphic"],
+)
+def test_a_grown_prefix_reads_every_id_as_its_rebuild_does(handle):
+    # a query whose members-but-last are the cached prefix with one id
+    # inserted raises and answers exactly as a rebuild of those ids would
+    method = "is_independent" if isinstance(handle, Matroid) else "evaluate"
+    ask = getattr(handle, method)
+
+    def reference(query):
+        return getattr(handle.uncounted(), method)(query)
+
+    for bad in (0.0, np.float64(0.0)):
+        ask([0, 1])
+        message = re.escape(f"element id {bad!r} is not an integer")
+        with pytest.raises(InvalidInputError, match=message):
+            ask([bad, 1, 2])
+    ask([0, 1])
+    with pytest.raises(InvalidInputError, match=r"element id 1\.0 is not an integer"):
+        ask([0, 1.0, 2])
+    for inserted in (True, _IndexOnly(1), np.int64(1)):
+        ask([0, 3])
+        assert ask([0, inserted, 3]) == reference([0, 1, 3])
+        ask([0, 2, 3])
+        assert ask([0, inserted, 2, 3]) == reference([0, 1, 2, 3])
+    assert ask([0, 2, 1]) == reference([0, 2, 1])
