@@ -239,17 +239,20 @@ class FillState:
         return members[slot] if slot < len(members) else None
 
     def fill(
-        self, solution: set[int], solution_value: float
+        self, ordered: list[int], solution_value: float
     ) -> tuple[list[Optional[int]], list[float]]:
         """Resume the sweep until the pool reaches k elements.
 
-        Returns the newly added elements, None for a dummy, and their
-        insertion-time marginals (zero for dummies).
+        ``ordered`` is the solution, distinct ids in pick order, so that a
+        query's members-but-last are the oracle's cached prefix ``P``, or
+        ``P`` plus one appended id (the latest pick). Returns the newly added
+        elements, None for a dummy, and their insertion-time marginals (zero
+        for dummies).
         """
         pool = self.pool
         added: list[Optional[int]] = []
         marginals: list[float] = []
-        ordered = sorted(solution)
+        solution = set(ordered)
         one_minus = 1.0 - self.delta
         while self.level < self.num_levels:
             bar = self.W * one_minus ** self.level * one_minus
@@ -290,13 +293,14 @@ def lazy_greedy_simple(
     filler = FillState(f, k, delta, W)
     pool = filler.pool
     solution: set[int] = set()
+    ordered: list[int] = []
     current = f.evaluate([])
     for _ in range(k):
-        filler.fill(solution, current)
+        filler.fill(ordered, current)
         u_i = filler.draw(rng)
-        if u_i is not None:
+        if u_i is not None and u_i not in solution:
             solution.add(u_i)
-        ordered = sorted(solution)
+            ordered.append(u_i)
         current = f.evaluate(ordered)
         bar = filler.current_w() * (1.0 - delta)
         for u in sorted(pool):
@@ -331,11 +335,11 @@ def lazy_greedy_improved(
     filler = FillState(f, k, delta, W)
     pool = filler.pool
     solution: set[int] = set()
+    ordered: list[int] = []
     current = f.evaluate([])
-    filler.fill(solution, current)
+    filler.fill(ordered, current)
     for _ in range(k):
         candidate = filler.draw(rng)
-        ordered = sorted(solution)
         if candidate is None:
             pick, pick_gain = None, 0.0
         else:
@@ -351,11 +355,12 @@ def lazy_greedy_improved(
                 for u in sorted(pool):
                     if f.evaluate(members_with(solution, ordered, u)) - current <= bar:
                         pool.discard(u)
-                fresh, fresh_gains = filler.fill(solution, current)
+                fresh, fresh_gains = filler.fill(ordered, current)
                 slot = int(rng.integers(len(fresh)))
                 pick, pick_gain = fresh[slot], fresh_gains[slot]
         if pick is not None and pick not in solution:
             solution.add(pick)
+            ordered.append(pick)
             current += pick_gain
         if trace is not None:
             trace.setdefault("picks", []).append(pick)

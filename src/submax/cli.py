@@ -144,6 +144,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidInputError(
             f"--lambdas must be comma-separated numbers, got {args.lambdas!r}"
         ) from None
+    if not lambdas:
+        raise InvalidInputError(f"--lambdas must list at least one number, got {args.lambdas!r}")
     all_records = []
     config = _config_from_args(args)
     for lam in lambdas:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import compress, count
 from typing import Optional
 
 from .errors import InvalidInputError
@@ -129,14 +128,15 @@ class PrefixCached(Counted):
     answer; ``P`` plus one id is answered by ``_extend`` once that id passed
     ``_check_id``. Any other query (and a tuple, set or array equal to
     ``P``) first replaces the cache by one for its own members-but-last, or
-    for itself when empty. When those are a non-empty ``P`` with one id
-    ``v`` inserted at any position, ``P``'s order kept, and every one of
-    them is a plain int, ``_grow`` derives the new tuple from the cached one
-    once ``v`` passed its check; otherwise ``_cache`` rebuilds it and checks
-    every id (from the empty prefix, a rebuild of one id costs no more).
-    This is the one place where a query is compared with a cached one (by
-    ``==``); an id that is not a plain int is never matched into a grown
-    prefix, so it is read by the rebuild's check.
+    for itself when empty. When those are a non-empty ``P`` plus one
+    appended id ``v``, and every one of them is a plain int, ``_grow``
+    derives the new tuple from the cached one once ``v`` passed its check;
+    otherwise ``_cache`` rebuilds it and checks every id (from the empty
+    prefix, a rebuild of one id costs no more). This is the one place where
+    a query is compared with a cached one (by ``==``); an id that is not a
+    plain int is never matched into a grown prefix, so it is read by the
+    rebuild's check, and an id whose ``==`` has no truth value (a numpy
+    array) is named by the id check.
 
     The tuple is replaced whole, only after its ids passed their check, and
     never mutated, so clones that share it stay correct. A grown tuple
@@ -150,58 +150,51 @@ class PrefixCached(Counted):
     def _answer(self, members: Iterable[int]):
         cache = self._prefix
         prefix = cache[0]
-        # only a list is compared as given: an array would compare elementwise
-        if members.__class__ is list and members == prefix:
-            return cache[1]
-        # a copy: the cache keeps it, and callers may extend their list in place
-        query = list(members)
-        longer = len(query) - len(prefix)
-        if longer == 1:
+        query = members
+        try:
+            # only a list is compared as given: an array would compare elementwise
+            if members.__class__ is list and members == prefix:
+                return cache[1]
+            # a copy: the cache keeps it, and callers may extend their list in place
+            query = list(members)
+            if not query:
+                return self._cache(query)[1]
             u = query.pop()
-            if query != prefix:
+            longer = len(query) - len(prefix)
+            if (
+                longer == 1
+                and prefix
+                and query[:-1] == prefix
+                # an id that is not a plain int may equal a cached one and
+                # still be no id: the rebuild's check reads it
+                and set(map(type, query)) == _PLAIN_INT
+            ):
+                v = query[-1]
+                if not 0 <= v < self.n:
+                    self._check_id(v)
+                cache = self._grow(cache, query, v)
+            elif longer or query != prefix:
                 cache = self._cache(query)
-        elif (
-            longer == 2
-            and prefix
-            # P with one id inserted keeps P's last id last or next to last,
-            # and its first id first or second
-            and (query[-2] == prefix[-1] or query[-3] == prefix[-1])
-            and (query[0] == prefix[0] or query[1] == prefix[0])
-        ):
-            u = query.pop()
-            cache = self._grow_or_cache(cache, query)
-        elif query:
-            u = query.pop()
-            cache = self._cache(query)
-        else:
-            return self._cache(query)[1]
-        # a plain int in range skips the call: this runs on most queries
-        if u.__class__ is not int or not 0 <= u < self.n:
-            u = self._check_id(u)
+            # a plain int in range skips the call: this runs on most queries
+            if u.__class__ is not int or not 0 <= u < self.n:
+                u = self._check_id(u)
+        except InvalidInputError:
+            raise
+        except ValueError:
+            # raised by an id whose compare has no truth value: name it
+            for v in query:
+                self._check_id(v)
+            raise
         return self._extend(cache, u)
 
     _value = _indep = _answer
-
-    def _grow_or_cache(self, cache: tuple, query: list) -> tuple:
-        """The cache of ``query``, one id longer than the cached ``P``."""
-        prefix = cache[0]
-        # the first position where the two differ holds the inserted id
-        at = next(compress(count(), map(operator.ne, query, prefix)), len(prefix))
-        # an id that is not a plain int may equal a cached one and still be
-        # no id: the rebuild's check reads it
-        if query[at + 1 :] != prefix[at:] or set(map(type, query)) != _PLAIN_INT:
-            return self._cache(query)
-        v = query[at]
-        if not 0 <= v < self.n:
-            self._check_id(v)
-        return self._grow(cache, query, v)
 
     def _cache(self, prefix: list) -> tuple:
         """Check the ids of ``prefix``, store its cache as ``_prefix`` and return it."""
         raise NotImplementedError
 
     def _grow(self, cache: tuple, prefix: list, v: int) -> tuple:
-        """Store and return the cache of ``prefix``, the cached ``P`` with ``v`` inserted."""
+        """Store and return the cache of ``prefix``, the cached ``P`` plus ``v`` appended."""
         raise NotImplementedError
 
     def _extend(self, cache: tuple, u: int):

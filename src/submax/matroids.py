@@ -90,13 +90,10 @@ class PartitionMatroid(Matroid):
         caps = self.capacities
         n = self.n
         for u in members:
-            try:
-                if not 0 <= u < n:
-                    self._check_id(u)
-                j = block_of[u]
-            except TypeError:
-                # the id rule names a non-integer, or gives an index-only integer's int
-                j = block_of[self._check_id(u)]
+            # the id rule of the block-count predicate, so that both answer alike
+            if u.__class__ is not int or not 0 <= u < n:
+                u = self._check_id(u)
+            j = block_of[u]
             counts[j] += 1
             if counts[j] > caps[j]:
                 return False
@@ -122,7 +119,7 @@ class GraphicMatroid(PrefixCached, Matroid):
     prefix is the union-find result over its edges: a component label per
     vertex, or None when the prefix holds a cycle. ``P`` plus one edge is
     then answered in O(1) by comparing the labels of that edge's endpoints,
-    and growing ``P`` by one edge relabels one component in O(V).
+    and growing ``P`` by one appended edge relabels one component in O(V).
     Independence does not depend on member order.
     """
 

@@ -164,13 +164,13 @@ class DirectedCutOracle(PrefixCached, ValueOracle):
     ``P`` and ``gain[x]`` is None for ``x`` in ``P``. ``P`` plus ``u`` is
     then ``total + out(u) + gain[u]``, where ``out(u)`` is the weight of
     all of ``u``'s out-arcs, or ``f(P)`` when ``u`` is in ``P``: one lookup
-    per query. Growing ``P`` by ``v`` adds that to ``total``, marks ``v``
-    and subtracts the weight of each arc between ``v`` and an outside ``x``
-    from ``gain[x]``, on a copy of ``gain``; a rebuild grows the empty
-    prefix by each of its ids in place. Membership is read from ``gain``,
-    so a grown prefix copies one list and no set. Each node keeps the other
-    ends and weights of its arcs, both directions, in two parallel lists
-    that share the weight ints.
+    per query. Growing ``P`` by one appended ``v`` adds that to ``total``,
+    marks ``v`` and subtracts the weight of each arc between ``v`` and an
+    outside ``x`` from ``gain[x]``, on a copy of ``gain``; a rebuild grows
+    the empty prefix by each of its ids in place. Membership is read from
+    ``gain``, so a grown prefix copies one list and no set. Each node keeps
+    the other ends and weights of its arcs, both directions, in two
+    parallel lists that share the weight ints.
     """
 
     monotone = False
@@ -322,12 +322,10 @@ class ModularOracle(ValueOracle):
         weights = self._weights
         total = 0.0
         for u in members:
-            try:
-                if not 0 <= u < n:
-                    self._check_id(u)
-                total += weights[u]
-            except TypeError:
-                total += weights[self._check_id(u)]
+            # a plain int in range skips the call: anything else meets the id rule
+            if u.__class__ is not int or not 0 <= u < n:
+                u = self._check_id(u)
+            total += weights[u]
         return total
 
 

@@ -241,7 +241,7 @@ class TestFillState:
         W = max(f.uncounted().evaluate([u]) for u in range(16))
         filler = FillState(f, k, 0.2, W)
         pool = filler.pool
-        solution: set[int] = set()
+        solution: list[int] = []
         value = 0.0
         for _ in range(12):
             filler.fill(solution, value)
@@ -260,10 +260,10 @@ class TestFillState:
         k = 3
         W = max(f.uncounted().evaluate([u]) for u in range(16))
         filler = FillState(f, k, 0.2, W)
-        filler.fill(set(), 0.0)
+        filler.fill([], 0.0)
         level, pos = filler.level, filler.pos
         filler.pool.discard(min(filler.pool))
-        filler.fill(set(), 0.0)
+        filler.fill([], 0.0)
         assert (filler.level, filler.pos) >= (level, pos)
 
     def test_inserted_elements_clear_the_threshold(self):
@@ -272,7 +272,7 @@ class TestFillState:
         probe = f.uncounted()
         W = max(probe.evaluate([u]) for u in range(16))
         filler = FillState(f, k, 0.25, W)
-        added, gains = filler.fill(set(), 0.0)
+        added, gains = filler.fill([], 0.0)
         bar = filler.current_w() * (1 - 0.25)
         for u, g in zip(added, gains):
             if u is not None:

@@ -21,7 +21,7 @@ from submax import (
     run_experiment,
     summarize,
 )
-from submax import harness, matroid_algos, matroids, multilinear, oracles
+from submax import cardinality, harness, matroid_algos, matroids, multilinear, oracles
 from submax.cli import main as cli_main
 from submax.harness import (
     ALGORITHMS,
@@ -497,13 +497,15 @@ def _one_id_inserted(prefix: list, grown: list) -> bool:
         ("lazy_greedy_simple-cut", oracles.DirectedCutOracle),
         ("random_sampling_monotone-facility", oracles.FacilityLocationOracle),
         ("combined-graphic", matroids.GraphicMatroid),
+        ("lazy_greedy_improved-dummies", oracles.CoverageOracle),
+        ("lazy_greedy_simple-dummies", oracles.CoverageOracle),
     ],
 )
 def test_a_prefix_one_id_longer_than_the_cached_one_grows_it(monkeypatch, name, kind):
     # the cardinality algorithms and continuous greedy grow their solution one
     # id at a time; each such step derives the cache instead of rebuilding it
     rebuild, grow = kind._cache, kind._grow
-    rebuilt_grown, grown = [], []
+    rebuilt_grown, grown, not_appended = [], [], []
 
     def counting_rebuild(self, prefix):
         cached = getattr(self, "_prefix", None)
@@ -513,6 +515,9 @@ def test_a_prefix_one_id_longer_than_the_cached_one_grows_it(monkeypatch, name, 
 
     def counting_grow(self, cache, prefix, v):
         grown.append(prefix)
+        # the one grow shape: the cached P plus one appended id
+        if prefix[:-1] != cache[0] or prefix[-1] != v:
+            not_appended.append((cache[0], prefix))
         return grow(self, cache, prefix, v)
 
     monkeypatch.setattr(kind, "_cache", counting_rebuild)
@@ -521,6 +526,41 @@ def test_a_prefix_one_id_longer_than_the_cached_one_grows_it(monkeypatch, name, 
     assert _blanked_csv_and_bill(run_experiment(config))[1] == expected_bill
     assert rebuilt_grown == []
     assert grown
+    assert not_appended == []
+
+
+@pytest.mark.parametrize("name", ["lazy_greedy_improved-cut", "lazy_greedy_simple-cut"])
+def test_a_pool_variant_rebuilds_the_cut_cache_at_most_once_per_trial(monkeypatch, name):
+    # a pool variant keeps its picks in order, so each query is the cached
+    # prefix, plus at most the latest pick, plus the id asked about; only the
+    # first pick is rebuilt, as the one-id prefix grown from the empty one
+    config, _, expected_bill = GOLDEN_CSV[name]
+    kind, algo = oracles.DirectedCutOracle, getattr(cardinality, config.algo)
+    rebuild = kind._cache
+    per_trial: list[list] = []
+    running = []
+
+    def counting_rebuild(self, prefix):
+        if running and prefix:
+            per_trial[-1].append(list(prefix))
+        return rebuild(self, prefix)
+
+    def tracked(*args, **kwargs):
+        # run_trial's f_value, on an uncounted clone, is asked outside this
+        per_trial.append([])
+        running.append(True)
+        try:
+            return algo(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(kind, "_cache", counting_rebuild)
+    monkeypatch.setattr(cardinality, config.algo, tracked)
+    assert _blanked_csv_and_bill(run_experiment(config))[1] == expected_bill
+    assert len(per_trial) == config.trials
+    for rebuilt in per_trial:
+        assert len(rebuilt) <= 1
+        assert all(len(prefix) == 1 for prefix in rebuilt)
 
 
 @pytest.mark.parametrize(
@@ -913,11 +953,12 @@ class TestCli:
         inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
         save_json(COV4_SPEC, inst)
         save_json({"kind": "partition", "blocks": [[0, 1], [2, 3]], "capacities": [1, 1]}, mat)
-        assert cli_main([
-            "sweep-lambda", "--instance", str(inst), "--matroid", str(mat),
-            "--epsilon", "0.25", "--lambdas", "1,x", "--out", str(tmp_path / "s.csv"),
-        ]) == 2
-        self._one_line_error(capsys, "--lambdas")
+        for lambdas in ("1,x", ","):
+            assert cli_main([
+                "sweep-lambda", "--instance", str(inst), "--matroid", str(mat),
+                "--epsilon", "0.25", "--lambdas", lambdas, "--out", str(tmp_path / "s.csv"),
+            ]) == 2
+            self._one_line_error(capsys, "--lambdas")
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
     def test_bad_sample_scale_is_one_line_error(self, tmp_path, capsys, scale):

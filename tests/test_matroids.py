@@ -398,7 +398,7 @@ def test_block_counts_answer_like_the_oracle_for_free(structure):
     for r in range(M.n + 1):
         for combo in itertools.combinations(range(M.n), r):
             assert independent(list(combo)) == probe.is_independent(combo)
-    for bad in ([M.n], [0, M.n], [0, "a"], [1.5], [-1]):
+    for bad in ([M.n], [0, M.n], [0, "a"], [1.5], [-1], [np.array([1, 2])]):
         assert _answer(independent, bad) == _answer(probe.is_independent, bad)
     assert matroid_rank(M) == len(greedy_basis(probe))
     assert M.ledger.snapshot() == (0, 0)

@@ -19,6 +19,7 @@ from submax import (
     InvalidInputError,
     Matroid,
     ModularOracle,
+    PartitionMatroid,
     QueryLedger,
     ResidualOracle,
     TableOracle,
@@ -609,6 +610,40 @@ def test_fractional_id_is_named(f):
     assert f.evaluate([0, 1]) == f.uncounted().evaluate([1, 0])
 
 
+@pytest.mark.parametrize(
+    "handle",
+    [
+        CoverageOracle([[0], [1], [0, 2], [3]], 4),
+        DirectedCutOracle(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 0, 1.0), (0, 3, 4.0)]),
+        FacilityLocationOracle([[1.0, 4.0, 2.0, 0.5], [3.0, 0.0, 1.0, 2.5]]),
+        ModularOracle([1.0, 2.0, 3.0, 4.0]),
+        GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        PartitionMatroid([[0, 1], [2, 3]], [2, 2]),
+    ],
+    ids=["coverage", "cut", "facility", "modular", "graphic", "partition"],
+)
+def test_an_array_id_is_named(handle):
+    # an array compares elementwise, so neither its range test nor its
+    # compare with a cached id has a truth value
+    method = "is_independent" if isinstance(handle, Matroid) else "evaluate"
+    ask = getattr(handle, method)
+    bad = np.array([1, 2])
+    message = re.escape(f"element id {bad!r} is not an integer")
+    for cached, query in (
+        ([], [bad]),
+        ([], [0, bad, 1]),
+        ([0, 1], [bad]),
+        ([0, 1], [bad, 1]),
+        ([0, 1, 2], [bad, 1, 2, 3]),
+        ([0, 1, 2], [0, 1, bad, 3]),
+        ([0, 1, 2], [0, 1, 2, bad]),
+    ):
+        ask(cached)
+        with pytest.raises(InvalidInputError, match=message):
+            ask(query)
+    assert ask([0, 1]) == getattr(handle.uncounted(), method)([1, 0])
+
+
 class _IndexOnly:
     """An integer known only through ``__index__``."""
 
@@ -631,7 +666,8 @@ class _IndexOnly:
 )
 def test_a_grown_prefix_reads_every_id_as_its_rebuild_does(handle):
     # a query whose members-but-last are the cached prefix with one id
-    # inserted raises and answers exactly as a rebuild of those ids would
+    # inserted or appended raises and answers exactly as a rebuild of those
+    # ids would
     method = "is_independent" if isinstance(handle, Matroid) else "evaluate"
     ask = getattr(handle, method)
 
@@ -651,4 +687,6 @@ def test_a_grown_prefix_reads_every_id_as_its_rebuild_does(handle):
         assert ask([0, inserted, 3]) == reference([0, 1, 3])
         ask([0, 2, 3])
         assert ask([0, inserted, 2, 3]) == reference([0, 1, 2, 3])
+        ask([0, 2, 3])
+        assert ask([0, 2, inserted, 3]) == reference([0, 2, 1, 3])
     assert ask([0, 2, 1]) == reference([0, 2, 1])
