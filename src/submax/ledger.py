@@ -103,7 +103,10 @@ class View(Counted):
     query to its base, or, when the view decides alone, charges one query to
     its own ledger. Either way one call costs one tick, through any
     composition of views. The view shares its base's ledger, and a clone
-    rebinds the whole chain below it to the new ledger.
+    rebinds the whole chain below it to the new ledger. A view with nothing
+    to add to a query forwards the caller's members as given, uncopied:
+    no handle keeps or mutates a caller's list (a prefix cache stores its
+    own copy), so the caller may extend or shrink it after the call.
     """
 
     def __init__(self, base: Counted, n: Optional[int] = None):

@@ -215,7 +215,9 @@ class ContractedMatroid(View, Matroid):
 
     Queries reach the base anchor first, as ``S + T``, so that queries which
     grow T by one element extend one prefix; the graphic oracle answers
-    those from its cache.
+    those from its cache. With nothing contracted the caller's members are
+    forwarded as given, uncopied: no handle keeps a caller's list (a prefix
+    cache stores its own copy).
     """
 
     def __init__(self, base: Matroid, S: Subset):
@@ -227,9 +229,9 @@ class ContractedMatroid(View, Matroid):
         self._contracted_set = set(contracted)
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        combined = list(self._contracted)
-        combined.extend(members)
-        return self._base.is_independent(combined)
+        if self._contracted:
+            members = [*self._contracted, *members]
+        return self._base.is_independent(members)
 
     def ground(self) -> list[int]:
         return [u for u in range(self.n) if u not in self._contracted_set]
@@ -240,7 +242,11 @@ class ContractedMatroid(View, Matroid):
 
 
 class RankCappedMatroid(View, Matroid):
-    """Truncation view: independent iff |T| <= cap and independent in the base."""
+    """Truncation view: independent iff |T| <= cap and independent in the base.
+
+    A list is measured and forwarded as given, uncopied (no handle keeps a
+    caller's list); any other iterable is copied into one first.
+    """
 
     def __init__(self, base: Matroid, cap: int):
         cap = checked_int(cap, "rank cap")
@@ -248,7 +254,7 @@ class RankCappedMatroid(View, Matroid):
         self.cap = cap
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        listed = list(members)
+        listed = members if members.__class__ is list else list(members)
         if len(listed) > self.cap:
             # decidable from the cap alone; still charged (conservative accounting)
             for u in listed:

@@ -368,7 +368,9 @@ class ResidualOracle(View, ValueOracle):
     is cached at construction, costing a single query there). The query
     lists the sorted anchor S first, then the members in their order, so
     the estimator's pair, R + u then R, reaches the base as a query and its
-    members-but-last, which the base's prefix cache answers.
+    members-but-last, which the base's prefix cache answers. With an empty
+    anchor the caller's members are forwarded as given, uncopied: no
+    handle keeps a caller's list (a prefix cache stores its own copy).
     """
 
     def __init__(self, base: ValueOracle, S: Subset):
@@ -378,7 +380,9 @@ class ResidualOracle(View, ValueOracle):
         self.monotone = base.monotone
 
     def evaluate(self, members: Iterable[int]) -> float:
-        return self._base.evaluate([*self._anchor, *members]) - self._f_anchor
+        if self._anchor:
+            members = [*self._anchor, *members]
+        return self._base.evaluate(members) - self._f_anchor
 
 
 def check_submodular(f: ValueOracle, max_n: int = 12) -> bool:

@@ -230,6 +230,50 @@ def test_criterion_4_independence_query_tradeoff(lambda_sweep_records):
     )
 
 
+# Both sides of the tradeoff on one heavily redundant instance: opt/W is
+# small, as the lazy phase's stopping test needs, under a uniform matroid of
+# rank 1000. The lambda grid, the trial seeds (1 and 2) and the parameters
+# were fixed before the first run. At lambda 300, 600 and 1000 the lazy
+# phase leaves 1, 1 and 2 ids in S, so continuous greedy asks the residual
+# and contraction views with a non-empty anchor.
+COV1000 = generate_instance("coverage", 1000, seed=42, universe=60, density=0.83)
+UNI1000 = {"kind": "uniform", "n": 1000, "k": 1000}
+
+
+@pytest.mark.slow
+def test_criterion_4_both_sides_on_a_redundant_instance():
+    medians = {}
+    for lam in (150.0, 300.0, 600.0, 1000.0):
+        config = RunConfig(
+            algo="combined",
+            instance=COV1000,
+            matroid=UNI1000,
+            epsilon=0.6,
+            lam=lam,
+            trials=2,
+            seed=1,
+            sample_scale=1.23e-5,
+            record_wall_time=False,
+        )
+        records = run_experiment(config)
+        medians[lam] = (
+            statistics.median(r.value_queries for r in records),
+            statistics.median(r.independence_queries for r in records),
+        )
+    value = [v for v, _ in medians.values()]
+    indep = [i for _, i in medians.values()]
+    ok = (
+        all(a > b for a, b in itertools.pairwise(value))
+        and all(a <= b for a, b in itertools.pairwise(indep))
+        and indep[0] < indep[-1]
+    )
+    _report(
+        "4 (both sides, COV1000)", ok,
+        "median value / independence queries "
+        + ", ".join(f"lambda={l:g}: {v:.0f} / {i:.0f}" for l, (v, i) in medians.items()),
+    )
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: exact query-count ceilings
 

@@ -23,21 +23,26 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Golden configs whose lazy phase or pool variants draw dummies, one whose
 # lazy phase has queries the rank cap alone decides, two that round on a
-# partition structure, where swap rounding answers from block counts, two
-# whose continuous greedy runs on a graphic residual with a non-empty anchor,
-# the path of the closing-lambda-graphic workload, and the cut and facility
+# partition structure, where swap rounding answers from block counts, four
+# whose continuous greedy runs on the residual and contraction views, over a
+# partition matroid (the path of the lambda-sweep workload) or a graphic one
+# (that of closing-lambda-graphic), each with an empty anchor and with an
+# anchor of one id (the "-contracted" configs), and the cut and facility
 # runs of the cardinality-short-trials workload's algorithms; all on oracle
 # and matroid kinds the tracer lists.
 DUMMY_CONFIGS = sorted(name for name in GOLDEN_CSV if name.endswith("-dummies"))
 PARTITION_ROUNDING = ["combined_partition-residual", "continuous_greedy-partition"]
-GRAPHIC_RESIDUAL = ["combined-graphic", "combined-graphic-contracted"]
+RESIDUAL = [
+    "combined-partition", "combined-partition-contracted",
+    "combined-graphic", "combined-graphic-contracted",
+]
 CARDINALITY = {
     "lazy_greedy_improved-cut": "oracles.cut",
     "lazy_greedy_simple-cut": "oracles.cut",
     "random_sampling_monotone-facility": "oracles.facility",
 }
 TRACED_CONFIGS = (
-    DUMMY_CONFIGS + ["random_lazy_greedy"] + PARTITION_ROUNDING + GRAPHIC_RESIDUAL
+    DUMMY_CONFIGS + ["random_lazy_greedy"] + PARTITION_ROUNDING + RESIDUAL
     + sorted(CARDINALITY)
 )
 
@@ -84,10 +89,13 @@ def test_traced_run_matches_the_ledger(bench, name):
         traced = config.algo.startswith("combined")
         assert result["calls"].get("multilinear.swap_round", 0) == (config.trials if traced else 0)
         assert result["independence_queries"].get("multilinear.swap_round", 0) == 0
-    if name in GRAPHIC_RESIDUAL:
-        # every estimator query reaches the base through the anchored residual
+    if name in RESIDUAL:
+        # every estimator query reaches the base through the anchored residual,
+        # as a call of the base's evaluate, so that its per-call time reads
+        # every query (an empty anchor forwards the caller's list)
         residual = result["calls"]["oracles.residual"]
         assert residual == result["value_queries"]["multilinear.continuous_greedy"] > 0
+        assert result["calls"]["oracles.coverage"] >= residual
         assert result["calls"]["matroids.contracted"] > 0
     if name in CARDINALITY:
         # every value query of the run is one call of the instance's oracle;

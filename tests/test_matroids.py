@@ -40,6 +40,7 @@ from .conftest import (
     small_base_matroids,
     small_multigraphs,
     small_partitions,
+    small_value_oracles,
     uf_has_cycle,
     zoo_matroids,
 )
@@ -607,6 +608,85 @@ def test_value_views_charge_one_query_per_call(sets, data):
         assert clone.evaluate(members) == value
         assert clone.ledger.snapshot() == (clone_before[0] + 1, clone_before[1])
         assert ledger.snapshot() == (before[0] + 1, before[1])
+
+
+# ---------------------------------------------------------------------------
+# the views forward the caller's list: answers as the base asked S + T, and
+# the caller may change its list afterwards
+
+
+def _caller_lists(data, ids):
+    """One member list of distinct ``ids``, changed in place between calls.
+
+    As the estimator and ``threshold_sweep`` change theirs: append one id,
+    pop the last, delete one anywhere, or start a new list. Yields the list
+    after each change.
+    """
+    members: list[int] = []
+    ops = st.sampled_from(["append", "pop", "delete", "new"])
+    for op in data.draw(st.lists(ops, min_size=1, max_size=12)):
+        unused = [u for u in ids if u not in members]
+        if op == "append" and unused:
+            members.append(data.draw(st.sampled_from(unused)))
+        elif op == "pop" and members:
+            members.pop()
+        elif op == "delete" and members:
+            del members[data.draw(st.integers(min_value=0, max_value=len(members) - 1))]
+        elif op == "new":
+            members = data.draw(st.permutations(ids))[: data.draw(st.integers(0, len(ids)))]
+        yield members
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=small_value_oracles(), data=st.data())
+def test_residual_view_answers_as_its_base_asked_anchor_then_members(base, data):
+    pristine = base.uncounted()
+    ids = st.integers(min_value=0, max_value=base.n - 1)
+    anchor = data.draw(st.just([]) | st.lists(ids, unique=True, min_size=1, max_size=3))
+    view = ResidualOracle(base, anchor)
+    head = sorted(anchor)
+    f_anchor = pristine.uncounted().evaluate(head)
+    for members in _caller_lists(data, [u for u in range(base.n) if u not in anchor]):
+        asked = list(members)
+        reference = pristine.uncounted()
+        before = view.ledger.snapshot()
+        answer = view.evaluate(members)
+        assert members == asked
+        assert answer == reference.evaluate(head + asked) - f_anchor
+        assert view.ledger.snapshot() == (before[0] + 1, before[1])
+        assert reference.ledger.snapshot() == (1, 0)
+        assert view.evaluate(iter(asked)) == answer
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=small_base_matroids(), data=st.data())
+def test_matroid_views_answer_as_their_base_asked_anchor_then_members(base, data):
+    if data.draw(st.booleans()):
+        base = ExplicitMatroid(base.n, enumerate_independent(base))
+    pristine = base.uncounted()
+    kind = data.draw(st.sampled_from(["contract", "cap", "cap over contract"]))
+    anchor: list[int] = []
+    view = base
+    if kind != "cap":
+        if data.draw(st.booleans()):
+            anchor = draw_independent(data, base, list(range(base.n)))
+        view = ContractedMatroid(base, anchor)
+    cap = None
+    if kind != "contract":
+        cap = data.draw(st.integers(min_value=0, max_value=base.n))
+        view = RankCappedMatroid(view, cap)
+    head = sorted(anchor)
+    for members in _caller_lists(data, [u for u in range(base.n) if u not in anchor]):
+        asked = list(members)
+        reference = pristine.uncounted()
+        before = view.ledger.snapshot()
+        answer = view.is_independent(members)
+        assert members == asked
+        # the cap decides alone past it, and still charges its one query
+        expected = (cap is None or len(asked) <= cap) and reference.is_independent(head + asked)
+        assert answer == expected
+        assert view.ledger.snapshot() == (before[0], before[1] + 1)
+        assert view.is_independent(iter(asked)) == answer
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,43 @@ class TestSampleRows:
         assert m * self.N > multilinear.BLOCK_DOUBLES
         self._check(bit_generator, 3, m)
 
+    # estimates of 1 to 80 rows across block ends, and one of 1.5 full blocks
+    ROW_COUNTS = [1, 3, 2, 7, 1, 50, 80, 33] * 3 + [384, 5, 1, 200, 9]
+
+    def test_every_row_handed_out_is_a_list_of_its_own(self):
+        block = multilinear.BLOCK_DOUBLES // self.N
+        assert max(self.ROW_COUNTS) > block
+        x = np.linspace(0.0, 1.0, self.N)
+        taken = []
+        with multilinear._SampleRows(x, np.random.default_rng(4)) as rows:
+            for m in self.ROW_COUNTS:
+                taken.extend(rows.take(m))
+        assert len(taken) == sum(self.ROW_COUNTS)
+        assert len({id(row) for row in taken}) == len(taken)
+        assert all(type(row) is list for row in taken)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_changing_a_taken_row_leaves_the_later_rows_and_the_generator(self, bit_generator):
+        x = np.linspace(0.0, 1.0, self.N)
+        runs = []
+        for change in (False, True):
+            rng = _generator(bit_generator, 3)
+            drawn = []
+            with multilinear._SampleRows(x, rng) as rows:
+                for m in self.ROW_COUNTS:
+                    taken = rows.take(m)
+                    drawn.append([list(row) for row in taken])
+                    if change:
+                        # as the estimator does: drop an id, append one, pop it
+                        for row in taken:
+                            if row:
+                                del row[len(row) // 2]
+                            row.append(self.N)
+                            row.append(self.N + 1)
+                            row.pop()
+            runs.append((drawn, _state(rng), rng.random()))
+        assert runs[1] == runs[0]
+
     def test_zero_coordinates_never_join_a_row(self):
         x = np.zeros(40)
         x[1::3] = 0.5
