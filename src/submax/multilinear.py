@@ -112,11 +112,9 @@ class _SampleRows:
     drawn. Leaving the ``with`` block, also on an error, sets the generator
     back to the state saved before the last block and draws only the rows
     handed out of it, so ``rng`` ends where per-estimate draws would have
-    left it, for any bit generator. Each block is cut into its row lists
-    once, when drawn, and an estimate whose rows the block holds takes them
-    as one slice of that list. Every row handed out is a list of its own:
-    the caller may change it, and the views forward it to the base uncopied
-    (no handle keeps it).
+    left it, for any bit generator. Every row handed out is a list of its
+    own: the caller may change it, and the views forward it to the base
+    uncopied (no handle keeps it).
     """
 
     def __init__(self, x: np.ndarray, rng: np.random.Generator):
@@ -126,7 +124,8 @@ class _SampleRows:
         self.n = x.shape[0]
         self.size = 0  # rows in the current block
         self.next = 0  # rows of it handed out
-        self.rows: list[list[int]] = []  # the block's rows, each an ascending id list
+        self.ids: list[int] = []  # ids of the block's members, row after row
+        self.ends: list[int] = [0]  # row r holds ids[ends[r]:ends[r + 1]]
         self.saved: Optional[dict] = None
 
     def __enter__(self) -> "_SampleRows":
@@ -141,16 +140,13 @@ class _SampleRows:
         """The next m rows, each a fresh ascending id list."""
         if not self.cols.size:
             return [[] for _ in range(m)]
-        r = self.next
-        if r + m <= self.size:
-            self.next = r + m
-            return self.rows[r:r + m]
         rows = []
         for left in range(m, 0, -1):
             if self.next == self.size:
                 self._draw(left)
-            rows.append(self.rows[self.next])
-            self.next += 1
+            r = self.next
+            rows.append(self.ids[self.ends[r]:self.ends[r + 1]])
+            self.next = r + 1
         return rows
 
     def _draw(self, need: int) -> None:
@@ -159,9 +155,8 @@ class _SampleRows:
         self.saved = self.rng.bit_generator.state
         # one flat scan: 2-D nonzero costs more than it saves
         hits = np.flatnonzero(self.rng.random((size, width)) < self.p)
-        ends = np.searchsorted(hits, np.arange(0, (size + 1) * width, width)).tolist()
-        ids = self.cols[hits % width].tolist()
-        self.rows = [ids[a:b] for a, b in zip(ends, ends[1:])]
+        self.ends = np.searchsorted(hits, np.arange(0, (size + 1) * width, width)).tolist()
+        self.ids = self.cols[hits % width].tolist()
         self.size, self.next = size, 0
 
 
