@@ -98,6 +98,14 @@ def random_sampling(
     The sample is drawn without replacement and may intersect the current
     solution (such members have zero marginal). An element is added only when
     its marginal is non-negative. Costs at most k * ceil(pn) + 1 value queries.
+
+    A round's sample is a partial Fisher-Yates shuffle whose swap targets
+    come from one ``rng.integers(np.arange(size), n)`` call. For a range
+    below 2**32, numpy draws each element of that broadcast call with the
+    same buffered 32-bit routine, in the same order, as a scalar
+    ``rng.integers(j, n)`` per target; so the sample and the generator
+    state afterwards (its buffered half-word included) equal those of the
+    scalar loop, at a fraction of its per-call cost.
     """
     _validate_k(f, k)
     n = f.n
@@ -125,10 +133,10 @@ def random_sampling(
 
 
 def _sample_without_replacement(n: int, size: int, rng: np.random.Generator) -> list[int]:
-    # partial Fisher-Yates over a fresh index array
+    # partial Fisher-Yates over a fresh index array; swap target j is drawn
+    # from [j, n), all of them in one broadcast call (see random_sampling)
     arr = list(range(n))
-    for j in range(size):
-        r = int(rng.integers(j, n))
+    for j, r in enumerate(rng.integers(np.arange(size), n).tolist()):
         arr[j], arr[r] = arr[r], arr[j]
     return arr[:size]
 
@@ -186,8 +194,9 @@ def random_sampling_nonmonotone(
     threshold (where that p would exceed one) random greedy is used instead,
     and eps at or above 1/e is clamped just below it.
     """
-    if eps <= 0.0:
-        raise InvalidInputError("eps must be positive")
+    if not eps > 0.0:
+        # also refuses NaN, which every comparison below would let through as p = 1
+        raise InvalidInputError(f"eps must be positive, got {eps!r}")
     _validate_k(f, k)
     threshold = nonmonotone_regime_threshold(k)
     if eps <= threshold:

@@ -150,9 +150,13 @@ def load_json(path: Union[str, Path]) -> dict:
 
 
 def save_json(obj: dict, path: Union[str, Path]) -> None:
+    """Write ``obj`` with sorted keys, compact separators and a trailing newline.
+
+    ``json.dumps`` builds the text with the C encoder; ``json.dump`` would
+    stream it through the pure-Python one. The bytes are the same.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def generate_instance(
@@ -167,6 +171,16 @@ def generate_instance(
 ) -> dict:
     """Deterministic instance spec for a family; same arguments, same bytes."""
     n = checked_int(n, "n")
+    if universe is not None:
+        universe = checked_int(universe, "universe", least=1)
+    if clients is not None:
+        clients = checked_int(clients, "clients", least=1)
+    try:
+        density_ok = 0.0 <= density <= 1.0  # False for NaN
+    except TypeError:
+        density_ok = False
+    if not density_ok:
+        raise InvalidInputError(f"density must be a number in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)
     if family == "coverage":
         m = universe if universe is not None else 3 * n

@@ -47,6 +47,16 @@ class QueryLedger:
         return (self.value_queries, self.independence_queries)
 
 
+def checked_ledger(ledger) -> QueryLedger:
+    """``ledger`` if it is a QueryLedger, else InvalidInputError naming ``ledger``.
+
+    Runs when a handle is built or cloned, never per query.
+    """
+    if not isinstance(ledger, QueryLedger):
+        raise InvalidInputError(f"ledger must be a QueryLedger, got {ledger!r}")
+    return ledger
+
+
 class Counted:
     """A counted oracle handle over ground set ``{0, ..., n - 1}``.
 
@@ -56,7 +66,7 @@ class Counted:
 
     def __init__(self, n: int, ledger: Optional[QueryLedger] = None):
         self.n = checked_int(n, "ground set size n")
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger() if ledger is None else checked_ledger(ledger)
 
     def _check_id(self, u) -> int:
         """``u`` as an integer id of this ground set, else InvalidInputError naming it.
@@ -85,7 +95,7 @@ class Counted:
     def with_ledger(self, ledger: QueryLedger):
         """Shallow clone bound to another ledger (instance data is shared)."""
         clone = _shallow_copy(self)
-        clone.ledger = ledger
+        clone.ledger = checked_ledger(ledger)
         return clone
 
     def uncounted(self):
@@ -116,6 +126,7 @@ class View(Counted):
 
     def with_ledger(self, ledger: QueryLedger):
         clone = _shallow_copy(self)
+        # the chain below checks ``ledger``: it ends at a Counted.with_ledger
         clone._base = self._base.with_ledger(ledger)
         clone.ledger = ledger
         return clone

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submax import (
     CoverageOracle,
@@ -24,6 +26,8 @@ from submax import (
     random_sampling_nonmonotone,
     standard_greedy,
 )
+from submax.cardinality import _sample_without_replacement
+from submax.harness import RunConfig, generate_instance, run_experiment
 
 from .conftest import coverage4, cut14, mean_and_se, wilson_halfwidth
 
@@ -178,6 +182,29 @@ class TestRandomSampling:
             random_sampling(f, 0, 0.5, 1.0, rng)
 
 
+def _scalar_sample(n, size, rng):
+    # the reference draw: one scalar integers(j, n) call per swap target
+    arr = list(range(n))
+    for j in range(size):
+        r = int(rng.integers(j, n))
+        arr[j], arr[r] = arr[r], arr[j]
+    return arr[:size]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 600), st.integers(0, 2 ** 64 - 1))
+def test_sample_draw_equals_the_scalar_loop(data, n, seed):
+    # two rounds with a float draw between them, as random_sampling makes:
+    # the samples and the generator state (buffered half-word included) match
+    sizes = [data.draw(st.integers(0, n)) for _ in range(2)]
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in sizes:
+        assert _sample_without_replacement(n, size, fast) == _scalar_sample(n, size, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.random() == slow.random()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
 class TestRandomSamplingMonotone:
     def test_tiny_eps_delegates_to_standard_greedy(self, rng):
         f = coverage16()
@@ -221,6 +248,20 @@ class TestRandomSamplingNonmonotone:
             got = random_sampling_nonmonotone(f, 4, 0.3, np.random.default_rng(seed))
             want = random_greedy(f, 4, np.random.default_rng(seed))
             assert got == want
+
+    def test_nan_eps_rejected(self, rng):
+        with pytest.raises(InvalidInputError, match="eps must be positive, got nan"):
+            random_sampling_nonmonotone(cut14(), 4, float("nan"), rng)
+
+    def test_nan_eps_rejected_by_run_experiment(self):
+        config = RunConfig(
+            algo="random_sampling_nonmonotone",
+            instance=generate_instance("cut", 8, 1, density=0.3),
+            k=4,
+            epsilon=float("nan"),
+        )
+        with pytest.raises(InvalidInputError, match="eps must be positive, got nan"):
+            run_experiment(config)
 
     def test_sampling_regime_runs_for_large_k(self, rng):
         # k = 150 puts the regime threshold below 1/e, activating the sampler

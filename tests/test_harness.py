@@ -142,6 +142,65 @@ class TestGeneration:
         assert spec["capacities"] == [0] and spec["blocks"] == [list(range(8))]
         assert matroid_rank(matroid_from_dict(spec)) == 0
 
+    # SHA-256 of the file save_json writes, as written by the streaming
+    # json.dump form it replaced
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (lambda: generate_instance("coverage", 12, 3, universe=20, density=0.3),
+             "9ab51371e1e8bb2aa4c42b6e045c1907d81001b3fc68e59bd885769feddd9053"),
+            (lambda: generate_instance("coverage", 12, 3),
+             "18f13405760841dea8c35b22c51b1e5d499bcbb582802338befe37175698d7ae"),
+            (lambda: generate_instance("cut", 10, 3, density=0.3),
+             "774aa0f3fbe65bc8e3661839753dd2cc74de7aaf936c55a7192240722f6a3ab9"),
+            (lambda: generate_instance("facility", 8, 3, clients=5),
+             "e9973ee0d0ae0fb9534b35883a033434874d494ba575a883e00d1a546e84b99b"),
+            (lambda: generate_instance("modular", 10, 3),
+             "2e95d86e9ca2900d9b602773af748142525edab45e34c94ec72cec55782f8eb9"),
+            (lambda: generate_matroid("uniform", 12, 4, 3),
+             "241be5b25d57e3f3ab4ccb9a720a3a168d2b27191ba114b761d6f6919c0389b7"),
+            (lambda: generate_matroid("partition", 12, 4, 3, blocks=3),
+             "af3de70510162a6ce53e4093796a81a1c13d1251dfb9d403f6db265e06eab965"),
+            (lambda: generate_matroid("graphic", 12, 4, 3),
+             "ab4979f0b0185bb35ceef394cfe1830b58b37948a3afb05728033709e2e6e550"),
+        ],
+        ids=["coverage", "coverage_default", "cut", "facility", "modular",
+             "uniform", "partition", "graphic"],
+    )
+    def test_saved_bytes_are_pinned(self, tmp_path, spec, digest):
+        path = tmp_path / "spec.json"
+        save_json(spec(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_saved_format_is_compact_sorted_with_a_newline(self, tmp_path):
+        path = tmp_path / "spec.json"
+        save_json({"b": [1, 2.5], "a": {"d": "x", "c": None}}, path)
+        assert path.read_bytes() == b'{"a":{"c":null,"d":"x"},"b":[1,2.5]}\n'
+
+    @pytest.mark.parametrize(
+        "family, kwargs, field",
+        [
+            ("coverage", {"universe": 0}, "universe"),
+            ("coverage", {"universe": -3}, "universe"),
+            ("coverage", {"universe": 2.5}, "universe"),
+            ("facility", {"clients": 0}, "clients"),
+            ("facility", {"clients": -2}, "clients"),
+            ("coverage", {"density": float("nan")}, "density"),
+            ("cut", {"density": float("nan")}, "density"),
+            ("coverage", {"density": -0.1}, "density"),
+            ("cut", {"density": 1.5}, "density"),
+            ("coverage", {"density": "x"}, "density"),
+        ],
+    )
+    def test_bad_generator_field_named(self, family, kwargs, field):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            generate_instance(family, 5, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("density", [0.0, 1.0])
+    def test_density_bounds_accepted(self, density):
+        spec = generate_instance("coverage", 6, 2, universe=4, density=density)
+        assert len(spec["sets"]) == 6
+
 
 class TestGraphicSpecValidation:
     def test_edge_with_one_endpoint_rejected(self):
@@ -947,6 +1006,22 @@ class TestCli:
         assert cli_main(["gen", "--family", "coverage", "--out", str(inst), *flags]) == 2
         self._one_line_error(capsys, field)
         # neither spec is written when one of them is refused
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--family", "coverage", "--universe", "0"], "universe"),
+            (["--family", "coverage", "--universe", "-3"], "universe"),
+            (["--family", "facility", "--clients", "-2"], "clients"),
+            (["--family", "coverage", "--density", "nan"], "density"),
+            (["--family", "cut", "--density", "1.5"], "density"),
+        ],
+    )
+    def test_bad_gen_instance_fields_are_one_line_errors(self, tmp_path, capsys, flags, field):
+        inst = tmp_path / "inst.json"
+        assert cli_main(["gen", "--n", "5", "--out", str(inst), *flags]) == 2
+        self._one_line_error(capsys, field)
         assert list(tmp_path.iterdir()) == []
 
     def test_non_numeric_lambda_is_one_line_error(self, tmp_path, capsys):

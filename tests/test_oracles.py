@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submax import (
+    ContractedMatroid,
     CoverageOracle,
     DirectedCutOracle,
     FacilityLocationOracle,
@@ -21,8 +22,10 @@ from submax import (
     ModularOracle,
     PartitionMatroid,
     QueryLedger,
+    RankCappedMatroid,
     ResidualOracle,
     TableOracle,
+    UniformMatroid,
     ValueOracle,
     check_monotone,
     check_submodular,
@@ -30,6 +33,7 @@ from submax import (
     sample_correlated_subset,
     standard_greedy,
 )
+from submax.harness import matroid_from_dict, oracle_from_dict
 
 from .conftest import (
     coverage4,
@@ -222,6 +226,46 @@ class TestLedgerExactness:
         ledger = QueryLedger()
         with pytest.raises(ValueError):
             ledger.charge_value(-1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: CoverageOracle([[0], [1]], 2, None, bad),
+            lambda bad: DirectedCutOracle(2, [[0, 1, 1.0]], bad),
+            lambda bad: FacilityLocationOracle([[1.0, 2.0]], bad),
+            lambda bad: ModularOracle([1.0, 2.0], bad),
+            lambda bad: TableOracle(1, {frozenset(): 0.0, frozenset({0}): 1.0}, bad),
+            lambda bad: UniformMatroid(2, 1, bad),
+            lambda bad: PartitionMatroid([[0, 1]], [1], bad),
+            lambda bad: GraphicMatroid(2, [[0, 1]], bad),
+            lambda bad: oracle_from_dict({"kind": "modular", "weights": [1.0]}, bad),
+            lambda bad: matroid_from_dict({"kind": "uniform", "n": 3, "k": 1}, bad),
+        ],
+        ids=["coverage", "cut", "facility", "modular", "table", "uniform",
+             "partition", "graphic", "oracle_from_dict", "matroid_from_dict"],
+    )
+    @pytest.mark.parametrize("bad", [1000, "x", QueryLedger], ids=["int", "str", "class"])
+    def test_a_handle_refuses_a_non_ledger_when_built(self, build, bad):
+        with pytest.raises(InvalidInputError, match="^ledger must be a QueryLedger"):
+            build(bad)
+
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            coverage4,
+            lambda: UniformMatroid(3, 1),
+            lambda: ResidualOracle(coverage4(), {1}),
+            lambda: RankCappedMatroid(ContractedMatroid(UniformMatroid(4, 3), {0}), 1),
+        ],
+        ids=["coverage", "uniform", "residual", "capped_contraction"],
+    )
+    @pytest.mark.parametrize("bad", [None, 1000, "x"], ids=["none", "int", "str"])
+    def test_a_clone_refuses_a_non_ledger(self, handle, bad):
+        h = handle()
+        with pytest.raises(InvalidInputError, match="^ledger must be a QueryLedger"):
+            h.with_ledger(bad)
+        ledger = QueryLedger()
+        assert h.with_ledger(ledger).ledger is ledger
 
 
 class TestSampleCorrelatedSubset:
