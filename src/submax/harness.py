@@ -30,6 +30,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -181,7 +182,16 @@ def generate_instance(
         density_ok = False
     if not density_ok:
         raise InvalidInputError(f"density must be a number in [0, 1], got {density!r}")
-    rng = np.random.default_rng(seed)
+    try:
+        lo, hi = map(operator.index, weight_range)
+        range_ok = 0 <= lo <= hi
+    except (TypeError, ValueError):
+        range_ok = False
+    if not range_ok:
+        raise InvalidInputError(
+            f"weight_range must be two integers lo, hi with 0 <= lo <= hi, got {weight_range!r}"
+        )
+    rng = np.random.default_rng(checked_int(seed, "seed"))
     if family == "coverage":
         m = universe if universe is not None else 3 * n
         sets = []
@@ -193,7 +203,6 @@ def generate_instance(
             sets.append([int(x) for x in items])
         return {"kind": "coverage", "sets": sets, "universe": m}
     if family == "cut":
-        lo, hi = weight_range
         arcs = []
         for a in range(n):
             for b in range(n):
@@ -202,10 +211,9 @@ def generate_instance(
         return {"kind": "cut", "n": n, "arcs": arcs}
     if family == "facility":
         m = clients if clients is not None else 2 * n
-        values = np.round(rng.random((m, n)) * (weight_range[1] - weight_range[0]) + weight_range[0], 6)
+        values = np.round(rng.random((m, n)) * (hi - lo) + lo, 6)
         return {"kind": "facility", "values": values.tolist()}
     if family == "modular":
-        lo, hi = weight_range
         return {"kind": "modular", "weights": [int(x) for x in rng.integers(lo, hi + 1, size=n)]}
     raise InvalidInputError(f"unknown instance family {family!r}")
 
@@ -221,7 +229,7 @@ def generate_matroid(
     """Deterministic matroid spec; partition capacities always sum to k."""
     n = checked_int(n, "n")
     k = checked_int(k, "k")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_int(seed, "seed"))
     if kind == "uniform":
         return {"kind": "uniform", "n": n, "k": k}
     if kind in ("partition", "graphic") and k > n:
@@ -464,8 +472,8 @@ def _check_config(config: RunConfig) -> Algorithm:
         raise InvalidInputError(f"algorithm {config.algo!r} needs a matroid")
     if not algorithm.matroid and config.matroid is not None:
         raise InvalidInputError(f"algorithm {config.algo!r} takes no matroid")
-    if config.trials < 1:
-        raise InvalidInputError("need at least one trial")
+    checked_int(config.trials, "trials", least=1)
+    checked_int(config.seed, "seed")
     check_sample_scale(config.sample_scale)
     return algorithm
 

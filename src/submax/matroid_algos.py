@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
+from .ledger import checked_int
 from .matroids import (
     ContractedMatroid,
     Matroid,
@@ -171,11 +172,12 @@ def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int
 
 
 def linear_greedy_partition(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int]:
-    """Partition LinearGreedy: the same scan, answered from block counts.
+    """Partition LinearGreedy: the same scan, answered by M's own count loop.
 
     ``M`` must report its blocks; each question is answered by
-    :func:`~submax.matroids.independence_test` plus the length check
-    against ``k - dummies``, so the call asks no independence query.
+    :func:`~submax.matroids.independence_test` (the handle's count loop,
+    uncharged) plus the length check against ``k - dummies``, so the call
+    asks no independence query.
     """
     if M.partition_structure() is None:
         raise InvalidInputError("partition LinearGreedy needs a generalized partition matroid")
@@ -210,16 +212,15 @@ def random_lazy_greedy(
     random member of that set, padded with zero-value dummies to the
     remaining rank, joins the solution. Exhausting all I iterations without
     hitting the low-weight stopping test is a failure. ``use_partition``
-    answers the scan's independence questions from block counts, and needs
-    a matroid that reports its blocks; any other is refused before the
-    first query.
+    answers the scan's independence questions by the matroid's own count
+    loop, uncharged, and needs a matroid that reports its blocks; any other
+    is refused before the first query.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must be in (0, 1)")
-    if B < 0.0:
+    if not B >= 0.0:  # False for NaN
         raise InvalidInputError("B must be non-negative")
-    if I < 0:
-        raise InvalidInputError("iteration bound must be non-negative")
+    I = checked_int(I, "iteration bound")
     if use_partition and M.partition_structure() is None:
         raise InvalidInputError("partition fast path needs a partition matroid")
     check_same_ground(f, M)

@@ -5,9 +5,11 @@ attached ledger. Views (contraction, rank caps, dummy augmentation) follow
 the one accounting rule of :class:`~submax.ledger.View`.
 
 The structure rule lives here: a handle that reports
-``partition_structure()`` is answered from its blocks, so its rank and every
-question asked through :func:`independence_test` cost no query. Views never
-report a structure and forward every query as a charged query.
+``partition_structure()`` reads its rank from its blocks, and every question
+asked through :func:`independence_test` is answered by the handle's own
+count loop, uncharged. So the free answers are the oracle's answers by
+construction, and cost no query. Views never report a structure and forward
+every query as a charged query.
 ``greedy_basis`` and ``remove_self_loops`` ask the oracle on any handle.
 """
 
@@ -90,7 +92,6 @@ class PartitionMatroid(Matroid):
         caps = self.capacities
         n = self.n
         for u in members:
-            # the id rule of the block-count predicate, so that both answer alike
             if u.__class__ is not int or not 0 <= u < n:
                 u = self._check_id(u)
             j = block_of[u]
@@ -358,42 +359,25 @@ def check_same_ground(f: ValueOracle, M: Matroid) -> None:
 def independence_test(M: Matroid) -> Callable[[list[int]], bool]:
     """The independence question a phase asks of ``M``.
 
-    On a handle that reports its blocks, a predicate that answers from
-    block counts, as the oracle would (an id outside the ground set raises
-    the oracle's error), and charges nothing; on any other handle,
-    ``M.is_independent``.
+    On a handle that reports its blocks, its own count loop ``M._indep``,
+    which charges nothing and answers (or raises) exactly as
+    ``M.is_independent`` does; on any other handle, ``M.is_independent``.
     """
     counts = _block_counts(M)
     return M.is_independent if counts is None else counts[1]
 
 
-def _block_counts(M: Matroid) -> Optional[tuple[int, Callable[[list[int]], bool]]]:
-    """M's rank and an uncharged independence predicate, read from its blocks.
+def _block_counts(M: Matroid) -> Optional[tuple[int, Callable[[Iterable[int]], bool]]]:
+    """M's rank, read from its blocks, and its own count loop ``M._indep``.
 
-    None when ``M`` reports no structure. An id in no block is a loop.
+    None when ``M`` reports no structure. The loop is called without the
+    charge, so its answers are the oracle's answers.
     """
     structure = M.partition_structure()
     if structure is None:
         return None
     blocks, caps = structure
-    n = M.n
-    block_of: list[Optional[int]] = [None] * n
-    for j, blk in enumerate(blocks):
-        for u in blk:
-            block_of[u] = j
-
-    def independent(members: list[int]) -> bool:
-        counts = [0] * len(caps)
-        for u in members:
-            if u.__class__ is not int or not 0 <= u < n:
-                u = M._check_id(u)
-            j = block_of[u]
-            if j is None or counts[j] >= caps[j]:
-                return False
-            counts[j] += 1
-        return True
-
-    return sum(min(c, len(blk)) for blk, c in zip(blocks, caps)), independent
+    return sum(min(c, len(blk)) for blk, c in zip(blocks, caps)), M._indep
 
 
 def threshold_sweep(

@@ -196,6 +196,33 @@ class TestGeneration:
         with pytest.raises(InvalidInputError, match=f"^{field} must be"):
             generate_instance(family, 5, seed=0, **kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "2", None])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(InvalidInputError, match="^seed must be"):
+            generate_instance("coverage", 5, seed)
+        with pytest.raises(InvalidInputError, match="^seed must be"):
+            generate_matroid("partition", 8, 2, seed)
+
+    def test_numpy_seed_keeps_the_bytes(self):
+        assert generate_instance("cut", 6, np.int64(3)) == generate_instance("cut", 6, 3)
+        assert generate_matroid("partition", 8, 3, np.int64(3)) == generate_matroid(
+            "partition", 8, 3, 3
+        )
+
+    @pytest.mark.parametrize("family", ["cut", "facility", "modular"])
+    @pytest.mark.parametrize(
+        "weight_range", [(10, 1), (-3, -1), (-1, 2), (1.5, 3), (1, 2, 3), (1,), None, "ab"]
+    )
+    def test_bad_weight_range_named(self, family, weight_range):
+        with pytest.raises(InvalidInputError, match="^weight_range must be"):
+            generate_instance(family, 5, 0, weight_range=weight_range)
+
+    @pytest.mark.parametrize("family", ["cut", "facility", "modular"])
+    @pytest.mark.parametrize("weight_range", [(0, 0), (0, 3), (4, 4)])
+    def test_weight_range_bounds_accepted(self, family, weight_range):
+        spec = generate_instance(family, 5, 0, density=0.5, weight_range=weight_range)
+        assert oracle_from_dict(spec).n == 5
+
     @pytest.mark.parametrize("density", [0.0, 1.0])
     def test_density_bounds_accepted(self, density):
         spec = generate_instance("coverage", 6, 2, universe=4, density=density)
@@ -744,6 +771,16 @@ class TestConfigCheck:
         with pytest.raises(InvalidInputError, match=r"matroid ground set size 24 .* size 30$"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("trials", 0), ("trials", 1.5), ("trials", "2"),
+    ])
+    def test_bad_seed_or_trials_named_before_any_file(self, tmp_path, field, value):
+        config = RunConfig(
+            algo="standard_greedy", instance=tmp_path / "missing.json", k=2, **{field: value}
+        )
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            run_experiment(config)
+
     def test_instance_file_not_read_for_a_bad_config(self, tmp_path):
         config = RunConfig(algo="bogus", instance=tmp_path / "missing.json", k=3)
         with pytest.raises(InvalidInputError, match="unknown algorithm"):
@@ -1023,6 +1060,32 @@ class TestCli:
         assert cli_main(["gen", "--n", "5", "--out", str(inst), *flags]) == 2
         self._one_line_error(capsys, field)
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        assert cli_main([
+            "gen", "--family", "coverage", "--n", "5", "--seed", "-1", "--out", str(inst),
+        ]) == 2
+        self._one_line_error(capsys, "seed")
+        assert list(tmp_path.iterdir()) == []
+        save_json(COV4_SPEC, inst)
+        assert cli_main([
+            "run", "--algo", "standard_greedy", "--instance", str(inst), "--k", "2",
+            "--seed", "-1", "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        self._one_line_error(capsys, "seed")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_nan_b_is_one_line_error(self, tmp_path, capsys):
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        save_json(COV4_SPEC, inst)
+        save_json({"kind": "uniform", "n": 4, "k": 4}, mat)
+        assert cli_main([
+            "run", "--algo", "random_lazy_greedy", "--instance", str(inst),
+            "--matroid", str(mat), "--delta", "0.5", "--B", "nan", "--I", "1",
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        self._one_line_error(capsys, "B must be non-negative")
 
     def test_non_numeric_lambda_is_one_line_error(self, tmp_path, capsys):
         inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"

@@ -515,6 +515,14 @@ class TestRandomLazyGreedy:
             random_lazy_greedy(f, M, 0.5, 0.3, 2, rng, use_partition=True)
         assert ledger.snapshot() == (0, 0)
 
+    def test_nan_b_rejected(self, rng):
+        with pytest.raises(InvalidInputError, match="^B must be non-negative"):
+            random_lazy_greedy(coverage12(), partition12(), 0.5, float("nan"), 2, rng)
+
+    def test_non_integer_iteration_bound_rejected(self, rng):
+        with pytest.raises(InvalidInputError, match="^iteration bound must be an integer"):
+            random_lazy_greedy(coverage12(), partition12(), 0.5, 1.0, 1.5, rng)
+
     def test_iteration_bound_above_half_rank_rejected(self, rng):
         f = coverage12()
         M = partition12()  # rank 4
@@ -596,6 +604,13 @@ class TestCombinedAlgorithm:
             f, M, 0.25, 2.0, rng, sample_scale=1e-6, B_override=0.0
         )
         assert result.failed and result.solution == frozenset()
+
+    def test_nan_b_override_rejected(self, rng):
+        with pytest.raises(InvalidInputError, match="^B must be non-negative"):
+            combined_algorithm(
+                coverage12(), partition12(), 0.25, 2.0, rng, sample_scale=1e-6,
+                B_override=float("nan"),
+            )
 
     def test_parameter_validation(self, rng):
         f = coverage12()

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submax import (
@@ -392,6 +392,7 @@ def _answer(ask, members):
 
 @settings(max_examples=60, deadline=None)
 @given(structure=small_partitions())
+@example(structure=([[0, 1, 2], [3]], [2, 1]))
 def test_block_counts_answer_like_the_oracle_for_free(structure):
     M = PartitionMatroid(*structure)
     probe = M.uncounted()
@@ -399,10 +400,19 @@ def test_block_counts_answer_like_the_oracle_for_free(structure):
     for r in range(M.n + 1):
         for combo in itertools.combinations(range(M.n), r):
             assert independent(list(combo)) == probe.is_independent(combo)
-    for bad in ([M.n], [0, M.n], [0, "a"], [1.5], [-1], [np.array([1, 2])]):
+    # duplicate ids answer as the oracle does, however that counts them
+    repeats = [[blk[0]] * 2 for blk in structure[0]]
+    for bad in ([M.n], [0, M.n], [0, "a"], [1.5], [-1], [np.array([1, 2])], [0, 0], *repeats):
         assert _answer(independent, bad) == _answer(probe.is_independent, bad)
     assert matroid_rank(M) == len(greedy_basis(probe))
     assert M.ledger.snapshot() == (0, 0)
+    uniform = UniformMatroid(M.n, len(structure[0]))
+    uniform_probe = uniform.uncounted()
+    ask = independence_test(uniform)
+    for r in range(M.n + 1):
+        for combo in itertools.combinations(range(M.n), r):
+            assert ask(list(combo)) == uniform_probe.is_independent(combo)
+    assert uniform.ledger.snapshot() == (0, 0)
     # a view reports no structure: its questions are the oracle's
     view = RankCappedMatroid(M, 1)
     assert independence_test(view) == view.is_independent
@@ -697,8 +707,9 @@ def test_matroid_views_answer_as_their_base_asked_anchor_then_members(base, data
 class _BlocksWithoutLoops(Matroid):
     """Answers like ``inner`` but reports only the blocks of the remaining ids.
 
-    The contracted ids are loops outside every block here; swap rounding
-    must give the same result as with their zero-capacity block.
+    The contracted ids lie outside every reported block; its own ``_indep``
+    answers them as loops, and swap rounding must give the same result as
+    with their zero-capacity block.
     """
 
     def __init__(self, inner: PartitionMatroid, blocks, caps):

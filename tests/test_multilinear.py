@@ -671,16 +671,18 @@ class TestSwapRound:
         calls: list[list[int]] = []
 
         class Recording(PartitionMatroid):
-            # clones share ``calls``, so uncounted probes are recorded too
-            def _indep(self, members):
+            # the charged oracle entry; clones share ``calls``
+            def is_independent(self, members):
                 calls.append(list(members))
-                return super()._indep(members)
+                return super().is_independent(members)
 
         M = Recording([[0, 1], [2, 3]], [1, 1])
         point = FractionalPoint(
             n=4, weights=[0.5, 0.5], bases=[frozenset({0, 2}), frozenset({1, 3})]
         )
-        assert M.uncounted().is_independent(swap_round(M, point, rng))
+        rounded = swap_round(M, point, rng)
+        assert calls == [] and M.ledger.snapshot() == (0, 0)
+        assert M.uncounted().is_independent(rounded)
         calls.clear()
         for bases in ([frozenset({0, 1})], [frozenset({0, 2}), frozenset({2, 3})]):
             with pytest.raises(InvalidInputError, match="dependent base"):
@@ -688,7 +690,7 @@ class TestSwapRound:
         with pytest.raises(InvalidInputError, match="element id 7"):
             swap_round(M, FractionalPoint(n=4, weights=[1.0], bases=[frozenset({0, 7})]), rng)
         swap_round(M, point, rng)
-        assert calls == []
+        assert calls == [] and M.ledger.snapshot() == (0, 0)
 
     def test_short_bases_padded_before_merging(self, rng):
         M = UniformMatroid(4, 2)
