@@ -33,7 +33,6 @@ from .matroid_algos import (
     combined_parameters,
     crude_opt_estimate,
     linear_greedy,
-    linear_greedy_partition,
     random_lazy_greedy,
     thresholding_greedy,
 )

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
+from .ledger import checked_int
 from .matroid_algos import geometric_level_count
 from .oracles import ValueOracle, members_with
 
@@ -316,12 +317,8 @@ def lazy_greedy_simple(
             gain = f.evaluate(members_with(solution, ordered, u)) - current
             if gain <= bar:
                 pool.discard(u)
-        # each pool dummy is asked like a member, after them: its marginal is f(S) - f(S)
-        kept = 0
-        for _ in range(filler.dummies):
-            if f.evaluate(ordered) - current > bar:
-                kept += 1
-        filler.dummies = kept
+        # a dummy's marginal, 0, clears no positive bar; if W <= 0, the next fill adds it back
+        filler.dummies = 0
     return solution
 
 
@@ -377,7 +374,7 @@ def lazy_greedy_improved(
 
 
 def _validate_k(f: ValueOracle, k: int) -> None:
-    if not 1 <= k <= f.n:
+    if checked_int(k, "k", least=1) > f.n:
         raise InvalidInputError("cardinality bound must satisfy 1 <= k <= n")
 
 

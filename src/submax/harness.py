@@ -472,6 +472,8 @@ def _check_config(config: RunConfig) -> Algorithm:
         raise InvalidInputError(f"algorithm {config.algo!r} needs a matroid")
     if not algorithm.matroid and config.matroid is not None:
         raise InvalidInputError(f"algorithm {config.algo!r} takes no matroid")
+    if config.k is not None:
+        checked_int(config.k, "k", least=1)
     checked_int(config.trials, "trials", least=1)
     checked_int(config.seed, "seed")
     check_sample_scale(config.sample_scale)

@@ -144,7 +144,7 @@ class PrefixCached(Counted):
     ``P``) first replaces the cache by one for its own members-but-last, or
     for itself when empty. When those are a non-empty ``P`` plus one
     appended id ``v``, and every one of them is a plain int, ``_grow``
-    derives the new tuple from the cached one once ``v`` passed its check;
+    may derive the new tuple from the cached one once ``v`` passed its check;
     otherwise ``_cache`` rebuilds it and checks every id (from the empty
     prefix, a rebuild of one id costs no more). This is the one place where
     a query is compared with a cached one (by ``==``); an id that is not a
@@ -208,8 +208,8 @@ class PrefixCached(Counted):
         raise NotImplementedError
 
     def _grow(self, cache: tuple, prefix: list, v: int) -> tuple:
-        """Store and return the cache of ``prefix``, the cached ``P`` plus ``v`` appended."""
-        raise NotImplementedError
+        """Store and return the cache of ``prefix``, ``P`` plus ``v``: by default a rebuild."""
+        return self._cache(prefix)
 
     def _extend(self, cache: tuple, u: int):
         """The answer for ``P`` plus ``u`` from the cache of ``P``."""

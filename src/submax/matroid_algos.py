@@ -1,11 +1,11 @@
 """Discrete algorithms for monotone submodular maximization over a matroid.
 
 Contains the deterministic thresholding greedy, the random lazy greedy with
-its general and partition LinearGreedy inner routines, and the combined
-algorithm that runs the lazy phase and finishes with continuous greedy plus
-swap rounding. The lambda parameter of the combined algorithm trades value
-queries (through the estimator budget) against independence queries (through
-the lazy phase's iteration allowance).
+its LinearGreedy inner routine, and the combined algorithm that runs the
+lazy phase and finishes with continuous greedy plus swap rounding. The
+lambda parameter of the combined algorithm trades value queries (through
+the estimator budget) against independence queries (through the lazy
+phase's iteration allowance).
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class LazyGreedyState:
         return self.W * (1.0 - self.delta) ** self.level[u]
 
 
-def _linear_greedy(
+def linear_greedy(
     state: LazyGreedyState, f: ValueOracle, independent: Callable[[list[int]], bool]
 ) -> set[int]:
     """LinearGreedy over M/S: one value query per weight decay or acceptance.
@@ -134,7 +134,9 @@ def _linear_greedy(
     does not match is skipped without any oracle use, and so is a member of
     the solution S: it is a loop of M/S and its marginal is 0. An element
     that ``independent`` refuses (asked about S plus the chosen ids plus
-    the element) is frozen at its level for the rest of the call.
+    the element) is frozen at its level for the rest of the call. Dummies
+    take up rank: once S plus the chosen ids hold ``k - dummies`` ids, every
+    later answer is "dependent" by count, and the scan returns unasked.
     """
     S = state.solution
     ordered = sorted(S)
@@ -142,12 +144,15 @@ def _linear_greedy(
     chosen: set[int] = set()
     work = list(ordered)
     state.accept_marginals = {}
+    cap = state.k - state.dummies
     one_minus = 1.0 - state.delta
     for t in range(state.num_levels):
         bar = one_minus * (state.W * one_minus ** t)
         for u in state.ground:
             if state.level[u] != t or u in S:
                 continue
+            if len(work) >= cap:
+                return chosen
             if not independent(work + [u]):
                 continue
             gain = f.evaluate(ordered + [u]) - f_S
@@ -160,30 +165,6 @@ def _linear_greedy(
                 state.adds += 1
                 state.accept_marginals[u] = gain
     return chosen
-
-
-def linear_greedy(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int]:
-    """General LinearGreedy: the scan asks ``M`` truncated to ``k - dummies``.
-
-    The solution's dummies take up rank: ``S + T`` must fit in
-    ``k - dummies``. Every independence question is one charged query.
-    """
-    return _linear_greedy(state, f, RankCappedMatroid(M, state.k - state.dummies).is_independent)
-
-
-def linear_greedy_partition(state: LazyGreedyState, f: ValueOracle, M: Matroid) -> set[int]:
-    """Partition LinearGreedy: the same scan, answered by M's own count loop.
-
-    ``M`` must report its blocks; each question is answered by
-    :func:`~submax.matroids.independence_test` (the handle's count loop,
-    uncharged) plus the length check against ``k - dummies``, so the call
-    asks no independence query.
-    """
-    if M.partition_structure() is None:
-        raise InvalidInputError("partition LinearGreedy needs a generalized partition matroid")
-    independent = independence_test(M)
-    cap = state.k - state.dummies
-    return _linear_greedy(state, f, lambda members: len(members) <= cap and independent(members))
 
 
 @dataclass
@@ -211,10 +192,11 @@ def random_lazy_greedy(
     via LinearGreedy; while its weight stays at least B * opt, a uniformly
     random member of that set, padded with zero-value dummies to the
     remaining rank, joins the solution. Exhausting all I iterations without
-    hitting the low-weight stopping test is a failure. ``use_partition``
-    answers the scan's independence questions by the matroid's own count
-    loop, uncharged, and needs a matroid that reports its blocks; any other
-    is refused before the first query.
+    hitting the low-weight stopping test is a failure. Each question of the
+    scan is one charged ``M.is_independent`` query; ``use_partition``
+    answers it by the matroid's own count loop, uncharged, and needs a
+    matroid that reports its blocks; any other is refused before the first
+    query.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must be in (0, 1)")
@@ -233,12 +215,10 @@ def random_lazy_greedy(
 
     state = LazyGreedyState(ground, W, delta, k)
     state.solution_value = f.evaluate([])
+    independent = independence_test(M) if use_partition else M.is_independent
 
     for i in range(1, I + 1):
-        if use_partition:
-            chosen = linear_greedy_partition(state, f, M)
-        else:
-            chosen = linear_greedy(state, f, M)
+        chosen = linear_greedy(state, f, independent)
         total_weight = sum(state.weight_of(u) for u in sorted(chosen))
         if (1.0 - delta) * total_weight >= B * opt:
             # the pool: the chosen ids, then one dummy per unfilled unit of rank

@@ -246,7 +246,9 @@ class RankCappedMatroid(View, Matroid):
     """Truncation view: independent iff |T| <= cap and independent in the base.
 
     A list is measured and forwarded as given, uncopied (no handle keeps a
-    caller's list); any other iterable is copied into one first.
+    caller's list); any other iterable is copied into one first. A query
+    longer than the cap is answered by count, still charged; it serves
+    library callers (the lazy phase stops at its own ``k - dummies`` count).
     """
 
     def __init__(self, base: Matroid, cap: int):
@@ -312,7 +314,8 @@ class DummyAugmentedMatroid(View, Matroid):
     """S independent iff S minus dummies is independent in the base and |S| <= k.
 
     A library view like :class:`DummyValueOracle`; the lazy phase asks
-    ``RankCappedMatroid(M, k - dummies)`` with the real ids instead.
+    ``M`` about the real ids instead, and its scan stops once they fill
+    ``k - dummies``.
     """
 
     def __init__(self, base: Matroid, d: int, k: int):

@@ -68,8 +68,9 @@ class CoverageOracle(PrefixCached, ValueOracle):
     """Weighted coverage: f(S) = total weight of universe items covered by S.
 
     Answers through :class:`~submax.ledger.PrefixCached`; the state of a
-    prefix is its union mask, and ``P`` plus ``u`` ORs one mask, as does
-    growing ``P`` by one id. A value is always taken from a final mask, so a
+    prefix is its union mask, and ``P`` plus ``u`` ORs one mask. A prefix
+    one id longer than ``P`` is rebuilt, not grown: coverage queries almost
+    never take that path. A value is always taken from a final mask, so a
     cached answer equals a fresh one bit for bit.
     """
 
@@ -122,12 +123,6 @@ class CoverageOracle(PrefixCached, ValueOracle):
             except TypeError:
                 mask |= masks[self._check_id(u)]
         # popcount inline on the unweighted path: a call costs more than it
-        value = float(mask.bit_count()) if self._weights is None else self._weighted(mask)
-        self._prefix = (prefix, value, mask)
-        return self._prefix
-
-    def _grow(self, cache: tuple[list[int], float, int], prefix: list[int], v: int) -> tuple:
-        mask = cache[2] | self._masks[v]
         value = float(mask.bit_count()) if self._weights is None else self._weighted(mask)
         self._prefix = (prefix, value, mask)
         return self._prefix

@@ -22,7 +22,7 @@ from .test_harness import GOLDEN_CSV
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Golden configs whose lazy phase or pool variants draw dummies, one whose
-# lazy phase has queries the rank cap alone decides, two that round on a
+# lazy phase asks its questions of the charged oracle, two that round on a
 # partition structure, where swap rounding answers from block counts, four
 # whose continuous greedy runs on the residual and contraction views, over a
 # partition matroid (the path of the lambda-sweep workload) or a graphic one
@@ -89,6 +89,12 @@ def test_traced_run_matches_the_ledger(bench, name):
         traced = config.algo.startswith("combined")
         assert result["calls"].get("multilinear.swap_round", 0) == (config.trials if traced else 0)
         assert result["independence_queries"].get("multilinear.swap_round", 0) == 0
+    if name == "combined_partition-residual":
+        # the lazy phase's LinearGreedy is traced on the partition path too:
+        # one call per lazy iteration and one more per trial, answered by
+        # block counts
+        assert result["calls"]["matroid_algos.linear_greedy"] == 4
+        assert result["independence_queries"]["matroid_algos.linear_greedy"] == 0
     if name in RESIDUAL:
         # every estimator query reaches the base through the anchored residual,
         # as a call of the base's evaluate, so that its per-call time reads

@@ -55,6 +55,24 @@ def declining_table():
     return TableOracle(2, entries)
 
 
+@pytest.mark.parametrize("run", [
+    lambda f, k, rng: standard_greedy(f, k),
+    lambda f, k, rng: random_greedy(f, k, rng),
+    lambda f, k, rng: random_sampling(f, k, 0.5, 1.0, rng),
+    lambda f, k, rng: random_sampling_monotone(f, k, 0.25, rng),
+    lambda f, k, rng: random_sampling_nonmonotone(f, k, 0.25, rng),
+    lambda f, k, rng: lazy_greedy_simple(f, k, 0.2, rng),
+    lambda f, k, rng: lazy_greedy_improved(f, k, 0.2, rng),
+])
+def test_non_integer_k_named_before_any_query(run, rng):
+    f = ModularOracle([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(InvalidInputError, match=r"^k must be an integer, got 2\.5$"):
+        run(f, 2.5, rng)
+    with pytest.raises(InvalidInputError, match=r"^cardinality bound must satisfy 1 <= k <= n$"):
+        run(f, 5, rng)
+    assert f.ledger.snapshot() == (0, 0)
+
+
 class TestStandardGreedy:
     def test_modular_exact_top_k(self):
         weights = (3.0, 9.0, 1.0, 7.0, 5.0)
@@ -335,6 +353,13 @@ class TestLazyGreedySimple:
         f = coverage4()
         with pytest.raises(InvalidInputError):
             lazy_greedy_simple(f, 2, 0.5, rng)  # >= 1/e
+
+    def test_asks_nothing_about_a_dummy(self, rng):
+        # the sweep has no level, so every round's pool is k dummies: the 6
+        # singletons, f(empty) and one f(S) per round, no rescan query
+        f = ModularOracle([0.0] * 6)
+        assert lazy_greedy_simple(f, 3, 0.2, rng) == set()
+        assert f.ledger.snapshot() == (10, 0)
 
     def test_solution_bounded_and_nonnegative_value(self):
         f = cut14()

@@ -22,13 +22,12 @@ from submax import (
     continuous_greedy,
     crude_opt_estimate,
     linear_greedy,
-    linear_greedy_partition,
     matroid_rank,
     random_lazy_greedy,
     thresholding_greedy,
 )
-from submax import matroid_algos
 from submax.matroid_algos import _thresholding_greedy_value, geometric_level_count
+from submax.matroids import independence_test
 
 from .conftest import (
     compose_views,
@@ -223,7 +222,7 @@ class TestLinearGreedy:
         M = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [1, 2])
         delta = 0.2
         state = make_state(f, M, delta)
-        chosen = linear_greedy(state, f, M)
+        chosen = linear_greedy(state, f, M.is_independent)
         got = sum(weights[u] for u in chosen)
         # exact max-weight basis by sorted greedy (independent oracle)
         best = 0.0
@@ -239,7 +238,7 @@ class TestLinearGreedy:
         f = ModularOracle((0.0, 0.0, 0.0))
         M = UniformMatroid(3, 2)
         state = make_state(f, M, 0.3)
-        assert linear_greedy(state, f, M) == set()
+        assert linear_greedy(state, f, M.is_independent) == set()
 
     def test_residual_quality_vs_brute_force(self):
         # the per-call guarantee f(M_i : S) >= (1-d) f(OPT' : S) - d f(OPT)
@@ -254,7 +253,7 @@ class TestLinearGreedy:
         state = make_state(f, M, delta)
         probe = f.uncounted()
         for _ in range(2):
-            chosen = linear_greedy(state, f, M)
+            chosen = linear_greedy(state, f, M.is_independent)
             S = set(state.solution)
             fS = probe.evaluate(sorted(S))
             got = sum(probe.evaluate(sorted(S | {u})) - fS for u in chosen)
@@ -274,7 +273,7 @@ class TestLinearGreedy:
         state = make_state(f, M, 0.4)
         probe = f.uncounted()
         for _ in range(2):
-            chosen = linear_greedy(state, f, M)
+            chosen = linear_greedy(state, f, M.is_independent)
             S = set(state.solution)
             fS = probe.evaluate(sorted(S))
             for u in range(f.n):
@@ -286,7 +285,7 @@ class TestLinearGreedy:
                 state.solution_value += state.accept_marginals[u]
 
     def test_every_value_query_is_an_add_or_decay(self):
-        for variant in (linear_greedy, linear_greedy_partition):
+        for question in (lambda M: M.is_independent, independence_test):
             ledger = QueryLedger()
             f = coverage12(ledger)
             M = partition12(ledger)
@@ -295,35 +294,49 @@ class TestLinearGreedy:
             # the second call starts from a non-empty solution
             for _ in range(2):
                 before, events = ledger.value_queries, state.adds + state.decays
-                chosen = variant(state, f, M)
+                chosen = linear_greedy(state, f, question(M))
                 assert ledger.value_queries - before == state.adds + state.decays - events
                 u = min(chosen)
                 state.solution.add(u)
                 state.solution_value += state.accept_marginals[u]
             assert len(state.solution) == 2
 
-    @pytest.mark.parametrize("variant", [linear_greedy, linear_greedy_partition])
-    def test_asks_no_question_about_a_solution_member(self, monkeypatch, variant):
+    def test_a_solution_whose_dummies_fill_the_rank_asks_nothing(self):
+        # every answer is "dependent" by count once S plus the dummies hold k
+        ledger = QueryLedger()
+        f = ModularOracle([6.0, 5.0, 4.0, 3.0, 2.0, 1.0], ledger)
+        M = UniformMatroid(6, 3, ledger)
+        state = LazyGreedyState(list(range(6)), 6.0, 0.5, 3)
+        state.solution, state.dummies, state.solution_value = {0, 1}, 1, 11.0
+        levels = dict(state.level)
+        assert linear_greedy(state, f, M.is_independent) == set()
+        assert ledger.snapshot() == (0, 0)
+        assert state.level == levels
+
+    @pytest.mark.parametrize(
+        "on_blocks", [False, True], ids=["linear_greedy-general", "linear_greedy-partition"]
+    )
+    def test_asks_no_question_about_a_solution_member(self, on_blocks):
         # a member of S is a loop of M/S with marginal 0: every answer about it is known
         f = _RecordingModular([float(12 - u) for u in range(12)])
-        if variant is linear_greedy:
+        if not on_blocks:
             M = _RecordingUniform(12, 4)
             asked = M.queries
+            independent = M.is_independent
         else:
             M, asked = partition12(), []
-            real = matroid_algos.independence_test
+            test = independence_test(M)
 
-            def recording_test(matroid):
-                test = real(matroid)
-                return lambda members: asked.append(list(members)) or test(members)
+            def independent(members):
+                asked.append(list(members))
+                return test(members)
 
-            monkeypatch.setattr(matroid_algos, "independence_test", recording_test)
         state = make_state(f, M, 0.5)
         state.solution = {1, 6}
         state.solution_value = f.uncounted().evaluate([1, 6])
         f.queries.clear()
         asked.clear()
-        variant(state, f, M)
+        linear_greedy(state, f, independent)
         assert f.queries and asked
         for q in f.queries + asked:
             assert q[:2] == [1, 6] and q[-1] not in state.solution
@@ -346,8 +359,8 @@ class TestLinearGreedyPartition:
         s_par.solution_value = 0.0
         s_gen.solution_value = 0.0
         for _ in range(2):
-            general = linear_greedy(s_gen, f, M)
-            fast = linear_greedy_partition(s_par, f, M)
+            general = linear_greedy(s_gen, f, M.is_independent)
+            fast = linear_greedy(s_par, f, independence_test(M))
             assert general == fast
             assert s_gen.level == s_par.level
             if general:
@@ -361,7 +374,7 @@ class TestLinearGreedyPartition:
         M = PartitionMatroid([[0], [1]], [0, 0])
         state = LazyGreedyState([0, 1], 2.0, 0.3, 0)
         state.solution_value = 0.0
-        assert linear_greedy_partition(state, f, M) == set()
+        assert linear_greedy(state, f, independence_test(M)) == set()
 
     def test_uses_zero_independence_queries(self):
         ledger = QueryLedger()
@@ -370,7 +383,7 @@ class TestLinearGreedyPartition:
         state = LazyGreedyState(list(range(M.n)), 4.0, 0.4, 4)
         state.solution_value = 0.0
         before = ledger.independence_queries
-        linear_greedy_partition(state, f, M)
+        linear_greedy(state, f, independence_test(M))
         assert ledger.independence_queries == before
 
     def test_residual_quality_vs_brute_force(self):
@@ -385,22 +398,12 @@ class TestLinearGreedyPartition:
         state = make_state(f, M, delta)
         state.solution_value = 0.0
         probe = f.uncounted()
-        chosen = linear_greedy_partition(state, f, M)
+        chosen = linear_greedy(state, f, independence_test(M))
         got = sum(probe.evaluate([u]) for u in chosen)
         best_resid = 0.0
         for T in enumerate_independent(M):
             best_resid = max(best_resid, sum(probe.evaluate([u]) for u in T))
         assert got >= (1 - delta) * best_resid - delta * opt - 1e-9
-
-    def test_rejects_non_partition_matroid(self):
-        from submax import GraphicMatroid
-
-        f = ModularOracle((1.0, 1.0, 1.0))
-        M = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
-        state = LazyGreedyState([0, 1, 2], 1.0, 0.3, 2)
-        state.solution_value = 0.0
-        with pytest.raises(InvalidInputError):
-            linear_greedy_partition(state, f, M)
 
 
 @st.composite
@@ -433,13 +436,13 @@ def linear_greedy_calls(draw):
 def test_one_partition_linear_greedy_call_matches_the_general_one(call):
     structure, f, delta, solution, dummies = call
     runs = []
-    for variant in (linear_greedy_partition, linear_greedy):
+    for question in (independence_test, lambda M: M.is_independent):
         ledger = QueryLedger()
         fc, M = f.with_ledger(ledger), PartitionMatroid(*structure, ledger)
         state = make_state(fc, M, delta)
         state.solution, state.dummies = set(solution), dummies
         state.solution_value = f.uncounted().evaluate(solution)
-        chosen = variant(state, fc, M)
+        chosen = linear_greedy(state, fc, question(M))
         assert M.uncounted().is_independent(sorted(state.solution | chosen))
         assert len(state.solution) + len(chosen) + dummies <= state.k
         runs.append((chosen, state.accept_marginals, state.level, ledger.value_queries))
