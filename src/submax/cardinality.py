@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .ledger import checked_int
+from .ledger import checked_int, checked_real
 from .matroid_algos import geometric_level_count
 from .oracles import ValueOracle, members_with
 
@@ -110,11 +110,9 @@ def random_sampling(
     """
     _validate_k(f, k)
     n = f.n
-    if not 0.0 < p <= 1.0:
-        raise InvalidInputError("sample fraction p must be in (0, 1]")
+    p = checked_real(p, "p", 0.0, 1.0, open_low=True)
     sample_size = math.ceil(p * n)
-    if not 1.0 <= s <= sample_size:
-        raise InvalidInputError("rank parameter s must lie in [1, ceil(pn)]")
+    s = checked_real(s, "s", 1.0, sample_size)
     solution: set[int] = set()
     ordered: list[int] = []
     current = f.evaluate([])
@@ -153,8 +151,7 @@ def random_sampling_monotone(
     """
     if not f.monotone:
         raise InvalidInputError("this parameterization requires a monotone objective")
-    if not 0.0 < eps < 1.0:
-        raise InvalidInputError("eps must be in (0, 1)")
+    eps = checked_real(eps, "eps", 0.0, 1.0, open_low=True, open_high=True)
     _validate_k(f, k)
     if eps <= math.exp(-k):
         return standard_greedy(f, k)
@@ -168,8 +165,7 @@ def nonmonotone_regime_threshold(k: int) -> float:
     The map is strictly decreasing on (0, 2), so the root is unique; below it
     the sampling parameterization is invalid and random greedy takes over.
     """
-    if k < 1:
-        raise InvalidInputError("k must be positive")
+    k = checked_int(k, "k", least=1)
 
     def g(x: float) -> float:
         return 8.0 * x ** -2 * math.log(2.0 / x) - k
@@ -195,9 +191,7 @@ def random_sampling_nonmonotone(
     threshold (where that p would exceed one) random greedy is used instead,
     and eps at or above 1/e is clamped just below it.
     """
-    if not eps > 0.0:
-        # also refuses NaN, which every comparison below would let through as p = 1
-        raise InvalidInputError(f"eps must be positive, got {eps!r}")
+    eps = checked_real(eps, "eps", 0.0, open_low=True)
     _validate_k(f, k)
     threshold = nonmonotone_regime_threshold(k)
     if eps <= threshold:
@@ -380,5 +374,4 @@ def _validate_k(f: ValueOracle, k: int) -> None:
 
 def _validate_lazy_params(f: ValueOracle, k: int, delta: float) -> None:
     _validate_k(f, k)
-    if not 0.0 < delta < 1.0 / math.e:
-        raise InvalidInputError("delta must be in (0, 1/e)")
+    checked_real(delta, "delta", 0.0, 1.0 / math.e, open_low=True, open_high=True)

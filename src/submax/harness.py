@@ -41,7 +41,7 @@ import numpy as np
 from . import cardinality as card
 from . import matroid_algos as malg
 from .errors import InstanceTooLargeError, InvalidInputError
-from .ledger import QueryLedger, checked_int
+from .ledger import QueryLedger, checked_int, checked_real
 from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -51,7 +51,7 @@ from .matroids import (
     check_same_ground,
     matroid_rank,
 )
-from .multilinear import check_sample_scale, continuous_greedy, swap_round
+from .multilinear import continuous_greedy, swap_round
 from .oracles import (
     CoverageOracle,
     DirectedCutOracle,
@@ -89,6 +89,14 @@ def _field(spec: dict, key: str):
         raise InvalidInputError(f"{spec.get('kind')} spec needs the key {key!r}") from None
 
 
+def _list_field(spec: dict, key: str, optional: bool = False):
+    """``spec[key]`` once it is a list or tuple (or, if ``optional``, absent or null)."""
+    value = spec.get(key) if optional else _field(spec, key)
+    if isinstance(value, (list, tuple)) or (optional and value is None):
+        return value
+    raise InvalidInputError(f"{spec.get('kind')} spec key {key!r} must be a list, got {value!r}")
+
+
 def _kind(spec: dict, what: str):
     if not isinstance(spec, dict):
         raise InvalidInputError(f"{what} spec must be a JSON object, got {type(spec).__name__}")
@@ -99,17 +107,18 @@ def oracle_from_dict(spec: dict, ledger: Optional[QueryLedger] = None) -> ValueO
     kind = _kind(spec, "instance")
     if kind == "coverage":
         return CoverageOracle(
-            _field(spec, "sets"), _field(spec, "universe"), spec.get("weights"), ledger
+            _list_field(spec, "sets"), _field(spec, "universe"),
+            _list_field(spec, "weights", optional=True), ledger,
         )
     if kind == "cut":
-        return DirectedCutOracle(_field(spec, "n"), _field(spec, "arcs"), ledger)
+        return DirectedCutOracle(_field(spec, "n"), _list_field(spec, "arcs"), ledger)
     if kind == "facility":
         return FacilityLocationOracle(_field(spec, "values"), ledger)
     if kind == "modular":
-        return ModularOracle(_field(spec, "weights"), ledger)
+        return ModularOracle(_list_field(spec, "weights"), ledger)
     if kind == "table":
         entries = {}
-        for i, entry in enumerate(_field(spec, "entries")):
+        for i, entry in enumerate(_list_field(spec, "entries")):
             try:
                 members, value = entry
                 key = frozenset(members)
@@ -137,11 +146,13 @@ def matroid_from_dict(
             raise InvalidInputError("uniform matroid needs n (or an instance to infer it)")
         return UniformMatroid(n, _field(spec, "k"), ledger)
     if kind == "partition":
-        return PartitionMatroid(_field(spec, "blocks"), _field(spec, "capacities"), ledger)
+        return PartitionMatroid(
+            _list_field(spec, "blocks"), _list_field(spec, "capacities"), ledger
+        )
     if kind == "graphic":
-        return GraphicMatroid(_field(spec, "vertices"), _field(spec, "edges"), ledger)
+        return GraphicMatroid(_field(spec, "vertices"), _list_field(spec, "edges"), ledger)
     if kind == "explicit":
-        return ExplicitMatroid(_field(spec, "n"), _field(spec, "independent"), ledger)
+        return ExplicitMatroid(_field(spec, "n"), _list_field(spec, "independent"), ledger)
     raise InvalidInputError(f"unknown matroid kind {kind!r}")
 
 
@@ -176,12 +187,7 @@ def generate_instance(
         universe = checked_int(universe, "universe", least=1)
     if clients is not None:
         clients = checked_int(clients, "clients", least=1)
-    try:
-        density_ok = 0.0 <= density <= 1.0  # False for NaN
-    except TypeError:
-        density_ok = False
-    if not density_ok:
-        raise InvalidInputError(f"density must be a number in [0, 1], got {density!r}")
+    density = checked_real(density, "density", 0.0, 1.0)
     try:
         lo, hi = map(operator.index, weight_range)
         range_ok = 0 <= lo <= hi
@@ -236,6 +242,8 @@ def generate_matroid(
         raise InvalidInputError(f"k={k} exceeds the ground set size n={n}")
     if kind == "partition":
         h = blocks if blocks is not None else max(1, min(k, n // 4))
+        # the integer rule reads the type; the range test below names the bounds
+        h = checked_int(h, "blocks", least=-math.inf)
         if not 1 <= h <= n:
             raise InvalidInputError(f"blocks must be between 1 and n={n}, got {h}")
         ids = list(rng.permutation(n))
@@ -256,6 +264,9 @@ def generate_matroid(
             j = (j + 1) % h
         return {"kind": "partition", "blocks": pieces, "capacities": caps}
     if kind == "graphic":
+        if k == 0:
+            # one vertex, so every drawn edge would be a self-loop the draw skips
+            return {"kind": "graphic", "vertices": 1, "edges": [[0, 0] for _ in range(n)]}
         v = k + 1  # spanning-tree rank is v - 1 = k
         edges = [[int(a), int(a + 1)] for a in range(v - 1)]
         while len(edges) < n:
@@ -476,7 +487,7 @@ def _check_config(config: RunConfig) -> Algorithm:
         checked_int(config.k, "k", least=1)
     checked_int(config.trials, "trials", least=1)
     checked_int(config.seed, "seed")
-    check_sample_scale(config.sample_scale)
+    checked_real(config.sample_scale, "sample_scale", 0.0, open_low=True)
     return algorithm
 
 

@@ -8,6 +8,8 @@ ever increase; ``reset`` replaces the ledger for a new run instead.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -26,6 +28,33 @@ def checked_int(value, field: str, least: int = 0) -> int:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise InvalidInputError(f"{field} must be {bound}")
     return value
+
+
+def checked_real(
+    value, field: str, low: float = -math.inf, high: float = math.inf,
+    *, open_low: bool = False, open_high: bool = False,
+) -> float:
+    """``value`` as a float between ``low`` and ``high``, else InvalidInputError naming ``field``.
+
+    Both ends are closed unless opened. A bool, a string, None, NaN and an
+    infinite value are refused whatever the bounds.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        rule = "a real number"
+    elif not math.isinf(value) and (low < value if open_low else low <= value) and (
+        value < high if open_high else value <= high
+    ):
+        return float(value)
+    # NaN fails both bound tests above, so it is named by the bounds, if any
+    elif math.isinf(value) or -low == high == math.inf:
+        rule = "finite"
+    elif high < math.inf:
+        rule = f"in {'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+    elif low == 0.0:
+        rule = "positive" if open_low else "non-negative"
+    else:
+        rule = f"{'above' if open_low else 'at least'} {low:g}"
+    raise InvalidInputError(f"{field} must be {rule}, got {value!r}")
 
 
 @dataclass

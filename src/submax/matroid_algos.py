@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .ledger import checked_int
+from .ledger import checked_int, checked_real
 from .matroids import (
     ContractedMatroid,
     Matroid,
@@ -29,7 +29,7 @@ from .matroids import (
     matroid_rank,
     threshold_sweep,
 )
-from .multilinear import check_sample_scale, continuous_greedy, swap_round
+from .multilinear import continuous_greedy, swap_round
 from .oracles import ResidualOracle, ValueOracle
 
 
@@ -64,8 +64,7 @@ def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
 
 
 def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[set[int], float]:
-    if not 0.0 < eps < 1.0:
-        raise InvalidInputError("eps must be in (0, 1)")
+    eps = checked_real(eps, "eps", 0.0, 1.0, open_low=True, open_high=True)
     check_same_ground(f, M)
     ground = list(M.ground())
     current = f.evaluate([])
@@ -198,10 +197,8 @@ def random_lazy_greedy(
     matroid that reports its blocks; any other is refused before the first
     query.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidInputError("delta must be in (0, 1)")
-    if not B >= 0.0:  # False for NaN
-        raise InvalidInputError("B must be non-negative")
+    delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
+    B = checked_real(B, "B", 0.0)
     I = checked_int(I, "iteration bound")
     if use_partition and M.partition_structure() is None:
         raise InvalidInputError("partition fast path needs a partition matroid")
@@ -295,15 +292,13 @@ def combined_algorithm(
     """
     if not f.monotone:
         raise InvalidInputError("combined algorithm requires a monotone objective")
-    if not 0.0 < eps < 1.0 - 1.0 / math.e:
-        raise InvalidInputError("eps must be in (0, 1 - 1/e)")
-    check_sample_scale(sample_scale)
+    eps = checked_real(eps, "eps", 0.0, 1.0 - 1.0 / math.e, open_low=True, open_high=True)
+    sample_scale = checked_real(sample_scale, "sample_scale", 0.0, open_low=True)
     check_same_ground(f, M)
     k = matroid_rank(M)
     if k == 0:
         return CombinedResult(frozenset(), False, 0, frozenset(), None)
-    if not 1.0 <= lam <= k:
-        raise InvalidInputError("lambda must lie in [1, rank]")
+    lam = checked_real(lam, "lam", 1.0, k)
     if k == 1:
         independent = independence_test(M)
         best_u, best_v = None, -math.inf
@@ -316,7 +311,7 @@ def combined_algorithm(
         return CombinedResult(sol, False, 0, frozenset(), None)
 
     params = combined_parameters(k, eps, lam)
-    B = params.B if B_override is None else float(B_override)
+    B = params.B if B_override is None else checked_real(B_override, "B", 0.0)
     outcome = random_lazy_greedy(
         f, M, params.delta, B, params.I, rng, use_partition=use_partition
     )
@@ -358,12 +353,10 @@ def combined_algorithm(
 
 def choose_lambda(n: int, k: int, eps: float) -> float:
     """The closing choice of lambda: k below the threshold, the threshold above."""
-    if n < 3:
+    if checked_int(n, "n") < 3:
         raise InvalidInputError("for constant-size ground sets solve exactly instead")
-    if not 0.0 < eps < 1.0:
-        raise InvalidInputError("eps must be in (0, 1)")
-    if k < 1:
-        raise InvalidInputError("rank must be positive")
+    eps = checked_real(eps, "eps", 0.0, 1.0, open_low=True, open_high=True)
+    k = checked_int(k, "k", least=1)
     threshold = math.sqrt(n * eps ** -5) * math.log(n / eps)
     lam = float(k) if k <= threshold else threshold
     return min(max(1.0, lam), float(k))

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .ledger import checked_int
+from .ledger import checked_int, checked_real
 from .matroids import (
     Matroid, check_same_ground, independence_test, matroid_rank, threshold_sweep,
 )
@@ -187,18 +187,6 @@ def estimator_sample_count(c: float, n: int, delta: float, sample_scale: float =
     return max(1, math.ceil(sample_scale * c * math.log(n_eff) / delta ** 2))
 
 
-def check_sample_scale(sample_scale: float) -> None:
-    """Refuse a ``sample_scale`` that is not a finite positive number."""
-    try:
-        ok = math.isfinite(sample_scale) and sample_scale > 0.0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InvalidInputError(
-            f"sample_scale must be a finite positive number, got {sample_scale!r}"
-        )
-
-
 def _ground_ids(ground: Iterable, n: int) -> list[int]:
     """The ids of ``ground``, sorted, once they are distinct ids of [0, n)."""
     ids = []
@@ -242,11 +230,9 @@ def continuous_greedy(
     interactive budgets on all but tiny instances. ``ground`` (default: all
     of M's ids) must hold distinct ids of f's ground set.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidInputError("delta must be in (0, 1)")
-    if not (math.isfinite(c) and c >= 1.0):
-        raise InvalidInputError(f"c must be a finite scale constant of at least 1, got {c!r}")
-    check_sample_scale(sample_scale)
+    delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
+    c = checked_real(c, "c", 1.0)
+    sample_scale = checked_real(sample_scale, "sample_scale", 0.0, open_low=True)
     if not f.monotone:
         raise InvalidInputError("continuous greedy requires a monotone objective")
     check_same_ground(f, M)

@@ -31,9 +31,10 @@ from submax.harness import (
     records_to_csv_bytes,
     save_json,
 )
+from submax.ledger import checked_real
 from submax.matroids import matroid_rank
 
-from .conftest import COVERAGE4_SETS, coverage4
+from .conftest import COVERAGE4_SETS, coverage4, coverage12, partition12
 
 
 COV4_SPEC = {"kind": "coverage", "sets": COVERAGE4_SETS, "universe": 4}
@@ -132,6 +133,11 @@ class TestGeneration:
         with pytest.raises(InvalidInputError, match=f"blocks must be between 1 and n=4, got {blocks}"):
             generate_matroid("partition", 4, 2, seed=0, blocks=blocks)
 
+    @pytest.mark.parametrize("blocks", [1.5, "2", [2]])
+    def test_non_integer_block_count_named(self, blocks):
+        with pytest.raises(InvalidInputError, match=r"^blocks must be an integer, got "):
+            generate_matroid("partition", 4, 2, seed=0, blocks=blocks)
+
     @pytest.mark.parametrize("kind", ["partition", "graphic"])
     def test_rank_above_n_rejected(self, kind):
         with pytest.raises(InvalidInputError, match="k=9 exceeds the ground set size n=4"):
@@ -141,6 +147,13 @@ class TestGeneration:
         spec = generate_matroid("partition", 8, 0, seed=0)
         assert spec["capacities"] == [0] and spec["blocks"] == [list(range(8))]
         assert matroid_rank(matroid_from_dict(spec)) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_rank_zero_graphic_has_one_vertex_and_self_loops(self, n):
+        spec = generate_matroid("graphic", n, 0, seed=0)
+        assert spec == {"kind": "graphic", "vertices": 1, "edges": [[0, 0]] * n}
+        M = matroid_from_dict(spec)
+        assert M.n == n and matroid_rank(M) == 0
 
     # SHA-256 of the file save_json writes, as written by the streaming
     # json.dump form it replaced
@@ -268,6 +281,113 @@ class TestSizeValidation:
             matroid_from_dict(spec)
 
 
+# Each entry point with valid arguments for the real parameters it takes.
+# Its call gets a coverage oracle and a partition matroid over 12 ids that
+# share one ledger (the partition rank is read from its blocks, for free).
+_REAL_PARAMETER_CALLS = {
+    "thresholding_greedy": (
+        lambda f, M, rng, a: matroid_algos.thresholding_greedy(f, M, **a), {"eps": 0.25},
+    ),
+    "random_lazy_greedy": (
+        lambda f, M, rng, a: matroid_algos.random_lazy_greedy(f, M, I=1, rng=rng, **a),
+        {"delta": 0.5, "B": 1.0},
+    ),
+    "combined_algorithm": (
+        lambda f, M, rng, a: matroid_algos.combined_algorithm(f, M, rng=rng, **a),
+        {"eps": 0.25, "lam": 2.0, "sample_scale": 1e-3, "B_override": 1.0},
+    ),
+    "choose_lambda": (lambda f, M, rng, a: matroid_algos.choose_lambda(400, 60, **a), {"eps": 0.25}),
+    "continuous_greedy": (
+        lambda f, M, rng, a: multilinear.continuous_greedy(f, M, rng=rng, **a),
+        {"c": 2.0, "delta": 0.25, "sample_scale": 1e-3},
+    ),
+    "random_sampling": (
+        lambda f, M, rng, a: cardinality.random_sampling(f, 3, rng=rng, **a), {"p": 0.5, "s": 2.0},
+    ),
+    "random_sampling_monotone": (
+        lambda f, M, rng, a: cardinality.random_sampling_monotone(f, 3, rng=rng, **a),
+        {"eps": 0.25},
+    ),
+    "random_sampling_nonmonotone": (
+        lambda f, M, rng, a: cardinality.random_sampling_nonmonotone(f, 3, rng=rng, **a),
+        {"eps": 0.25},
+    ),
+    "lazy_greedy_simple": (
+        lambda f, M, rng, a: cardinality.lazy_greedy_simple(f, 3, rng=rng, **a), {"delta": 0.25},
+    ),
+    "lazy_greedy_improved": (
+        lambda f, M, rng, a: cardinality.lazy_greedy_improved(f, 3, rng=rng, **a), {"delta": 0.25},
+    ),
+    "generate_instance": (
+        lambda f, M, rng, a: generate_instance("coverage", 5, 0, **a), {"density": 0.1},
+    ),
+}
+
+
+class TestRealParameters:
+    """Every real parameter goes through ``checked_real``: one rule, one message shape."""
+
+    @pytest.mark.parametrize(
+        "entry, name, bad",
+        [
+            (entry, name, bad)
+            for entry, (_, valid) in _REAL_PARAMETER_CALLS.items()
+            for name in valid
+            for bad in ["0.25", None, True, float("nan"), float("inf")]
+            # None is B_override's default, the prescribed B
+            if (name, bad) != ("B_override", None)
+        ],
+    )
+    def test_bad_value_named_before_any_query_or_draw(self, entry, name, bad):
+        call, valid = _REAL_PARAMETER_CALLS[entry]
+        f = coverage12()
+        M = partition12(f.ledger)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        field = "B" if name == "B_override" else name
+        with pytest.raises(InvalidInputError, match=rf"^{field} must be "):
+            call(f, M, rng, {**valid, name: bad})
+        assert f.ledger.snapshot() == (0, 0)
+        assert rng.bit_generator.state == state
+
+    def test_b_of_infinity_refused(self, rng):
+        with pytest.raises(InvalidInputError, match=r"^B must be finite, got inf$"):
+            matroid_algos.random_lazy_greedy(coverage12(), partition12(), 0.5, np.inf, 1, rng)
+
+    @pytest.mark.parametrize(
+        "value, bounds, message",
+        [
+            ("0.5", {}, "must be a real number, got '0.5'"),
+            (None, {}, "must be a real number, got None"),
+            (False, {}, "must be a real number, got False"),
+            (1j, {}, "must be a real number, got 1j"),
+            (float("-inf"), {}, "must be finite, got -inf"),
+            (float("nan"), {}, "must be finite, got nan"),
+            (float("nan"), {"low": 0.0, "open_low": True}, "must be positive, got nan"),
+            (float("inf"), {"low": 0.0}, "must be finite, got inf"),
+            (0.0, {"low": 0.0, "open_low": True}, "must be positive, got 0.0"),
+            (-1, {"low": 0.0}, "must be non-negative, got -1"),
+            (0.5, {"low": 1.0}, "must be at least 1, got 0.5"),
+            (2, {"low": 2.0, "open_low": True}, "must be above 2, got 2"),
+            (1.0, {"low": 0.0, "high": 1.0, "open_low": True, "open_high": True},
+             "must be in (0, 1), got 1.0"),
+            (6, {"low": 1.0, "high": 5}, "must be in [1, 5], got 6"),
+        ],
+    )
+    def test_refusal_names_the_field_and_the_rule(self, value, bounds, message):
+        with pytest.raises(InvalidInputError, match=f"^x {re.escape(message)}$"):
+            checked_real(value, "x", **bounds)
+
+    @pytest.mark.parametrize(
+        "value, bounds",
+        [(2, {}), (np.float64(0.5), {"low": 0.0, "high": 1.0}), (1, {"low": 1.0, "high": 1.0}),
+         (0.0, {"low": 0.0})],
+    )
+    def test_accepted_value_returned_as_a_float(self, value, bounds):
+        out = checked_real(value, "x", **bounds)
+        assert out.__class__ is float and out == value
+
+
 class TestInstanceSpecValidation:
     def test_cut_arc_without_weight_rejected(self):
         spec = {"kind": "cut", "n": 3, "arcs": [[0, 2, 1.0], [0, 1]]}
@@ -328,6 +448,34 @@ class TestInstanceSpecValidation:
         spec = {"kind": "table", "n": 1, "entries": [[[0], 1], [[0, 0], 1], [[], "a"]]}
         with pytest.raises(InvalidInputError, match=r"entries\[1\] repeats .*entries\[0\]"):
             oracle_from_dict(spec)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"kind": "coverage", "sets": 5, "universe": 2}, "sets"),
+            ({"kind": "coverage", "sets": [[0]], "universe": 2, "weights": 5}, "weights"),
+            ({"kind": "coverage", "sets": "ab", "universe": 2}, "sets"),
+            ({"kind": "cut", "n": 2, "arcs": 5}, "arcs"),
+            ({"kind": "modular", "weights": 5}, "weights"),
+            ({"kind": "modular", "weights": None}, "weights"),
+            ({"kind": "table", "n": 1, "entries": 5}, "entries"),
+            ({"kind": "partition", "blocks": 5, "capacities": [1]}, "blocks"),
+            ({"kind": "partition", "blocks": [[0]], "capacities": 5}, "capacities"),
+            ({"kind": "graphic", "vertices": 2, "edges": 5}, "edges"),
+            ({"kind": "explicit", "n": 2, "independent": 5}, "independent"),
+        ],
+    )
+    def test_scalar_where_a_list_belongs_named(self, spec, key):
+        matroid = spec["kind"] in ("partition", "graphic", "explicit")
+        load = matroid_from_dict if matroid else oracle_from_dict
+        with pytest.raises(
+            InvalidInputError, match=rf"^{spec['kind']} spec key '{key}' must be a list, got "
+        ):
+            load(spec)
+
+    def test_null_coverage_weights_mean_unit_weights(self):
+        spec = {**COV4_SPEC, "weights": None}
+        assert oracle_from_dict(spec).evaluate([0, 1]) == oracle_from_dict(COV4_SPEC).evaluate([0, 1])
 
     def test_fractional_explicit_id_rejected(self):
         spec = {"kind": "explicit", "n": 2, "independent": [[], [0.5]]}
@@ -1093,6 +1241,25 @@ class TestCli:
             "--out", str(tmp_path / "r.csv"),
         ]) == 2
         self._one_line_error(capsys, "B must be non-negative")
+
+    def test_scalar_spec_field_is_one_line_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        save_json({"kind": "coverage", "sets": 5, "universe": 3}, inst)
+        assert cli_main([
+            "run", "--algo", "standard_greedy", "--instance", str(inst), "--k", "1",
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        self._one_line_error(capsys, "coverage spec key 'sets' must be a list")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_rank_zero_graphic_gen_writes_both_specs(self, tmp_path):
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        assert cli_main([
+            "gen", "--family", "coverage", "--n", "5", "--out", str(inst),
+            "--matroid-kind", "graphic", "--k", "0", "--matroid-out", str(mat),
+        ]) == 0
+        assert json.loads(mat.read_text())["edges"] == [[0, 0]] * 5
+        assert matroid_rank(matroid_from_dict(json.loads(mat.read_text()))) == 0
 
     def test_non_numeric_lambda_is_one_line_error(self, tmp_path, capsys):
         inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"

@@ -1,4 +1,4 @@
-"""What ``pyproject.toml`` must declare for the test suite to run."""
+"""What ``pyproject.toml`` must declare for the package and its test suite to run."""
 
 from __future__ import annotations
 
@@ -28,18 +28,31 @@ def _imported_top_level_modules(directory: Path) -> set[str]:
     return modules
 
 
-def test_every_third_party_module_the_tests_import_is_declared():
+def _project() -> dict:
     tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
+def _undeclared(directory: Path, requirements: list[str]) -> list[str]:
+    """The third-party modules imported under ``directory`` that no requirement provides."""
     declared = {_normalized(re.match(r"[A-Za-z0-9._-]+", req).group()) for req in requirements}
     providers = packages_distributions()
     third_party = sorted(
-        _imported_top_level_modules(ROOT / "tests") - set(sys.stdlib_module_names) - {"submax"}
+        _imported_top_level_modules(directory) - set(sys.stdlib_module_names) - {"submax"}
     )
     assert third_party
-    undeclared = [
+    return [
         module for module in third_party
         if not any(_normalized(dist) in declared for dist in providers.get(module, [module]))
     ]
-    assert undeclared == []
+
+
+def test_every_third_party_module_the_tests_import_is_declared():
+    project = _project()
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    assert _undeclared(ROOT / "tests", requirements) == []
+
+
+def test_every_third_party_module_the_package_imports_is_a_dependency():
+    # the test extra does not count: `pip install submax` would lack it
+    assert _undeclared(ROOT / "src" / "submax", _project()["dependencies"]) == []
