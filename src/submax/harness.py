@@ -429,7 +429,9 @@ def _random_lazy_greedy(c: RunConfig, f, M, rng):
 
 
 def _continuous_greedy(c: RunConfig, f, M, rng):
-    point = continuous_greedy(f, M, c=2.0, delta=c.epsilon, rng=rng, sample_scale=c.sample_scale)
+    # checked here, so an error names the field the config sets, not delta
+    epsilon = checked_real(c.epsilon, "epsilon", 0.0, 1.0, open_low=True, open_high=True)
+    point = continuous_greedy(f, M, c=2.0, delta=epsilon, rng=rng, sample_scale=c.sample_scale)
     return swap_round(M, point, rng), False
 
 

@@ -81,7 +81,7 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
             return True
         return False
 
-    taken = threshold_sweep(M, ground, rank, w_max, eps * w_max / rank, 1.0 - eps, clears)
+    taken = threshold_sweep(M, ground, rank, w_max, eps * w_max / rank, 1.0 - eps, clears, {})
     return set(taken), current
 
 
@@ -254,6 +254,14 @@ class CombinedParams:
 
 
 def combined_parameters(k: int, eps: float, lam: float) -> CombinedParams:
+    """The prescribed parameters of :func:`combined_algorithm` for rank ``k``.
+
+    Raises :class:`InvalidInputError` naming the field unless k is a positive
+    integer, eps is in (0, 1 - 1/e) and lam >= 1.
+    """
+    k = checked_int(k, "k", least=1)
+    eps = checked_real(eps, "eps", 0.0, 1.0 - 1.0 / math.e, open_low=True, open_high=True)
+    lam = checked_real(lam, "lam", 1.0)
     return CombinedParams(
         delta=0.5,
         B=20.0 * k / (lam * eps),

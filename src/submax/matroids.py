@@ -391,6 +391,7 @@ def threshold_sweep(
     floor: float,
     shrink: float,
     clears: Callable[[list[int], int, float], bool],
+    singles: dict[int, bool],
 ) -> list[int]:
     """Decreasing-threshold greedy scan; returns the ids taken, in order.
 
@@ -401,7 +402,10 @@ def threshold_sweep(
     ``taken`` grows, an independent answer holds until ``taken`` grows, and
     once ``taken`` reaches ``rank`` every answer is dependent and the scan
     stops. The questions go through :func:`independence_test`, so a handle
-    that reports its blocks is asked none.
+    that reports its blocks is asked none. ``singles`` is the caller's table
+    of answers about ``[u]``: a question with ``taken`` empty is looked up
+    there first and its answer stored there, so a caller that sweeps one
+    matroid several times asks each of them once.
     """
     independent = independence_test(M)
     taken: list[int] = []
@@ -414,9 +418,14 @@ def threshold_sweep(
             if u in blocked:
                 continue
             if free_at.get(u) != len(taken):
-                taken.append(u)
-                free = independent(taken)
-                taken.pop()
+                if taken:
+                    taken.append(u)
+                    free = independent(taken)
+                    taken.pop()
+                else:
+                    free = singles.get(u)
+                    if free is None:
+                        free = singles[u] = independent([u])
                 if not free:
                     blocked.add(u)
                     continue

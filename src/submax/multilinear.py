@@ -160,13 +160,20 @@ class _SampleRows:
         self.size, self.next = size, 0
 
 
-def _estimate(f: ValueOracle, rows: _SampleRows, u: int, m: int) -> float:
+def _estimate(
+    f: ValueOracle, rows: _SampleRows, u: int, m: int, known: Optional[dict] = None
+) -> float:
     """The paired-sample loop of :func:`estimate_marginal_F`, without its checks.
 
     Takes the estimate's m rows before its first query and drops u from
     each. Each pair asks f(R + u) first, then f(R). The second query is the
     first one's members-but-last, so a prefix-cached oracle answers it from
-    the cache the first one left.
+    the cache the first one left. ``known`` is a run's table of the values
+    of sets of at most one id, keyed by their id tuples: with it, such a
+    set is asked only on its first use, in the pair's order, and later
+    taken from the table. A row ``[v]`` still asks f({v, u}); an empty row
+    asks nothing once f({u}) and f(∅) are known. Without it, every pair
+    costs two queries.
     """
     total = 0.0
     evaluate = f.evaluate
@@ -174,16 +181,36 @@ def _estimate(f: ValueOracle, rows: _SampleRows, u: int, m: int) -> float:
         i = bisect_left(ids, u)
         if i < len(ids) and ids[i] == u:
             del ids[i]
-        ids.append(u)
-        with_u = evaluate(ids)
-        ids.pop()
-        total += with_u - evaluate(ids)
+        small = known is not None and len(ids) < 2
+        if small and not ids:
+            with_u = _known_value(known, evaluate, [u])
+        else:
+            ids.append(u)
+            with_u = evaluate(ids)
+            ids.pop()
+        total += with_u - (_known_value(known, evaluate, ids) if small else evaluate(ids))
     return total / m
 
 
+def _known_value(known: dict, evaluate: Callable[[list[int]], float], ids: list[int]) -> float:
+    """f(ids) from the table ``known``, asked and stored on its first use."""
+    key = tuple(ids)
+    value = known.get(key)
+    if value is None:
+        value = known[key] = evaluate(ids)
+    return value
+
+
 def estimator_sample_count(c: float, n: int, delta: float, sample_scale: float = 1.0) -> int:
-    """m = ceil(scale * c * ln(n) / delta^2), floored at one sample."""
-    n_eff = max(n, 2)
+    """m = ceil(scale * c * ln(n) / delta^2), floored at one sample.
+
+    Raises :class:`InvalidInputError` naming the field unless c >= 1, n is a
+    non-negative integer, delta is in (0, 1) and sample_scale is positive.
+    """
+    c = checked_real(c, "c", 1.0)
+    n_eff = max(checked_int(n, "n"), 2)
+    delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
+    sample_scale = checked_real(sample_scale, "sample_scale", 0.0, open_low=True)
     return max(1, math.ceil(sample_scale * c * math.log(n_eff) / delta ** 2))
 
 
@@ -221,14 +248,18 @@ def continuous_greedy(
     :func:`~submax.matroids.threshold_sweep`, which asks an independence
     question only while its answer is unknown and stops once the step's set
     reaches the matroid rank; neither shortcut changes an output or an
-    estimator draw. The estimates of one step draw their sample rows in
-    blocks (see ``BLOCK_DOUBLES``); at the step's end the generator is
-    rewound to just past the rows used, so ``rng`` advances exactly as with
-    one draw per estimate over the support of x (see
-    :func:`estimate_marginal_F`). ``sample_scale`` rescales the per-estimate sample
-    budget; 1.0 is the analysis-faithful count, which is far beyond
-    interactive budgets on all but tiny instances. ``ground`` (default: all
-    of M's ids) must hold distinct ids of f's ground set.
+    estimator draw. The run keeps two tables, which live across its steps
+    and no longer: the values of f on sets of at most one id, which its
+    estimates ask only on first use (see ``_estimate``), and the sweep's
+    answers about one-id sets. Both change only the query bill, never an
+    estimate, an output or a draw. The estimates of one step draw their
+    sample rows in blocks (see ``BLOCK_DOUBLES``); at the step's end the
+    generator is rewound to just past the rows used, so ``rng`` advances
+    exactly as with one draw per estimate over the support of x (see
+    :func:`estimate_marginal_F`). ``sample_scale`` rescales the
+    per-estimate sample budget; 1.0 is the analysis-faithful count, which is
+    far beyond interactive budgets on all but tiny instances. ``ground``
+    (default: all of M's ids) must hold distinct ids of f's ground set.
     """
     delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
     c = checked_real(c, "c", 1.0)
@@ -245,15 +276,20 @@ def continuous_greedy(
 
     x = np.zeros(f.n)
     point = FractionalPoint(n=f.n)
+    # f and M are fixed for the run, so these answers hold across its steps
+    values: dict[tuple[int, ...], float] = {}
+    singles: dict[int, bool] = {}
     for t in range(steps):
         step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
         # x is fixed within a step, and only its estimates draw from rng
         with _SampleRows(x, rng) as rows:
-            d_max = max((max(0.0, _estimate(f, rows, u, m)) for u in ground_ids), default=0.0)
+            d_max = max(
+                (max(0.0, _estimate(f, rows, u, m, values)) for u in ground_ids), default=0.0
+            )
             # every threshold is positive, so a raw estimate clears it iff its clamp does
             base = threshold_sweep(
                 M, ground_ids, rank, d_max, delta * d_max / n_eff, 1.0 - delta,
-                lambda taken, u, w: _estimate(f, rows, u, m) >= w,
+                lambda taken, u, w: _estimate(f, rows, u, m, values) >= w, singles,
             )
         point.weights.append(step_weight)
         point.bases.append(frozenset(base))

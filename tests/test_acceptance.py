@@ -15,8 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,9 +242,25 @@ COV1000 = generate_instance("coverage", 1000, seed=42, universe=60, density=0.83
 UNI1000 = {"kind": "uniform", "n": 1000, "k": 1000}
 
 
+def _readme_cov1000_bills():
+    """The README's COV1000 table as {lambda: (value queries, independence queries)}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.search(
+        r"^\| lambda \| value queries \| independence queries \|\n\|[- |]+\|\n((?:\|.*\n)+)",
+        readme, re.M,
+    ).group(1)
+    bills = {}
+    for line in table.splitlines():
+        lam, value, indep = (cell.strip().replace(",", "") for cell in line.strip("|").split("|"))
+        bills[float(lam)] = (int(value), int(indep))
+    return bills
+
+
 @pytest.mark.slow
 def test_criterion_4_both_sides_on_a_redundant_instance():
+    """Both directions on the medians, and the README's table is trial seed 1's bills."""
     medians = {}
+    seed_1 = {}
     for lam in (150.0, 300.0, 600.0, 1000.0):
         config = RunConfig(
             algo="combined",
@@ -260,6 +278,7 @@ def test_criterion_4_both_sides_on_a_redundant_instance():
             statistics.median(r.value_queries for r in records),
             statistics.median(r.independence_queries for r in records),
         )
+        seed_1[lam] = (records[0].value_queries, records[0].independence_queries)
     value = [v for v, _ in medians.values()]
     indep = [i for _, i in medians.values()]
     ok = (
@@ -272,6 +291,7 @@ def test_criterion_4_both_sides_on_a_redundant_instance():
         "median value / independence queries "
         + ", ".join(f"lambda={l:g}: {v:.0f} / {i:.0f}" for l, (v, i) in medians.items()),
     )
+    assert _readme_cov1000_bills() == seed_1
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,13 @@ _REAL_PARAMETER_CALLS = {
     "generate_instance": (
         lambda f, M, rng, a: generate_instance("coverage", 5, 0, **a), {"density": 0.1},
     ),
+    "estimator_sample_count": (
+        lambda f, M, rng, a: multilinear.estimator_sample_count(n=10, **a),
+        {"c": 2.0, "delta": 0.5, "sample_scale": 1.0},
+    ),
+    "combined_parameters": (
+        lambda f, M, rng, a: matroid_algos.combined_parameters(10, **a), {"eps": 0.25, "lam": 2.0},
+    ),
 }
 
 
@@ -349,6 +356,27 @@ class TestRealParameters:
             call(f, M, rng, {**valid, name: bad})
         assert f.ledger.snapshot() == (0, 0)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: multilinear.estimator_sample_count("2", 10, 0.5), "c must be a real number"),
+            (lambda: multilinear.estimator_sample_count(0.5, 10, 0.5), "c must be at least 1"),
+            (lambda: multilinear.estimator_sample_count(2, 10, float("nan")), "delta must be in (0, 1)"),
+            (lambda: multilinear.estimator_sample_count(2, 10, 1.0), "delta must be in (0, 1)"),
+            (lambda: multilinear.estimator_sample_count(2, 10.5, 0.5), "n must be an integer"),
+            (lambda: multilinear.estimator_sample_count(2, 10, 0.5, 0.0), "sample_scale must be positive"),
+            (lambda: matroid_algos.combined_parameters(10, 0.25, float("nan")), "lam must be at least 1"),
+            (lambda: matroid_algos.combined_parameters(10, 0.25, 0.5), "lam must be at least 1"),
+            (lambda: matroid_algos.combined_parameters(10, "0.25", 2), "eps must be a real number"),
+            (lambda: matroid_algos.combined_parameters(10, 0.7, 2), "eps must be in (0, 0.632121)"),
+            (lambda: matroid_algos.combined_parameters(0, 0.25, 2), "k must be at least 1"),
+            (lambda: matroid_algos.combined_parameters(10.0, 0.25, 2), "k must be an integer"),
+        ],
+    )
+    def test_parameter_helpers_check_their_bounds(self, call, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            call()
 
     def test_b_of_infinity_refused(self, rng):
         with pytest.raises(InvalidInputError, match=r"^B must be finite, got inf$"):
@@ -518,40 +546,40 @@ GOLDEN_CSV = {
     "combined-partition": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
         "bf7e702ac79c3cc8ab87970940fd667eb4bef160de803c847f45db2b342048ab",
-        [(20192, 1595), (20102, 1537)],
+        [(15037, 1316), (15104, 1260)],
     ),
     "combined-partition-contracted": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
         "f1da8d55b406328ed5df8cb48db6ef9c0112b597a5701221e9c48b236b85a4b4",
-        [(5171, 1277), (4890, 1384)],
+        [(3678, 1077), (3640, 1128)],
     ),
     "combined-graphic": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
         "bf7e702ac79c3cc8ab87970940fd667eb4bef160de803c847f45db2b342048ab",
-        [(28557, 1774), (26355, 1713)],
+        [(22219, 1486), (20217, 1461)],
     ),
     "combined-graphic-contracted": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=6.0, B=0.25, trials=2,
                 sample_scale=1e-6),
         "8cc78e5e8621641737bf520c7085388cc6c4ab71fec4499889d4601dc306c1ff",
-        [(8717, 1557), (7633, 1435)],
+        [(6203, 1303), (5229, 1189)],
     ),
     "combined_partition-residual": (
         _golden("combined_partition", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
         "a19ec07d8d6efa95544e586f70d798eeb8934b908989b3bd3b1bab6f9d900ab2",
-        [(5171, 0), (4890, 0)],
+        [(3678, 0), (3640, 0)],
     ),
     "continuous_greedy-partition": (
         _golden("continuous_greedy", _GOLDEN_PART, epsilon=0.25, sample_scale=0.05),
         "1046055b238154b00f776032c347f59a14f233ad52b825ca87998fc0802169ba",
-        [(4272, 0)],
+        [(2696, 0)],
     ),
     "continuous_greedy-graphic": (
         _golden("continuous_greedy", _GOLDEN_GRAPHIC, epsilon=0.25, sample_scale=0.05),
         "2d4986a4d153b12774431acdf384c77f2f13d9786e319c4f33c21dc784c83ad5",
-        [(4680, 330)],
+        [(3075, 285)],
     ),
     "thresholding_greedy": (
         _golden("thresholding_greedy", _GOLDEN_GRAPHIC, epsilon=0.25),
@@ -1271,6 +1299,19 @@ class TestCli:
                 "--epsilon", "0.25", "--lambdas", lambdas, "--out", str(tmp_path / "s.csv"),
             ]) == 2
             self._one_line_error(capsys, "--lambdas")
+
+    @pytest.mark.parametrize("epsilon", ["1.5", "0", "nan"])
+    def test_continuous_greedy_names_its_epsilon(self, tmp_path, capsys, epsilon):
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        save_json(COV4_SPEC, inst)
+        save_json({"kind": "uniform", "n": 4, "k": 2}, mat)
+        assert cli_main([
+            "run", "--algo", "continuous_greedy", "--instance", str(inst), "--matroid", str(mat),
+            "--epsilon", epsilon, "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("submax: error: epsilon must be in (0, 1), got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
     def test_bad_sample_scale_is_one_line_error(self, tmp_path, capsys, scale):

@@ -285,8 +285,12 @@ class TestContinuousGreedyInputContract:
         assert runs[0] == runs[1]
 
 
-def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale):
-    """The sweep without known answers: one query per non-member per level."""
+def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale, table=True):
+    """The sweep without known answers: one query per non-member per level.
+
+    Its estimates share one value table per run, as continuous greedy's do;
+    with ``table`` False every pair is asked, as ``estimate_marginal_F`` asks.
+    """
     ground_ids = list(M.ground())
     n_eff = max(len(ground_ids), 2)
     m = estimator_sample_count(c, n_eff, delta, sample_scale)
@@ -294,10 +298,11 @@ def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale):
     rank = matroid_rank(M)
     x = np.zeros(f.n)
     point = FractionalPoint(n=f.n)
+    known = {} if table else None
     for t in range(steps):
         step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
         base: set[int] = set()
-        estimates = {u: max(0.0, reference_estimate(f, x, u, m, rng)) for u in ground_ids}
+        estimates = {u: max(0.0, reference_estimate(f, x, u, m, rng, known)) for u in ground_ids}
         d_max = max(estimates.values(), default=0.0)
         if d_max > 0.0 and rank > 0:
             floor = delta * d_max / n_eff
@@ -314,7 +319,7 @@ def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale):
                         members.pop()
                         continue
                     members.pop()
-                    if max(0.0, reference_estimate(f, x, u, m, rng)) >= w:
+                    if max(0.0, reference_estimate(f, x, u, m, rng, known)) >= w:
                         base.add(u)
                         members.append(u)
                 w *= 1.0 - delta
@@ -511,7 +516,10 @@ class TestSampleRows:
         class Failing(ModularOracle):
             def evaluate(self, members):
                 self.asked = getattr(self, "asked", 0) + 1
-                if self.asked == 25:  # inside the second estimate of 9 pairs
+                # step 0 asks only f(∅) and the four f({v}) that fill the
+                # run's table; call 27 is the third of the six asked by the
+                # sweep's second estimate of step 1 (u = 1, 9 rows over {2, 3})
+                if self.asked == 27:
                     raise RuntimeError("oracle down")
                 return super().evaluate(members)
 
@@ -572,6 +580,70 @@ def test_sweep_never_asks_again_about_an_element_found_dependent():
                 blocked.add(u)
                 dependent += 1
     assert dependent > 0
+
+
+def _one_run_of_continuous_greedy(f, M, seed):
+    matroid_rank(M)  # the rank scan is the handle's, kept once; only the run is recorded
+    return continuous_greedy(f, M, c=3.0, delta=0.2, rng=np.random.default_rng(seed),
+                             sample_scale=0.05)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_a_run_asks_each_set_of_at_most_one_id_once(seed):
+    f = coverage12()
+    asked = []
+    evaluate = f.evaluate
+    f.evaluate = lambda members: asked.append(tuple(members)) or evaluate(members)
+    _one_run_of_continuous_greedy(f, partition12(), seed)
+    small = [members for members in asked if len(members) <= 1]
+    assert len(small) == len(set(small))
+    # step 0 has x = 0, so every row of every id's first estimate is empty
+    assert set(small) == {()} | {(v,) for v in range(f.n)}
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_a_run_asks_each_one_id_independence_question_once(seed):
+    # the largest weight is the last id's, so every step's first level asks
+    # every id with nothing taken; capacity 0 makes ids 0-2 loops
+    f = ModularOracle([float(w) for w in (5, 6, 7, 1, 2, 3, 4, 8, 9, 10, 11, 12)])
+    M = _RecordingPartition([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]], [0, 1, 1, 2])
+    matroid_rank(M)
+    M.queries.clear()
+    _one_run_of_continuous_greedy(f, M, seed)
+    singles = [(u, answer) for prefix, u, answer in M.queries if not prefix]
+    assert sorted(u for u, _ in singles) == list(range(M.n))
+    assert [u for u, answer in singles if not answer] == [0, 1, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=small_base_matroids(),
+    bit_generator=st.sampled_from(BIT_GENERATORS),
+    delta=st.sampled_from([0.2, 0.35, 0.6]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_the_run_table_changes_only_the_value_bill(base, bit_generator, delta, seed, data):
+    """Point, final generator state and next draw equal the table-free
+    reference's, and the bill is lower once there is an id to estimate:
+    every run has at least two steps, and at x = 0 every row is empty."""
+    M = compose_views(data, base, ["contract", "cap"])
+    f = draw_coverage(data, M.n)
+    runs = []
+    for algorithm in (
+        lambda *args, **kwargs: _reference_continuous_greedy(*args, **kwargs, table=False),
+        continuous_greedy,
+    ):
+        ledger = QueryLedger()
+        rng = _generator(bit_generator, seed)
+        point = algorithm(
+            f.with_ledger(ledger), M.with_ledger(ledger), 2.0, delta, rng, sample_scale=0.05
+        )
+        runs.append((point, _state(rng), rng.random(), ledger.value_queries))
+    (*free, free_bill), (*tabled, bill) = runs
+    assert tabled == free
+    # a contraction may leave no id in the ground set
+    assert bill < free_bill if list(M.ground()) else bill == free_bill == 0
 
 
 class TestSwapRound:
