@@ -44,10 +44,8 @@ from .matroids import (
     PartitionMatroid,
     RankCappedMatroid,
     UniformMatroid,
-    check_exchange_axiom,
     greedy_basis,
     matroid_rank,
-    remove_self_loops,
 )
 from .multilinear import (
     FractionalPoint,
@@ -64,10 +62,6 @@ from .oracles import (
     ResidualOracle,
     TableOracle,
     ValueOracle,
-    check_monotone,
-    check_submodular,
-    marginal,
-    sample_correlated_subset,
 )
 
 __version__ = "0.1.0"

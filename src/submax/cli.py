@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"submax: error: {exc}", file=sys.stderr)
         return 2
 
@@ -160,8 +160,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     entries = summarize(rows)
     print(format_summary(entries))
     if args.json_out:
+        try:
+            text = json.dumps(entries, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # a mean or spread past the float range
+            raise InvalidInputError(f"cannot write {args.json_out}: {exc}") from None
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, indent=2, sort_keys=True)
+            fh.write(text)
         print(f"wrote {args.json_out}")
     return 0
 

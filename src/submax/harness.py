@@ -157,8 +157,12 @@ def matroid_from_dict(
 
 
 def load_json(path: Union[str, Path]) -> dict:
+    """The JSON value in ``path``; InvalidInputError names a file that is not UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInputError(f"{path} is not a UTF-8 JSON file: {exc}") from None
 
 
 def save_json(obj: dict, path: Union[str, Path]) -> None:
@@ -291,16 +295,16 @@ def brute_force_opt(
 ) -> tuple[float, set[int]]:
     """Exact optimum by enumeration, on uncounted oracle clones.
 
-    ``constraint`` is either a matroid handle or a cardinality bound k.
+    ``constraint`` is either a matroid handle or a cardinality bound k >= 0.
     Cardinality instances are limited to n <= max_n; matroid search walks the
     independence DFS tree and refuses after max_sets sets.
     """
     probe = f.uncounted()
-    if isinstance(constraint, int):
+    if not isinstance(constraint, Matroid):
+        k = checked_int(constraint, "k")
         n = f.n
         if n > max_n:
             raise InstanceTooLargeError(f"brute force limited to n <= {max_n}")
-        k = constraint
         best_v, best_s = probe.evaluate([]), set()
         sizes = [k] if (probe.monotone and k <= n) else range(1, min(k, n) + 1)
         for r in sizes:
@@ -574,8 +578,12 @@ def records_to_csv_bytes(records: list[RunRecord]) -> bytes:
 
 
 def read_csv(path: Union[str, Path]) -> list[dict]:
+    """The rows of ``path``; InvalidInputError names a file that is not a UTF-8 CSV."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        try:
+            return list(csv.DictReader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise InvalidInputError(f"{path} is not a UTF-8 CSV file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +638,8 @@ def summarize(rows: list[dict]) -> list[dict]:
         )
         if opts:
             entry["opt_value"] = opts[0]
-            entry["ratio_mean"] = entry["f_mean"] / opts[0] if opts[0] else math.nan
+            if opts[0]:
+                entry["ratio_mean"] = entry["f_mean"] / opts[0]
         out.append(entry)
     return out
 

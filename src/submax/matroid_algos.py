@@ -52,7 +52,9 @@ def geometric_level_count(delta: float, ratio: float) -> int:
 def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
     """Deterministic decreasing-threshold greedy, (1/2 - eps)-approximate.
 
-    Expects self-loops removed and f monotone. The scan is
+    Expects f monotone. Loops are not removed: a loop's singleton value
+    counts in ``w_max``, so a loop worth more than every real marginal lifts
+    the thresholds above them all (ROADMAP item 2). The scan is
     :func:`~submax.matroids.threshold_sweep`: an element costs one value
     query per level at which it can join, and an independence query only
     when its answer is unknown (none on a handle that reports its blocks).

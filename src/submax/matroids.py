@@ -10,12 +10,11 @@ asked through :func:`independence_test` is answered by the handle's own
 count loop, uncharged. So the free answers are the oracle's answers by
 construction, and cost no query. Views never report a structure and forward
 every query as a charged query.
-``greedy_basis`` and ``remove_self_loops`` ask the oracle on any handle.
+``greedy_basis`` asks the oracle on any handle.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Iterable
 from typing import Callable, Optional, Sequence
@@ -437,78 +436,3 @@ def threshold_sweep(
                     break
         w *= shrink
     return taken
-
-
-def remove_self_loops(M: Matroid) -> list[int]:
-    """Ids whose singletons are independent; costs n independence queries."""
-    return [u for u in M.ground() if M.is_independent([u])]
-
-
-def check_exchange_axiom(M: Matroid, max_n: int = 10) -> bool:
-    """Exhaustive matroid-axiom verification plus base-pair swap bijections.
-
-    Checks the empty set, downward closure and the augmentation axiom over
-    all subsets, then verifies that every pair of bases admits a perfect
-    matching of single-element swaps keeping the first base independent.
-    """
-    if M.n > max_n:
-        raise InvalidInputError(f"exhaustive check limited to n <= {max_n}")
-    probe = M.uncounted()
-    ground = list(range(M.n))
-    indep: set[frozenset[int]] = set()
-    for r in range(len(ground) + 1):
-        for combo in itertools.combinations(ground, r):
-            if probe.is_independent(combo):
-                indep.add(frozenset(combo))
-    if frozenset() not in indep:
-        return False
-    for A in indep:
-        for u in A:
-            if A - {u} not in indep:
-                return False
-    members = sorted(indep, key=len)
-    for A in members:
-        for B in members:
-            if len(A) >= len(B):
-                continue
-            if not any(A | {u} in indep for u in B - A):
-                return False
-    max_rank = max(len(A) for A in indep)
-    bases = [A for A in indep if len(A) == max_rank]
-    for A in bases:
-        for B in bases:
-            if A == B:
-                continue
-            if not _swap_bijection_exists(A, B, indep):
-                return False
-    return True
-
-
-def _swap_bijection_exists(
-    A: frozenset[int], B: frozenset[int], indep: set[frozenset[int]]
-) -> bool:
-    """Perfect matching u in B-A -> v in A-B with A - v + u independent."""
-    left = sorted(B - A)
-    right = sorted(A - B)
-    if len(left) != len(right):
-        return False
-    edges = {
-        u: [v for v in right if (A - {v}) | {u} in indep]
-        for u in left
-    }
-    match: dict[int, int] = {}
-
-    def try_assign(u: int, seen: set[int]) -> bool:
-        for v in edges[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match or try_assign(match[v], seen):
-                match[v] = u
-                return True
-        return False
-
-    for u in left:
-        if not try_assign(u, set()):
-            return False
-    return True

@@ -42,14 +42,20 @@ class FractionalPoint:
     bases: list[frozenset[int]] = field(default_factory=list)
 
     def coords(self) -> np.ndarray:
+        """x as a vector; InvalidInputError names a base holding an id outside ``[0, n)``."""
         x = np.zeros(self.n)
-        for w, base in zip(self.weights, self.bases):
+        for i, (w, base) in enumerate(zip(self.weights, self.bases)):
             for u in base:
-                x[u] += w
+                try:
+                    v = operator.index(u)
+                except TypeError:
+                    v = -1
+                if not 0 <= v < self.n:
+                    raise InvalidInputError(
+                        f"bases[{i}] holds {u!r}, not an element id of a ground set of size {self.n}"
+                    )
+                x[v] += w
         return x
-
-    def total_weight(self) -> float:
-        return float(sum(self.weights))
 
 
 def estimate_marginal_F(
@@ -82,6 +88,8 @@ def estimate_marginal_F(
         raise InvalidInputError(f"u={u} outside ground set of size {f.n}")
     try:
         x_vec = x.coords() if isinstance(x, FractionalPoint) else np.asarray(x, dtype=float)
+    except InvalidInputError:
+        raise
     except (TypeError, ValueError):
         raise InvalidInputError(f"x must be a vector of numbers, got {x!r}") from None
     if x_vec.shape != (f.n,):

@@ -12,7 +12,6 @@ them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Collection, Iterable
@@ -43,18 +42,6 @@ class ValueOracle(Counted):
 
     def _value(self, members: Iterable[int]) -> float:
         raise NotImplementedError
-
-
-def marginal(f: ValueOracle, u: ElementId, S: Subset, cached_fS: Optional[float] = None) -> float:
-    """f(u | S) = f(S + u) - f(S); one query when f(S) is supplied, two otherwise.
-
-    ``u in S`` is allowed and yields 0 by idempotence of the set union.
-    """
-    if cached_fS is None:
-        cached_fS = f.evaluate(S)
-    members = set(S)
-    members.add(u)
-    return f.evaluate(members) - cached_fS
 
 
 def members_with(solution: set[int], ordered: list[int], u: ElementId) -> list[int]:
@@ -380,54 +367,6 @@ class ResidualOracle(View, ValueOracle):
         return self._base.evaluate(members) - self._f_anchor
 
 
-def check_submodular(f: ValueOracle, max_n: int = 12) -> bool:
-    """Exhaustively verify f(u | A) >= f(u | B) for all A subseteq B, u notin B.
-
-    Uses an uncounted clone; intended for small fixtures only.
-    """
-    if f.n > max_n:
-        raise InvalidInputError(f"exhaustive check limited to n <= {max_n}")
-    probe = f.uncounted()
-    values = _all_values(probe)
-    ground = list(range(f.n))
-    for b_members, b_value in values.items():
-        for u in ground:
-            if u in b_members:
-                continue
-            gain_b = values[b_members | {u}] - b_value
-            for a_members in _subsets_of(b_members):
-                gain_a = values[a_members | {u}] - values[a_members]
-                if gain_a < gain_b - 1e-9:
-                    return False
-    return True
-
-
-def check_monotone(f: ValueOracle, max_n: int = 12) -> bool:
-    """Exhaustively verify f(u | S) >= 0 everywhere."""
-    if f.n > max_n:
-        raise InvalidInputError(f"exhaustive check limited to n <= {max_n}")
-    probe = f.uncounted()
-    values = _all_values(probe)
-    for members, value in values.items():
-        for u in range(f.n):
-            if u not in members and values[members | {u}] < value - 1e-9:
-                return False
-    return True
-
-
-def sample_correlated_subset(A: Subset, p: float, rng: np.random.Generator) -> set[int]:
-    """Independent-inclusion A(p): keep each element of A with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidInputError("inclusion probability must be in [0, 1]")
-    if p == 0.0:
-        return set()
-    items = sorted(A)
-    if p == 1.0:
-        return set(items)
-    draws = rng.random(len(items))
-    return {u for u, d in zip(items, draws) if d < p}
-
-
 def _check_weights(weights: Iterable[float], field: str) -> None:
     try:
         ok = all(0.0 <= w < math.inf for w in weights)
@@ -435,19 +374,3 @@ def _check_weights(weights: Iterable[float], field: str) -> None:
         ok = False
     if not ok:
         raise InvalidInputError(f"{field} must be finite non-negative numbers")
-
-
-def _all_values(probe: ValueOracle) -> dict[frozenset[int], float]:
-    ground = list(range(probe.n))
-    values = {}
-    for r in range(len(ground) + 1):
-        for combo in itertools.combinations(ground, r):
-            values[frozenset(combo)] = probe.evaluate(combo)
-    return values
-
-
-def _subsets_of(members: frozenset[int]) -> Iterable[frozenset[int]]:
-    items = sorted(members)
-    for r in range(len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            yield frozenset(combo)

@@ -228,6 +228,121 @@ def enumerate_independent(matroid, ground=None):
     return out
 
 
+def check_submodular(f, max_n=12):
+    """Exhaustively verify f(u | A) >= f(u | B) for all A subseteq B, u notin B."""
+    if f.n > max_n:
+        raise InvalidInputError(f"exhaustive check limited to n <= {max_n}")
+    values = exact_all_values(f)
+    for b_members, b_value in values.items():
+        items = sorted(b_members)
+        for u in range(f.n):
+            if u in b_members:
+                continue
+            gain_b = values[b_members | {u}] - b_value
+            for r in range(len(items) + 1):
+                for combo in itertools.combinations(items, r):
+                    a_members = frozenset(combo)
+                    if values[a_members | {u}] - values[a_members] < gain_b - 1e-9:
+                        return False
+    return True
+
+
+def check_monotone(f, max_n=12):
+    """Exhaustively verify f(u | S) >= 0 everywhere."""
+    if f.n > max_n:
+        raise InvalidInputError(f"exhaustive check limited to n <= {max_n}")
+    values = exact_all_values(f)
+    for members, value in values.items():
+        for u in range(f.n):
+            if u not in members and values[members | {u}] < value - 1e-9:
+                return False
+    return True
+
+
+def marginal(f, u, S, cached_fS=None):
+    """f(u | S) = f(S + u) - f(S); one query when f(S) is supplied, two otherwise.
+
+    ``u in S`` is allowed and yields 0 by idempotence of the set union.
+    """
+    if cached_fS is None:
+        cached_fS = f.evaluate(S)
+    members = set(S)
+    members.add(u)
+    return f.evaluate(members) - cached_fS
+
+
+def sample_correlated_subset(A, p, rng):
+    """Independent-inclusion A(p): keep each element of A with probability p."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidInputError("inclusion probability must be in [0, 1]")
+    if p == 0.0:
+        return set()
+    items = sorted(A)
+    if p == 1.0:
+        return set(items)
+    draws = rng.random(len(items))
+    return {u for u, d in zip(items, draws) if d < p}
+
+
+def remove_self_loops(M):
+    """Ids whose singletons are independent; costs n independence queries."""
+    return [u for u in M.ground() if M.is_independent([u])]
+
+
+def check_exchange_axiom(M, max_n=10):
+    """Exhaustive matroid-axiom verification plus base-pair swap bijections.
+
+    Checks the empty set, downward closure and the augmentation axiom over
+    all subsets, then verifies that every pair of bases admits a perfect
+    matching of single-element swaps keeping the first base independent.
+    """
+    if M.n > max_n:
+        raise InvalidInputError(f"exhaustive check limited to n <= {max_n}")
+    indep = set(enumerate_independent(M))
+    if frozenset() not in indep:
+        return False
+    for A in indep:
+        for u in A:
+            if A - {u} not in indep:
+                return False
+    members = sorted(indep, key=len)
+    for A in members:
+        for B in members:
+            if len(A) >= len(B):
+                continue
+            if not any(A | {u} in indep for u in B - A):
+                return False
+    max_rank = max(len(A) for A in indep)
+    bases = [A for A in indep if len(A) == max_rank]
+    for A in bases:
+        for B in bases:
+            if A != B and not _swap_bijection_exists(A, B, indep):
+                return False
+    return True
+
+
+def _swap_bijection_exists(A, B, indep):
+    """Perfect matching u in B-A -> v in A-B with A - v + u independent."""
+    left = sorted(B - A)
+    right = sorted(A - B)
+    if len(left) != len(right):
+        return False
+    edges = {u: [v for v in right if (A - {v}) | {u} in indep] for u in left}
+    match = {}
+
+    def try_assign(u, seen):
+        for v in edges[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match or try_assign(match[v], seen):
+                match[v] = u
+                return True
+        return False
+
+    return all(try_assign(u, set()) for u in left)
+
+
 def wilson_halfwidth(successes, trials, z=1.96):
     """97.5%-level Wilson interval half-width for a binomial proportion."""
     if trials == 0:

@@ -37,7 +37,6 @@ from submax import (
     random_lazy_greedy,
     random_sampling_monotone,
     run_experiment,
-    sample_correlated_subset,
     swap_round,
     thresholding_greedy,
 )
@@ -46,6 +45,7 @@ from submax.harness import matroid_from_dict, oracle_from_dict, records_to_csv_b
 from .conftest import (
     exact_marginal_F,
     mean_and_se,
+    sample_correlated_subset,
     wilson_halfwidth,
     zoo_functions,
     zoo_matroids,

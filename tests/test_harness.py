@@ -76,6 +76,14 @@ class TestBruteForce:
         brute_force_opt(f, M)
         assert ledger.snapshot() == (0, 0)
 
+    @pytest.mark.parametrize("bound", [2.5, "x", -1, None])
+    def test_bad_cardinality_bound_named(self, bound):
+        with pytest.raises(InvalidInputError, match=r"^k must be"):
+            brute_force_opt(coverage4(), bound)
+
+    def test_numpy_integer_bound_is_k(self):
+        assert brute_force_opt(coverage4(), np.int64(2)) == brute_force_opt(coverage4(), 2)
+
 
 class TestGeneration:
     def test_instances_are_deterministic(self):
@@ -1357,6 +1365,39 @@ class TestCli:
         path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
         assert cli_main(["summarize", "--input", str(path)]) == 2
         self._one_line_error(capsys, f"'{column}'")
+
+    def test_summarize_zero_optimum_writes_strict_json(self, tmp_path, capsys):
+        row = ["x", "4", "2", "", "", "0", "0", "0.0", "0.0", "3", "0", "False", "0.0"]
+        path, sidecar = tmp_path / "r.csv", tmp_path / "s.json"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(row) + "\n")
+        assert cli_main(["summarize", "--input", str(path), "--json-out", str(sidecar)]) == 0
+        strict = dict(parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+        [entry] = json.loads(sidecar.read_text(), **strict)
+        assert entry["opt_value"] == 0.0 and "ratio_mean" not in entry
+
+    def test_summarize_mean_past_float_range_is_one_line_error(self, tmp_path, capsys):
+        row = ",".join(["x", "4", "2", "", "", "0", "0", "1e308", "", "3", "0", "False", "0.0"])
+        path, sidecar = tmp_path / "r.csv", tmp_path / "s.json"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n" + row + "\n")
+        assert cli_main(["summarize", "--input", str(path), "--json-out", str(sidecar)]) == 2
+        self._one_line_error(capsys, str(sidecar))
+        assert not sidecar.exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe", b"x" * 131_073, b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "field-over-csv-limit", "nested-past-recursion-limit"],
+    )
+    def test_unreadable_files_are_one_line_errors(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad"
+        bad.write_bytes(data)
+        assert cli_main(["summarize", "--input", str(bad)]) == 2
+        self._one_line_error(capsys, str(bad))
+        assert cli_main([
+            "run", "--algo", "standard_greedy", "--instance", str(bad), "--k", "2",
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        self._one_line_error(capsys, str(bad))
 
     def test_unknown_algo_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

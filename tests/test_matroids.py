@@ -23,20 +23,20 @@ from submax import (
     ResidualOracle,
     TableOracle,
     UniformMatroid,
-    check_exchange_axiom,
     greedy_basis,
     matroid_rank,
-    remove_self_loops,
     swap_round,
     thresholding_greedy,
 )
 from submax.matroids import DummyAugmentedMatroid, DummyValueOracle, independence_test
 
 from .conftest import (
+    check_exchange_axiom,
     compose_views,
     coverage4,
     draw_independent,
     enumerate_independent,
+    remove_self_loops,
     small_base_matroids,
     small_multigraphs,
     small_partitions,

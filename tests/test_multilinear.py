@@ -144,6 +144,17 @@ class TestEstimatorInputContract:
         with pytest.raises(InvalidInputError, match=r"^x\b"):
             estimate_marginal_F(f, x, 0, 4, rng)
 
+    @pytest.mark.parametrize("bad", [-1, 5, 1.5])
+    def test_fractional_point_base_id_outside_ground_set_rejected(self, bad):
+        f = ModularOracle([1, 2, 3])
+        x = FractionalPoint(n=3, weights=[0.5], bases=[frozenset({bad})])
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match=re.escape(f"bases[0] holds {bad!r}")):
+            estimate_marginal_F(f, x, 0, 4, rng)
+        assert f.ledger.snapshot() == (0, 0)
+        assert rng.bit_generator.state == state
+
     def test_bool_and_numpy_ids_accepted(self):
         f = CoverageOracle([[0], [1], [2]], 3)
         x = [1.0, 0.0, 1.0]
@@ -197,7 +208,7 @@ class TestContinuousGreedy:
         f = coverage12()
         M = partition12()
         point = continuous_greedy(f, M, c=3.0, delta=0.2, rng=rng, sample_scale=0.01)
-        assert point.total_weight() <= 1.0 + 1e-9
+        assert sum(point.weights) <= 1.0 + 1e-9
         probe = M.uncounted()
         for base in point.bases:
             assert probe.is_independent(base)

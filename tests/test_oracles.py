@@ -27,20 +27,20 @@ from submax import (
     TableOracle,
     UniformMatroid,
     ValueOracle,
-    check_monotone,
-    check_submodular,
-    marginal,
-    sample_correlated_subset,
     standard_greedy,
 )
 from submax.harness import matroid_from_dict, oracle_from_dict
 
 from .conftest import (
+    check_monotone,
+    check_submodular,
     coverage4,
     exact_all_values,
+    marginal,
     mean_and_se,
     reference_cut_value,
     reference_facility_value,
+    sample_correlated_subset,
     small_multigraphs,
     zoo_functions,
 )

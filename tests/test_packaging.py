@@ -10,6 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import submax
+from submax import matroids, oracles
+from submax.multilinear import FractionalPoint
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -56,3 +60,19 @@ def test_every_third_party_module_the_tests_import_is_declared():
 def test_every_third_party_module_the_package_imports_is_a_dependency():
     # the test extra does not count: `pip install submax` would lack it
     assert _undeclared(ROOT / "src" / "submax", _project()["dependencies"]) == []
+
+
+# the library keeps no copy of the test oracles in tests/conftest.py
+MOVED_TO_CONFTEST = {
+    submax: ["check_submodular", "check_monotone", "marginal", "sample_correlated_subset",
+             "check_exchange_axiom", "remove_self_loops"],
+    oracles: ["check_submodular", "check_monotone", "marginal", "sample_correlated_subset",
+              "_all_values", "_subsets_of"],
+    matroids: ["check_exchange_axiom", "_swap_bijection_exists", "remove_self_loops"],
+    FractionalPoint: ["total_weight"],
+}
+
+
+@pytest.mark.parametrize("owner", MOVED_TO_CONFTEST, ids=lambda owner: owner.__name__)
+def test_test_oracles_live_in_the_tests_only(owner):
+    assert [name for name in MOVED_TO_CONFTEST[owner] if hasattr(owner, name)] == []
