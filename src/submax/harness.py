@@ -30,7 +30,7 @@ import io
 import itertools
 import json
 import math
-import operator
+import statistics
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -183,7 +183,6 @@ def generate_instance(
     universe: Optional[int] = None,
     density: float = 0.1,
     clients: Optional[int] = None,
-    weight_range: tuple[int, int] = (1, 10),
 ) -> dict:
     """Deterministic instance spec for a family; same arguments, same bytes."""
     n = checked_int(n, "n")
@@ -192,15 +191,8 @@ def generate_instance(
     if clients is not None:
         clients = checked_int(clients, "clients", least=1)
     density = checked_real(density, "density", 0.0, 1.0)
-    try:
-        lo, hi = map(operator.index, weight_range)
-        range_ok = 0 <= lo <= hi
-    except (TypeError, ValueError):
-        range_ok = False
-    if not range_ok:
-        raise InvalidInputError(
-            f"weight_range must be two integers lo, hi with 0 <= lo <= hi, got {weight_range!r}"
-        )
+    # integer weights of cut arcs and modular elements; facility values lie between
+    lo, hi = 1, 10
     rng = np.random.default_rng(checked_int(seed, "seed"))
     if family == "coverage":
         m = universe if universe is not None else 3 * n
@@ -286,25 +278,24 @@ def generate_matroid(
 # brute force
 
 
-def brute_force_opt(
-    f: ValueOracle,
-    constraint: Union[Matroid, int],
-    *,
-    max_n: int = 20,
-    max_sets: int = 10 ** 6,
-) -> tuple[float, set[int]]:
+BRUTE_FORCE_MAX_N = 20
+BRUTE_FORCE_MAX_SETS = 10 ** 6
+
+
+def brute_force_opt(f: ValueOracle, constraint: Union[Matroid, int]) -> tuple[float, set[int]]:
     """Exact optimum by enumeration, on uncounted oracle clones.
 
     ``constraint`` is either a matroid handle or a cardinality bound k >= 0.
-    Cardinality instances are limited to n <= max_n; matroid search walks the
-    independence DFS tree and refuses after max_sets sets.
+    Cardinality instances are limited to n <= ``BRUTE_FORCE_MAX_N``; matroid
+    search walks the independence DFS tree and refuses after
+    ``BRUTE_FORCE_MAX_SETS`` sets.
     """
     probe = f.uncounted()
     if not isinstance(constraint, Matroid):
         k = checked_int(constraint, "k")
         n = f.n
-        if n > max_n:
-            raise InstanceTooLargeError(f"brute force limited to n <= {max_n}")
+        if n > BRUTE_FORCE_MAX_N:
+            raise InstanceTooLargeError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
         best_v, best_s = probe.evaluate([]), set()
         sizes = [k] if (probe.monotone and k <= n) else range(1, min(k, n) + 1)
         for r in sizes:
@@ -322,7 +313,7 @@ def brute_force_opt(
     while stack:
         members, start = stack.pop()
         seen += 1
-        if seen > max_sets:
+        if seen > BRUTE_FORCE_MAX_SETS:
             raise InstanceTooLargeError("independence family too large for brute force")
         if members:
             v = probe.evaluate(members)
@@ -625,12 +616,12 @@ def summarize(rows: list[dict]) -> list[dict]:
             "lambda": key[4],
             "trials": len(rows_g),
             "f_mean": _mean(values),
-            "f_median": _median(values),
-            "f_std": _std(values),
+            "f_median": float(statistics.median(values)),
+            "f_std": float(statistics.pstdev(values)),
             "value_queries_mean": _mean(vq),
-            "value_queries_median": _median(vq),
+            "value_queries_median": float(statistics.median(vq)),
             "independence_queries_mean": _mean(iq),
-            "independence_queries_median": _median(iq),
+            "independence_queries_median": float(statistics.median(iq)),
             "failure_rate": sum(failures) / len(rows_g),
         }
         opts = _column(
@@ -697,16 +688,3 @@ def _record_as_dict(rec: RunRecord) -> dict:
 
 def _mean(xs) -> float:
     return float(sum(xs) / len(xs))
-
-
-def _median(xs) -> float:
-    ordered = sorted(xs)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return float((ordered[mid - 1] + ordered[mid]) / 2)
-
-
-def _std(xs) -> float:
-    mu = _mean(xs)
-    return float(math.sqrt(sum((x - mu) ** 2 for x in xs) / len(xs)))

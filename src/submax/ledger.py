@@ -1,9 +1,9 @@
 """Query accounting shared by value and independence oracles.
 
-A ledger belongs to exactly one algorithm run. Oracle handles hold a
-reference to it and bump the matching counter on every query, so after a
-run the counters are the exact number of oracle invocations. Counters only
-ever increase; ``reset`` replaces the ledger for a new run instead.
+A ledger belongs to exactly one algorithm run; each trial gets a fresh one.
+Oracle handles hold a reference to it, and every query adds one to the
+matching counter, so after a run the counters are the exact number of
+oracle invocations.
 """
 
 from __future__ import annotations
@@ -62,15 +62,11 @@ class QueryLedger:
     value_queries: int = 0
     independence_queries: int = 0
 
-    def charge_value(self, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError("query counts never decrease")
-        self.value_queries += count
+    def charge_value(self) -> None:
+        self.value_queries += 1
 
-    def charge_independence(self, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError("query counts never decrease")
-        self.independence_queries += count
+    def charge_independence(self) -> None:
+        self.independence_queries += 1
 
     def snapshot(self) -> tuple[int, int]:
         return (self.value_queries, self.independence_queries)

@@ -21,8 +21,8 @@ from .errors import InvalidInputError
 from .ledger import checked_int, checked_real
 from .matroids import (
     ContractedMatroid,
+    ContractedPartitionMatroid,
     Matroid,
-    PartitionMatroid,
     RankCappedMatroid,
     check_same_ground,
     independence_test,
@@ -119,8 +119,6 @@ class LazyGreedyState:
         self.dummies = 0
         self.solution_value = 0.0
         self.accept_marginals: dict[int, float] = {}
-        self.adds = 0
-        self.decays = 0
 
     def weight_of(self, u: int) -> float:
         return self.W * (1.0 - self.delta) ** self.level[u]
@@ -159,11 +157,9 @@ def linear_greedy(
             gain = f.evaluate(ordered + [u]) - f_S
             if gain <= bar:
                 state.level[u] = t + 1
-                state.decays += 1
             else:
                 chosen.add(u)
                 work.append(u)
-                state.adds += 1
                 state.accept_marginals[u] = gain
     return chosen
 
@@ -337,23 +333,11 @@ def combined_algorithm(
     residual: Matroid
     if use_partition and outcome.dummies_used == 0:
         # random_lazy_greedy refused use_partition on any other matroid
-        blocks, caps = M.partition_structure()
-        res_blocks = [[u for u in blk if u not in S] for blk in blocks]
-        res_caps = [c - sum(1 for u in blk if u in S) for blk, c in zip(blocks, caps)]
-        # contracted ids form one block of capacity zero: loops of the residual
-        residual = PartitionMatroid(res_blocks + [sorted(S)], res_caps + [0], M.ledger)
+        residual = ContractedPartitionMatroid(M, S)
     else:
         residual = RankCappedMatroid(ContractedMatroid(M, sorted(S)), cap)
-    shifted = ResidualOracle(f, S)
-    ground = [u for u in range(f.n) if u not in S]
     point = continuous_greedy(
-        shifted,
-        residual,
-        params.c,
-        params.cg_delta,
-        rng,
-        ground=ground,
-        sample_scale=sample_scale,
+        ResidualOracle(f, S), residual, params.c, params.cg_delta, rng, sample_scale=sample_scale
     )
     rounded = swap_round(residual, point, rng)
     return CombinedResult(

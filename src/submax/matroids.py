@@ -9,7 +9,9 @@ The structure rule lives here: a handle that reports
 asked through :func:`independence_test` is answered by the handle's own
 count loop, uncharged. So the free answers are the oracle's answers by
 construction, and cost no query. Views never report a structure and forward
-every query as a charged query.
+every query as a charged query. The partition contraction
+:class:`ContractedPartitionMatroid` is no view but a partition matroid of
+its own, so it reports its blocks.
 ``greedy_basis`` asks the oracle on any handle.
 """
 
@@ -28,7 +30,7 @@ class Matroid(Counted):
     _rank: Optional[int] = None
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        self.ledger.charge_independence(1)
+        self.ledger.charge_independence()
         return self._indep(members)
 
     def _indep(self, members: Iterable[int]) -> bool:
@@ -241,6 +243,33 @@ class ContractedMatroid(View, Matroid):
         return self._base.rank() - len(self._contracted)
 
 
+class ContractedPartitionMatroid(PartitionMatroid):
+    """The partition matroid M / S, itself a partition matroid that reports its blocks.
+
+    Each block of M loses the ids of S and one unit of capacity per id it
+    lost; the ids of S form one more block of capacity zero, so they are
+    loops. Building it asks no query, and its queries charge M's ledger.
+    Its ``ground()`` is the ids outside S, ascending, as for
+    :class:`ContractedMatroid`.
+    """
+
+    def __init__(self, base: Matroid, S: Subset):
+        structure = base.partition_structure()
+        if structure is None:
+            raise InvalidInputError("partition contraction needs a partition matroid")
+        contracted = {base._check_id(u) for u in S}
+        blocks, caps = structure
+        res_caps = [c - len(contracted.intersection(blk)) for blk, c in zip(blocks, caps)]
+        if any(c < 0 for c in res_caps):
+            raise InvalidInputError("can only contract an independent set")
+        res_blocks = [[u for u in blk if u not in contracted] for blk in blocks]
+        super().__init__(res_blocks + [sorted(contracted)], res_caps + [0], base.ledger)
+        self._contracted_set = contracted
+
+    def ground(self) -> list[int]:
+        return [u for u in range(self.n) if u not in self._contracted_set]
+
+
 class RankCappedMatroid(View, Matroid):
     """Truncation view: independent iff |T| <= cap and independent in the base.
 
@@ -261,7 +290,7 @@ class RankCappedMatroid(View, Matroid):
             # decidable from the cap alone; still charged (conservative accounting)
             for u in listed:
                 self._check_id(u)
-            self.ledger.charge_independence(1)
+            self.ledger.charge_independence()
             return False
         return self._base.is_independent(listed)
 
@@ -326,7 +355,7 @@ class DummyAugmentedMatroid(View, Matroid):
         real, dummies = _split_real(self, members)
         if len(real) + dummies > self.k:
             # dummy logic alone decides, but the query is charged anyway
-            self.ledger.charge_independence(1)
+            self.ledger.charge_independence()
             return False
         return self._base.is_independent(real)
 

@@ -222,21 +222,6 @@ def estimator_sample_count(c: float, n: int, delta: float, sample_scale: float =
     return max(1, math.ceil(sample_scale * c * math.log(n_eff) / delta ** 2))
 
 
-def _ground_ids(ground: Iterable, n: int) -> list[int]:
-    """The ids of ``ground``, sorted, once they are distinct ids of [0, n)."""
-    ids = []
-    for u in ground:
-        try:
-            ids.append(operator.index(u))
-        except TypeError:
-            raise InvalidInputError(f"ground ids must be integers, got {u!r}") from None
-        if not 0 <= ids[-1] < n:
-            raise InvalidInputError(f"ground id {u} outside ground set of size {n}")
-    if len(set(ids)) != len(ids):
-        raise InvalidInputError("ground ids must be distinct")
-    return sorted(ids)
-
-
 def continuous_greedy(
     f: ValueOracle,
     M: Matroid,
@@ -244,15 +229,17 @@ def continuous_greedy(
     delta: float,
     rng: np.random.Generator,
     *,
-    ground: Optional[Sequence[int]] = None,
     sample_scale: float = 1.0,
 ) -> FractionalPoint:
     """Decreasing-threshold continuous greedy for monotone objectives.
 
-    Runs ceil(1/delta) steps. Each step estimates every candidate's derivative,
-    then sweeps a threshold geometrically (factor 1 - delta) from the largest
-    estimate down to delta/n of it, adding elements whose fresh estimate clears
-    the threshold while independence allows. The sweep is
+    The candidates are ``M.ground()``, in its order: all ids of a base
+    matroid, the ids outside S of a contraction by S. Runs ceil(1/delta)
+    steps. Each step estimates every candidate's derivative, then sweeps a
+    threshold geometrically (factor 1 - delta) from the largest estimate
+    down to delta/n of it, n the number of candidates (at least 2), adding
+    elements whose fresh estimate clears the threshold while independence
+    allows. The sweep is
     :func:`~submax.matroids.threshold_sweep`, which asks an independence
     question only while its answer is unknown and stops once the step's set
     reaches the matroid rank; neither shortcut changes an output or an
@@ -266,8 +253,7 @@ def continuous_greedy(
     exactly as with one draw per estimate over the support of x (see
     :func:`estimate_marginal_F`). ``sample_scale`` rescales the
     per-estimate sample budget; 1.0 is the analysis-faithful count, which is
-    far beyond interactive budgets on all but tiny instances. ``ground``
-    (default: all of M's ids) must hold distinct ids of f's ground set.
+    far beyond interactive budgets on all but tiny instances.
     """
     delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
     c = checked_real(c, "c", 1.0)
@@ -275,7 +261,7 @@ def continuous_greedy(
     if not f.monotone:
         raise InvalidInputError("continuous greedy requires a monotone objective")
     check_same_ground(f, M)
-    ground_ids = _ground_ids(M.ground() if ground is None else ground, f.n)
+    ground_ids = list(M.ground())
     n_eff = max(len(ground_ids), 2)
     m = estimator_sample_count(c, n_eff, delta, sample_scale)
     steps = math.ceil(1.0 / delta)

@@ -37,7 +37,7 @@ class ValueOracle(Counted):
 
     def evaluate(self, members: Iterable[int]) -> float:
         """Return f(S), charging one value query."""
-        self.ledger.charge_value(1)
+        self.ledger.charge_value()
         return self._value(members)
 
     def _value(self, members: Iterable[int]) -> float:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -83,6 +84,37 @@ class TestBruteForce:
 
     def test_numpy_integer_bound_is_k(self):
         assert brute_force_opt(coverage4(), np.int64(2)) == brute_force_opt(coverage4(), 2)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            UniformMatroid(4, 2),
+            matroids.PartitionMatroid([[0, 1], [2, 3]], [1, 1]),
+            matroids.GraphicMatroid(3, [[0, 1], [1, 2], [0, 2]]),
+        ],
+        ids=["uniform", "partition", "graphic"],
+    )
+    def test_set_limit_counts_every_independent_set(self, monkeypatch, M):
+        probe = M.uncounted()
+        family = sum(
+            probe.is_independent(combo)
+            for r in range(M.n + 1)
+            for combo in itertools.combinations(range(M.n), r)
+        )
+        f = ModularOracle(tuple(float(u + 1) for u in range(M.n)))
+        monkeypatch.setattr(harness, "BRUTE_FORCE_MAX_SETS", family)
+        assert brute_force_opt(f, M)[0] > 0
+        monkeypatch.setattr(harness, "BRUTE_FORCE_MAX_SETS", family - 1)
+        with pytest.raises(
+            InstanceTooLargeError, match="^independence family too large for brute force$"
+        ):
+            brute_force_opt(f, M)
+
+    def test_size_limit_is_the_largest_n_enumerated(self, monkeypatch):
+        monkeypatch.setattr(harness, "BRUTE_FORCE_MAX_N", 3)
+        assert brute_force_opt(ModularOracle((1.0, 2.0, 3.0)), 2) == (5.0, {1, 2})
+        with pytest.raises(InstanceTooLargeError, match=r"^brute force limited to n <= 3$"):
+            brute_force_opt(ModularOracle((1.0, 2.0, 3.0, 4.0)), 2)
 
 
 class TestGeneration:
@@ -211,6 +243,19 @@ class TestGeneration:
             ("coverage", {"density": -0.1}, "density"),
             ("cut", {"density": 1.5}, "density"),
             ("coverage", {"density": "x"}, "density"),
+            ("facility", {"clients": 2.5}, "clients"),
+            ("facility", {"clients": "3"}, "clients"),
+            ("coverage", {"universe": "3"}, "universe"),
+            ("coverage", {"universe": [4]}, "universe"),
+            ("coverage", {"density": float("inf")}, "density"),
+            ("cut", {"density": float("-inf")}, "density"),
+            ("coverage", {"density": None}, "density"),
+            ("cut", {"density": True}, "density"),
+            # every field is checked, also on a family that does not read it
+            ("facility", {"density": 2.0}, "density"),
+            ("modular", {"density": -1.0}, "density"),
+            ("modular", {"universe": 0}, "universe"),
+            ("cut", {"clients": 0}, "clients"),
         ],
     )
     def test_bad_generator_field_named(self, family, kwargs, field):
@@ -231,18 +276,18 @@ class TestGeneration:
         )
 
     @pytest.mark.parametrize("family", ["cut", "facility", "modular"])
-    @pytest.mark.parametrize(
-        "weight_range", [(10, 1), (-3, -1), (-1, 2), (1.5, 3), (1, 2, 3), (1,), None, "ab"]
-    )
-    def test_bad_weight_range_named(self, family, weight_range):
-        with pytest.raises(InvalidInputError, match="^weight_range must be"):
-            generate_instance(family, 5, 0, weight_range=weight_range)
-
-    @pytest.mark.parametrize("family", ["cut", "facility", "modular"])
-    @pytest.mark.parametrize("weight_range", [(0, 0), (0, 3), (4, 4)])
-    def test_weight_range_bounds_accepted(self, family, weight_range):
-        spec = generate_instance(family, 5, 0, density=0.5, weight_range=weight_range)
-        assert oracle_from_dict(spec).n == 5
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weights_lie_in_one_to_ten(self, family, seed):
+        spec = generate_instance(family, 6, seed, density=1.0)
+        if family == "cut":
+            weights = [w for _, _, w in spec["arcs"]]
+        elif family == "facility":
+            weights = [v for row in spec["values"] for v in row]
+        else:
+            weights = spec["weights"]
+        assert weights and all(1 <= w <= 10 for w in weights)
+        # cut arcs and modular elements draw integers; facility values lie between
+        assert family == "facility" or all(type(w) is int for w in weights)
 
     @pytest.mark.parametrize("density", [0.0, 1.0])
     def test_density_bounds_accepted(self, density):
@@ -1382,6 +1427,17 @@ class TestCli:
         assert cli_main(["summarize", "--input", str(path), "--json-out", str(sidecar)]) == 2
         self._one_line_error(capsys, str(sidecar))
         assert not sidecar.exists()
+
+    def test_summarize_spread_past_float_range_is_exact(self, tmp_path):
+        rows = [
+            ",".join(["x", "4", "2", "", "", "0", str(t), f, "", "3", "0", "False", "0.0"])
+            for t, f in enumerate(["1e300", "0"])
+        ]
+        path, sidecar = tmp_path / "r.csv", tmp_path / "s.json"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        assert cli_main(["summarize", "--input", str(path), "--json-out", str(sidecar)]) == 0
+        [entry] = json.loads(sidecar.read_text())
+        assert entry["f_std"] == 5e299
 
     @pytest.mark.parametrize(
         "data",

@@ -293,9 +293,11 @@ class TestLinearGreedy:
             state.solution_value = 0.0
             # the second call starts from a non-empty solution
             for _ in range(2):
-                before, events = ledger.value_queries, state.adds + state.decays
+                before, levels = ledger.value_queries, sum(state.level.values())
                 chosen = linear_greedy(state, f, question(M))
-                assert ledger.value_queries - before == state.adds + state.decays - events
+                # each decay lifts one level by one; each acceptance joins ``chosen``
+                decays = sum(state.level.values()) - levels
+                assert ledger.value_queries - before == len(chosen) + decays
                 u = min(chosen)
                 state.solution.add(u)
                 state.solution_value += state.accept_marginals[u]

@@ -28,7 +28,12 @@ from submax import (
     swap_round,
     thresholding_greedy,
 )
-from submax.matroids import DummyAugmentedMatroid, DummyValueOracle, independence_test
+from submax.matroids import (
+    ContractedPartitionMatroid,
+    DummyAugmentedMatroid,
+    DummyValueOracle,
+    independence_test,
+)
 
 from .conftest import (
     check_exchange_axiom,
@@ -736,11 +741,47 @@ def partition_with_contraction(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(instance=partition_with_contraction())
+def test_partition_contraction_is_the_hand_built_residual(instance):
+    M, S, res_blocks, res_caps = instance
+    # the contracted ids in any order
+    residual = ContractedPartitionMatroid(M, S[::-1])
+    assert M.ledger.snapshot() == (0, 0)
+    assert residual.ledger is M.ledger
+    rest = [u for u in range(M.n) if u not in S]
+    assert residual.ground() == rest
+    assert residual.with_ledger(QueryLedger()).ground() == rest
+    assert residual.rank() == M.rank() - len(S)
+    hand_built = PartitionMatroid(res_blocks + [S], res_caps + [0])
+    for r in range(M.n + 1):
+        for combo in itertools.combinations(range(M.n), r):
+            assert residual.is_independent(combo) == hand_built.is_independent(combo)
+
+
+@pytest.mark.parametrize(
+    "base, S, message",
+    [
+        (UniformMatroid(4, 1), [0, 2], "can only contract an independent set"),
+        (UniformMatroid(4, 2), [0, 4], "element id 4 outside"),
+        (GraphicMatroid(3, [(0, 1), (1, 2)]), [0], "needs a partition matroid"),
+        (ExplicitMatroid(3, [[], [0]]), [0], "needs a partition matroid"),
+        (UniformMatroid(4, 2), ["a"], "element id 'a' is not an integer"),
+        (UniformMatroid(4, 2), [1.5], "element id 1.5 is not an integer"),
+        (PartitionMatroid([[0, 1], [2, 3]], [1, 1]), [0, 1], "can only contract an independent set"),
+    ],
+)
+def test_partition_contraction_refuses_what_is_no_partition_contraction(base, S, message):
+    with pytest.raises(InvalidInputError, match=message):
+        ContractedPartitionMatroid(base, S)
+    assert base.ledger.snapshot() == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
 @given(instance=partition_with_contraction(), data=st.data())
 def test_zero_capacity_residual_is_the_contraction(instance, data):
     M, S, res_blocks, res_caps = instance
     n = M.n
-    residual = PartitionMatroid(res_blocks + [S], res_caps + [0])
+    residual = ContractedPartitionMatroid(M, S)
     rest = [u for u in range(n) if u not in S]
     explicit = ExplicitMatroid(n, [
         combo

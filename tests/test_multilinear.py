@@ -254,6 +254,22 @@ class TestContinuousGreedy:
             assert ledger.value_queries <= bound
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_point_of_the_partition_contraction_extends_S(seed):
+    # the contracted ids carry the largest weights; the point still leaves them
+    # out, and each of its bases extends S to an independent set of M
+    f = ModularOracle((9.0, 1.0, 2.0, 9.0, 4.0, 6.0))
+    M = PartitionMatroid([[0, 1, 2], [3, 4, 5]], [2, 2])
+    S = [0, 3]
+    residual = matroids.ContractedPartitionMatroid(M, S)
+    point = continuous_greedy(
+        ResidualOracle(f, S), residual, 2.0, 0.25, np.random.default_rng(seed), sample_scale=0.05
+    )
+    assert point.coords()[S].tolist() == [0.0, 0.0]
+    probe = M.uncounted()
+    assert point.bases and all(probe.is_independent(sorted(base) + S) for base in point.bases)
+
+
 class TestContinuousGreedyInputContract:
     """Bad input fails before any draw or query, naming the field."""
 
@@ -266,11 +282,6 @@ class TestContinuousGreedyInputContract:
             ({"sample_scale": 0.0}, "sample_scale"),
             ({"c": float("nan")}, "c"),
             ({"c": float("inf")}, "c"),
-            ({"ground": [0, 5]}, "ground"),
-            ({"ground": [-1, 0]}, "ground"),
-            ({"ground": [0.5, 1]}, "ground"),
-            ({"ground": ["0"]}, "ground"),
-            ({"ground": [0, 0, 1]}, "ground"),
         ],
     )
     def test_rejects_bad_field(self, kwargs, field):
@@ -284,16 +295,6 @@ class TestContinuousGreedyInputContract:
             continuous_greedy(f, M, rng=rng, **args)
         assert ledger.snapshot() == (0, 0)
         assert rng.bit_generator.state == state
-
-    def test_ground_of_numpy_ids_in_any_order(self):
-        f = ModularOracle((3.0, 1.0, 2.0))
-        M = UniformMatroid(3, 2)
-        runs = [
-            continuous_greedy(f, M, 2.0, 0.25, np.random.default_rng(5), ground=ground,
-                              sample_scale=0.05)
-            for ground in ([0, 1, 2], np.array([2, 0, 1]))
-        ]
-        assert runs[0] == runs[1]
 
 
 def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale, table=True):

@@ -223,9 +223,16 @@ class TestLedgerExactness:
         assert shim.calls == ledger.value_queries > 0
 
     def test_counters_never_decrease(self):
+        # a tick takes no count: it adds one to its own counter and nothing else
         ledger = QueryLedger()
-        with pytest.raises(ValueError):
+        ticks = (ledger.charge_value, ledger.charge_independence)
+        for i in (0, 1, 1, 0, 1, 0, 0):
+            before = ledger.snapshot()
+            ticks[i]()
+            assert [a - b for a, b in zip(ledger.snapshot(), before)] == [int(i == 0), int(i == 1)]
+        with pytest.raises(TypeError):
             ledger.charge_value(-1)
+        assert ledger.snapshot() == (4, 3)
 
     @pytest.mark.parametrize(
         "build",

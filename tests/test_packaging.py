@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 import sys
 from importlib.metadata import packages_distributions
@@ -12,6 +13,8 @@ import pytest
 
 import submax
 from submax import matroids, oracles
+from submax.ledger import QueryLedger
+from submax.matroid_algos import LazyGreedyState
 from submax.multilinear import FractionalPoint
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,3 +79,28 @@ MOVED_TO_CONFTEST = {
 @pytest.mark.parametrize("owner", MOVED_TO_CONFTEST, ids=lambda owner: owner.__name__)
 def test_test_oracles_live_in_the_tests_only(owner):
     assert [name for name in MOVED_TO_CONFTEST[owner] if hasattr(owner, name)] == []
+
+
+# each had one value in use outside the tests: a constant or a value read
+# from the handle took its place
+REMOVED_PARAMETERS = {
+    "continuous_greedy": (submax.continuous_greedy, ["ground"]),
+    "generate_instance": (submax.generate_instance, ["weight_range"]),
+    "brute_force_opt": (submax.brute_force_opt, ["max_n", "max_sets"]),
+}
+
+
+@pytest.mark.parametrize("name", REMOVED_PARAMETERS)
+def test_single_valued_settings_stay_gone(name):
+    function, removed = REMOVED_PARAMETERS[name]
+    assert [p for p in removed if p in inspect.signature(function).parameters] == []
+
+
+def test_ledger_ticks_take_no_count():
+    for tick in (QueryLedger.charge_value, QueryLedger.charge_independence):
+        assert list(inspect.signature(tick).parameters) == ["self"]
+
+
+def test_lazy_greedy_state_keeps_no_event_counters():
+    state = LazyGreedyState([0, 1], 1.0, 0.5, 1)
+    assert [name for name in ("adds", "decays") if hasattr(state, name)] == []
