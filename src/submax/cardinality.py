@@ -11,6 +11,7 @@ in a returned solution.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -33,15 +34,10 @@ def standard_greedy(f: ValueOracle, k: int) -> set[int]:
     ordered: list[int] = []
     current = f.evaluate([])
     for _ in range(k):
-        best_u: Optional[int] = None
-        best_gain = -math.inf
-        for u in range(f.n):
-            if u in solution:
-                continue
-            gain = f.evaluate(ordered + [u]) - current
-            if gain > best_gain:
-                best_u, best_gain = u, gain
-        if best_u is None or best_gain < 0.0:
+        outside = [u for u in range(f.n) if u not in solution]
+        # k <= n, so an id is left to rank
+        best_gain, best_u = _ranked_gains(f, outside, solution, ordered, current)[0]
+        if best_gain < 0.0:
             break
         solution.add(best_u)
         ordered.append(best_u)
@@ -61,12 +57,8 @@ def random_greedy(f: ValueOracle, k: int, rng: np.random.Generator) -> set[int]:
     ordered: list[int] = []
     current = f.evaluate([])
     for _ in range(k):
-        gains = []
-        for u in range(f.n):
-            if u in solution:
-                continue
-            gains.append((f.evaluate(ordered + [u]) - current, u))
-        gains.sort(key=lambda t: (-t[0], t[1]))
+        outside = [u for u in range(f.n) if u not in solution]
+        gains = _ranked_gains(f, outside, solution, ordered, current)
         top = [(g, u) for g, u in gains if g > 0.0][:k]
         slot = int(rng.integers(k))
         if slot < len(top):
@@ -75,6 +67,15 @@ def random_greedy(f: ValueOracle, k: int, rng: np.random.Generator) -> set[int]:
             ordered.append(u)
             current += gain
     return solution
+
+
+def _ranked_gains(
+    f: ValueOracle, candidates: list[int], solution: set[int], ordered: list[int], current: float
+) -> list[tuple[float, int]]:
+    """(marginal, id) per candidate, asked in candidate order; best first, ties to smaller ids."""
+    gains = [(f.evaluate(members_with(solution, ordered, u)) - current, u) for u in candidates]
+    # sorting is stable, reverse=True included: by id, then by marginal, best first
+    return sorted(sorted(gains, key=itemgetter(1)), key=itemgetter(0), reverse=True)
 
 
 def draw_rank(s: float, rng: np.random.Generator) -> int:
@@ -118,10 +119,7 @@ def random_sampling(
     current = f.evaluate([])
     for _ in range(k):
         sample = _sample_without_replacement(n, sample_size, rng)
-        gains = []
-        for u in sample:
-            gains.append((f.evaluate(members_with(solution, ordered, u)) - current, u))
-        gains.sort(key=lambda t: (-t[0], t[1]))
+        gains = _ranked_gains(f, sample, solution, ordered, current)
         rank = min(draw_rank(s, rng), len(gains))
         gain, u = gains[rank - 1]
         if gain >= 0.0 and u not in solution:
@@ -193,13 +191,10 @@ def random_sampling_nonmonotone(
     """
     eps = checked_real(eps, "eps", 0.0, open_low=True)
     _validate_k(f, k)
-    threshold = nonmonotone_regime_threshold(k)
-    if eps <= threshold:
-        return random_greedy(f, k, rng)
     if eps >= 1.0 / math.e:
         eps = 1.0 / math.e - 1e-6
-        if eps <= threshold:
-            return random_greedy(f, k, rng)
+    if eps <= nonmonotone_regime_threshold(k):
+        return random_greedy(f, k, rng)
     n = f.n
     p = min(1.0, 8.0 * math.log(2.0 / eps) / (k * eps * eps))
     sample_size = math.ceil(p * n)
@@ -212,29 +207,28 @@ class FillState:
     """The pool of the two lazy pool variants and its resumable filler.
 
     The pool is a set of real ids, ``pool``, plus ``dummies``, a count of
-    zero-value dummy elements. ``fill`` scans (level, element) pairs in a
-    fixed order, resumes exactly where the previous call stopped and returns
-    once the pool holds k elements, topping it up with dummies after the
-    sweep is exhausted. The externally visible threshold ``current_w`` is the
-    last level the sweep reached.
+    zero-value dummy elements; ``W`` is the best singleton value, asked in
+    id order. ``fill`` scans (level, element) pairs in a fixed order,
+    resumes exactly where the previous call stopped and returns once the
+    pool holds k elements, topping it up with dummies after the sweep is
+    exhausted. ``purge`` drops the ids at or under ``bar()``, the last level's.
     """
 
-    def __init__(self, f: ValueOracle, k: int, delta: float, W: float):
+    def __init__(self, f: ValueOracle, k: int, delta: float):
         self.f = f
         self.k = k
         self.delta = delta
-        self.W = float(W)
-        if W > 0.0:
-            self.num_levels = geometric_level_count(delta, delta / k)
-        else:
-            self.num_levels = 0
+        self.W = float(max((f.evaluate([u]) for u in range(f.n)), default=0.0))
+        self.num_levels = geometric_level_count(delta, delta / k) if self.W > 0.0 else 0
         self.level = 0
         self.pos = 0
         self.pool: set[int] = set()
         self.dummies = 0
 
-    def current_w(self) -> float:
-        return self.W * (1.0 - self.delta) ** self.level
+    def bar(self) -> float:
+        """W (1 - delta)^level (1 - delta): a marginal at or under it is stale."""
+        one_minus = 1.0 - self.delta
+        return self.W * one_minus ** self.level * one_minus
 
     def draw(self, rng: np.random.Generator) -> Optional[int]:
         """A uniform pool member: an id, or None for a dummy (dummies sort last)."""
@@ -257,9 +251,8 @@ class FillState:
         added: list[Optional[int]] = []
         marginals: list[float] = []
         solution = set(ordered)
-        one_minus = 1.0 - self.delta
         while self.level < self.num_levels:
-            bar = self.W * one_minus ** self.level * one_minus
+            bar = self.bar()
             while self.pos < self.f.n:
                 u = self.pos
                 self.pos += 1
@@ -279,6 +272,13 @@ class FillState:
         marginals += [0.0] * top_up
         return added, marginals
 
+    def purge(self, solution: set[int], ordered: list[int], current: float) -> None:
+        """Drop the members whose marginal to ``ordered`` is at or under the bar, in id order."""
+        bar = self.bar()
+        for u in sorted(self.pool):
+            if self.f.evaluate(members_with(solution, ordered, u)) - current <= bar:
+                self.pool.discard(u)
+
 
 def lazy_greedy_simple(
     f: ValueOracle,
@@ -293,9 +293,7 @@ def lazy_greedy_simple(
     whose marginal fell under the current threshold.
     """
     _validate_lazy_params(f, k, delta)
-    W = max((f.evaluate([u]) for u in range(f.n)), default=0.0)
-    filler = FillState(f, k, delta, W)
-    pool = filler.pool
+    filler = FillState(f, k, delta)
     solution: set[int] = set()
     ordered: list[int] = []
     current = f.evaluate([])
@@ -306,11 +304,7 @@ def lazy_greedy_simple(
             solution.add(u_i)
             ordered.append(u_i)
         current = f.evaluate(ordered)
-        bar = filler.current_w() * (1.0 - delta)
-        for u in sorted(pool):
-            gain = f.evaluate(members_with(solution, ordered, u)) - current
-            if gain <= bar:
-                pool.discard(u)
+        filler.purge(solution, ordered, current)
         # a dummy's marginal, 0, clears no positive bar; if W <= 0, the next fill adds it back
         filler.dummies = 0
     return solution
@@ -326,14 +320,12 @@ def lazy_greedy_improved(
     """Pool variant that rescans only when the drawn candidate went stale.
 
     A uniformly drawn pool member is used directly if it is a dummy or its
-    marginal still clears (1 - delta) w; otherwise the pool is purged of
-    stale members, refilled, and the pick is redrawn from the fresh arrivals.
+    marginal still clears the bar; otherwise the pool is purged of stale ids
+    (dummies stay), refilled, and the pick is redrawn from the fresh arrivals.
     ``trace`` records each pick (None for a dummy) and each rescan.
     """
     _validate_lazy_params(f, k, delta)
-    W = max((f.evaluate([u]) for u in range(f.n)), default=0.0)
-    filler = FillState(f, k, delta, W)
-    pool = filler.pool
+    filler = FillState(f, k, delta)
     solution: set[int] = set()
     ordered: list[int] = []
     current = f.evaluate([])
@@ -344,17 +336,14 @@ def lazy_greedy_improved(
             pick, pick_gain = None, 0.0
         else:
             gain = f.evaluate(members_with(solution, ordered, candidate)) - current
-            if gain > (1.0 - delta) * filler.current_w():
+            if gain > filler.bar():
                 pick, pick_gain = candidate, gain
             else:
                 if trace is not None:
                     trace.setdefault("rescans", []).append(
                         (candidate, candidate in solution)
                     )
-                bar = filler.current_w() * (1.0 - delta)
-                for u in sorted(pool):
-                    if f.evaluate(members_with(solution, ordered, u)) - current <= bar:
-                        pool.discard(u)
+                filler.purge(solution, ordered, current)
                 fresh, fresh_gains = filler.fill(ordered, current)
                 slot = int(rng.integers(len(fresh)))
                 pick, pick_gain = fresh[slot], fresh_gains[slot]

@@ -39,8 +39,6 @@ def geometric_level_count(delta: float, ratio: float) -> int:
     Counted with the same repeated multiplication the threshold loops use, so
     boundary cases agree with the loop semantics bit for bit.
     """
-    if ratio >= 1.0:
-        return 0
     count = 0
     w = 1.0
     while w > ratio:
@@ -52,7 +50,7 @@ def geometric_level_count(delta: float, ratio: float) -> int:
 def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
     """Deterministic decreasing-threshold greedy, (1/2 - eps)-approximate.
 
-    Expects f monotone. Loops are not removed: a loop's singleton value
+    Refuses a non-monotone f. Loops are not removed: a loop's singleton value
     counts in ``w_max``, so a loop worth more than every real marginal lifts
     the thresholds above them all (ROADMAP item 2). The scan is
     :func:`~submax.matroids.threshold_sweep`: an element costs one value
@@ -66,6 +64,8 @@ def thresholding_greedy(f: ValueOracle, M: Matroid, eps: float) -> set[int]:
 
 
 def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[set[int], float]:
+    if not f.monotone:
+        raise InvalidInputError("thresholding greedy requires a monotone objective")
     eps = checked_real(eps, "eps", 0.0, 1.0, open_low=True, open_high=True)
     check_same_ground(f, M)
     ground = list(M.ground())
@@ -195,6 +195,8 @@ def random_lazy_greedy(
     matroid that reports its blocks; any other is refused before the first
     query.
     """
+    if not f.monotone:
+        raise InvalidInputError("random lazy greedy requires a monotone objective")
     delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
     B = checked_real(B, "B", 0.0)
     I = checked_int(I, "iteration bound")
@@ -219,7 +221,7 @@ def random_lazy_greedy(
             # the pool: the chosen ids, then one dummy per unfilled unit of rank
             pool = sorted(chosen)
             need = k - len(state.solution) - state.dummies - len(pool)
-            slot = int(rng.integers(len(pool) + max(0, need)))
+            slot = int(rng.integers(len(pool) + need))
             if slot < len(pool):
                 state.solution.add(pool[slot])
                 state.solution_value += state.accept_marginals[pool[slot]]
@@ -294,12 +296,18 @@ def combined_algorithm(
     ``lam`` in [1, k] steers the query tradeoff. ``B_override`` replaces the
     prescribed stopping parameter for failure-path diagnostics only.
     ``sample_scale`` rescales the derivative-estimator budget; 1.0 keeps the
-    analysis-faithful sample count.
+    analysis-faithful sample count. The residual is M/S, the partition
+    contraction under ``use_partition``, capped at ``k - |S| - dummies``
+    only when the lazy phase drew dummies (without them the cap is its
+    rank). Each lazy iteration adds one id or dummy, and a phase that does
+    not fail adds fewer than I <= k/2, so the cap exceeds k/2.
     """
     if not f.monotone:
         raise InvalidInputError("combined algorithm requires a monotone objective")
     eps = checked_real(eps, "eps", 0.0, 1.0 - 1.0 / math.e, open_low=True, open_high=True)
     sample_scale = checked_real(sample_scale, "sample_scale", 0.0, open_low=True)
+    if use_partition and M.partition_structure() is None:
+        raise InvalidInputError("partition fast path needs a partition matroid")
     check_same_ground(f, M)
     k = matroid_rank(M)
     if k == 0:
@@ -325,17 +333,11 @@ def combined_algorithm(
         return CombinedResult(frozenset(), True, outcome.iterations, frozenset(), params)
 
     S = set(outcome.solution)
-    used = len(S) + outcome.dummies_used
-    cap = k - used
-    if cap <= 0:
-        return CombinedResult(frozenset(S), False, outcome.iterations, frozenset(S), params)
-
-    residual: Matroid
-    if use_partition and outcome.dummies_used == 0:
-        # random_lazy_greedy refused use_partition on any other matroid
-        residual = ContractedPartitionMatroid(M, S)
-    else:
-        residual = RankCappedMatroid(ContractedMatroid(M, sorted(S)), cap)
+    residual: Matroid = (
+        ContractedPartitionMatroid(M, S) if use_partition else ContractedMatroid(M, sorted(S))
+    )
+    if outcome.dummies_used > 0:
+        residual = RankCappedMatroid(residual, k - len(S) - outcome.dummies_used)
     point = continuous_greedy(
         ResidualOracle(f, S), residual, params.c, params.cg_delta, rng, sample_scale=sample_scale
     )
@@ -346,9 +348,8 @@ def combined_algorithm(
 
 
 def choose_lambda(n: int, k: int, eps: float) -> float:
-    """The closing choice of lambda: k below the threshold, the threshold above."""
-    if checked_int(n, "n") < 3:
-        raise InvalidInputError("for constant-size ground sets solve exactly instead")
+    """The closing choice of lambda: k below the threshold, the threshold above; n >= 3."""
+    n = checked_int(n, "n", least=3)
     eps = checked_real(eps, "eps", 0.0, 1.0, open_low=True, open_high=True)
     k = checked_int(k, "k", least=1)
     threshold = math.sqrt(n * eps ** -5) * math.log(n / eps)

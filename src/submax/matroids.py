@@ -73,7 +73,7 @@ class PartitionMatroid(Matroid):
                 ) from None
         blocks = checked
         if len(blocks) != len(capacities):
-            raise InvalidInputError("need one capacity per block")
+            raise InvalidInputError("capacities must hold one capacity per block")
         caps = [checked_int(c, f"capacities[{j}]") for j, c in enumerate(capacities)]
         all_ids = [u for b in blocks for u in b]
         n = len(all_ids)

@@ -79,7 +79,7 @@ class CoverageOracle(PrefixCached, ValueOracle):
             try:
                 for item in s:
                     if not 0 <= item < universe_size:
-                        raise InvalidInputError(f"universe item {item} out of range")
+                        raise InvalidInputError(f"sets[{i}] item {item} out of range")
                     mask |= 1 << item
             except TypeError:
                 raise InvalidInputError(
@@ -91,7 +91,7 @@ class CoverageOracle(PrefixCached, ValueOracle):
             self._weights = None
         else:
             if len(weights) != universe_size:
-                raise InvalidInputError("need one weight per universe item")
+                raise InvalidInputError("weights must hold one weight per universe item")
             _check_weights(weights, "coverage weights")
             w = [float(x) for x in weights]
             # popcount fast path when the weighting is trivial
@@ -327,7 +327,7 @@ class TableOracle(ValueOracle):
         for i, (members, value) in enumerate(entries.items()):
             table[self._id_set(members, f"entries[{i}]")] = float(value)
         if len(table) != 2 ** n:
-            raise InvalidInputError("table must define every subset")
+            raise InvalidInputError("entries must define every subset")
         _check_weights(table.values(), "table values")
         self._table = table
         self.monotone = self._is_monotone()

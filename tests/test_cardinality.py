@@ -292,13 +292,30 @@ class TestRandomSamplingNonmonotone:
         assert len(S) <= 150
         assert f.uncounted().evaluate(S) > 0
 
+    @pytest.mark.parametrize("eps", [0.4, 1.0, 5.0])
+    def test_eps_at_or_above_one_over_e_is_clamped_below_it(self, eps):
+        # k = 150 (threshold 0.314): the clamped eps still samples, with the
+        # p and s of 1/e - 1e-6; k = 20 (threshold 0.664): it falls to random greedy
+        n = 200
+        f = ModularOracle([float(i % 7) for i in range(n)])
+        clamped = 1.0 / math.e - 1e-6
+        p = min(1.0, 8.0 * math.log(2.0 / clamped) / (150 * clamped * clamped))
+        size = math.ceil(p * n)
+        s = min(max(150 * size / n, 1.0), float(size))
+        for k, reference in [
+            (150, lambda rng: random_sampling(f, 150, p, s, rng)),
+            (20, lambda rng: random_greedy(f, 20, rng)),
+        ]:
+            got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+            assert random_sampling_nonmonotone(f, k, eps, got_rng) == reference(want_rng)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 class TestFillState:
     def test_pool_always_filled_to_k(self, rng):
         f = coverage16()
         k = 4
-        W = max(f.uncounted().evaluate([u]) for u in range(16))
-        filler = FillState(f, k, 0.2, W)
+        filler = FillState(f, k, 0.2)
         pool = filler.pool
         solution: list[int] = []
         value = 0.0
@@ -317,8 +334,7 @@ class TestFillState:
     def test_resumption_preserves_scan_position(self):
         f = coverage16()
         k = 3
-        W = max(f.uncounted().evaluate([u]) for u in range(16))
-        filler = FillState(f, k, 0.2, W)
+        filler = FillState(f, k, 0.2)
         filler.fill([], 0.0)
         level, pos = filler.level, filler.pos
         filler.pool.discard(min(filler.pool))
@@ -328,11 +344,9 @@ class TestFillState:
     def test_inserted_elements_clear_the_threshold(self):
         f = coverage16()
         k = 4
-        probe = f.uncounted()
-        W = max(probe.evaluate([u]) for u in range(16))
-        filler = FillState(f, k, 0.25, W)
+        filler = FillState(f, k, 0.25)
         added, gains = filler.fill([], 0.0)
-        bar = filler.current_w() * (1 - 0.25)
+        bar = filler.bar()
         for u, g in zip(added, gains):
             if u is not None:
                 assert g > bar or filler.level > 0  # cleared its insertion level

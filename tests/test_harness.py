@@ -146,6 +146,19 @@ class TestGeneration:
         with pytest.raises(InvalidInputError):
             generate_instance("mystery", 5, seed=0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: generate_matroid("mystery", 4, 2, seed=0), "unknown matroid kind 'mystery'"),
+            (lambda: matroid_from_dict({"kind": "mystery"}), "unknown matroid kind 'mystery'"),
+            (lambda: matroid_from_dict({"kind": "uniform", "k": 2}), "uniform matroid needs n"),
+        ],
+        ids=["generate", "spec", "uniform_without_n"],
+    )
+    def test_bad_matroid_spec_named(self, build, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            build()
+
     def test_negative_size_rejected(self):
         with pytest.raises(InvalidInputError, match="n must be non-negative"):
             generate_instance("coverage", -2, seed=0)
@@ -576,7 +589,10 @@ _GOLDEN_CUT = generate_instance("cut", 40, 7, density=0.1)
 _GOLDEN_FACILITY = generate_instance("facility", 30, 7, clients=12)
 # dense coverage: the pool variants' sweeps run dry, so dummies top up the pool
 _GOLDEN_DENSE = generate_instance("coverage", 24, 7, universe=8, density=0.6)
-# three valued ids of rank 8: the lazy phase pads its pool and draws dummies
+# three valued ids of rank 8: the lazy phase pads its pool and draws dummies;
+# at B = 0.01 the combined goldens fail in the lazy phase, and at B = 0.15
+# (the dummy-residual pair) each trial ends it with one id and one dummy, so
+# continuous greedy runs on the rank-capped residual
 _GOLDEN_PADDED = {"kind": "coverage", "sets": [[0, 1, 2], [3, 4], [5]] + [[]] * 9, "universe": 6}
 _GOLDEN_PADDED_PART = {
     "kind": "partition",
@@ -723,6 +739,18 @@ GOLDEN_CSV = {
         "d6a49094e5a161078b7a593f2dfb558ff3817d7e59903736e9212fbed7c8f7fb",
         [(283, 0), (283, 0), (282, 0), (282, 0)],
     ),
+    "combined-dummy-residual": (
+        _golden("combined", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, epsilon=0.25, lam=8.0,
+                B=0.15, seed=2, sample_scale=1e-6, trials=2),
+        "0a4c19500f17c19f78a503ae476ad55b1a5d63da58c7888c7cf1d4416c658931",
+        [(11538, 463), (11575, 463)],
+    ),
+    "combined_partition-dummy-residual": (
+        _golden("combined_partition", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, epsilon=0.25,
+                lam=8.0, B=0.15, seed=2, sample_scale=1e-6, trials=2),
+        "c660ad5c8be64912519e77229c2d3074f70372bea6469164b7572904760ee123",
+        [(11538, 417), (11575, 417)],
+    ),
     # rank 1 takes the combined algorithm's single-element shortcut
     "combined-rank1": (
         _golden("combined", {"kind": "uniform", "n": 24, "k": 1}, epsilon=0.25, lam=1.0,
@@ -796,6 +824,33 @@ def test_combined_scans_for_the_rank_once_per_trial(monkeypatch, name, scans_per
     config = GOLDEN_CSV[name][0]
     run_experiment(config)
     assert len(scans) == scans_per_trial * config.trials
+
+
+@pytest.mark.parametrize(
+    "name, capped",
+    [
+        ("combined-partition", False),
+        ("combined-partition-contracted", False),
+        ("combined-graphic", False),
+        ("combined-graphic-contracted", False),
+        ("combined-dummy-residual", True),
+        ("combined_partition-dummy-residual", True),
+    ],
+)
+def test_the_residual_is_rank_capped_only_when_dummies_take_rank(monkeypatch, name, capped):
+    # without dummies the cap is the contraction's rank, and neither
+    # continuous greedy nor swap rounding asks about a longer set
+    calls = []
+    ask = matroids.RankCappedMatroid.is_independent
+
+    def counting(self, members):
+        calls.append(members)
+        return ask(self, members)
+
+    monkeypatch.setattr(matroids.RankCappedMatroid, "is_independent", counting)
+    config, _, expected_bill = GOLDEN_CSV[name]
+    assert _blanked_csv_and_bill(run_experiment(config))[1] == expected_bill
+    assert bool(calls) == capped
 
 
 def _one_id_inserted(prefix: list, grown: list) -> bool:
@@ -1272,6 +1327,7 @@ class TestCli:
             (["--n", "4", "--matroid-kind", "graphic", "--k", "9"], "k=9"),
             (["--n", "-2"], "n must be non-negative"),
             (["--n", "4", "--matroid-kind", "uniform", "--k", "-1"], "k must be non-negative"),
+            (["--n", "4", "--matroid-kind", "uniform"], "--k is required with --matroid-kind"),
         ],
     )
     def test_bad_gen_sizes_are_one_line_errors(self, tmp_path, capsys, flags, field):
@@ -1322,6 +1378,44 @@ class TestCli:
             "--out", str(tmp_path / "r.csv"),
         ]) == 2
         self._one_line_error(capsys, "B must be non-negative")
+
+    @pytest.mark.parametrize(
+        "vertices, edges", [(2, [[0, 1]] * 4), (3, [[0, 1], [1, 2], [0, 2], [0, 1]])]
+    )
+    def test_partition_path_on_a_graphic_matroid_is_one_line_error(
+        self, tmp_path, capsys, vertices, edges
+    ):
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        save_json(COV4_SPEC, inst)
+        save_json({"kind": "graphic", "vertices": vertices, "edges": edges}, mat)
+        assert cli_main([
+            "run", "--algo", "combined_partition", "--instance", str(inst),
+            "--matroid", str(mat), "--epsilon", "0.25", "--lambda", "1",
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        self._one_line_error(capsys, "partition fast path needs a partition matroid")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "algo, flags",
+        [
+            ("thresholding_greedy", ["--epsilon", "0.25"]),
+            ("random_lazy_greedy", ["--delta", "0.5", "--B", "0.3", "--I", "1"]),
+            ("combined", ["--epsilon", "0.25", "--lambda", "1"]),
+        ],
+    )
+    def test_monotone_only_algorithm_on_a_cut_is_one_line_error(
+        self, tmp_path, capsys, algo, flags
+    ):
+        inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
+        save_json(generate_instance("cut", 12, 0, density=0.3), inst)
+        save_json({"kind": "uniform", "n": 12, "k": 3}, mat)
+        assert cli_main([
+            "run", "--algo", algo, "--instance", str(inst), "--matroid", str(mat), *flags,
+            "--out", str(tmp_path / "r.csv"),
+        ]) == 2
+        self._one_line_error(capsys, "requires a monotone objective")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_scalar_spec_field_is_one_line_error(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

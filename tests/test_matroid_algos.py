@@ -32,6 +32,7 @@ from submax.matroids import independence_test
 from .conftest import (
     compose_views,
     coverage12,
+    cut14,
     draw_coverage,
     enumerate_independent,
     partition12,
@@ -495,6 +496,19 @@ def test_matroid_over_another_ground_set_refused_before_any_query(entry, rng):
     assert ledger.snapshot() == (0, 0)
 
 
+@pytest.mark.parametrize("entry", sorted(_GROUND_SET_ENTRY_POINTS))
+def test_non_monotone_objective_refused_before_any_query(entry):
+    ledger = QueryLedger()
+    f = cut14(ledger)
+    M = UniformMatroid(14, 4, ledger)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match=r"requires a monotone objective$"):
+        _GROUND_SET_ENTRY_POINTS[entry](f, M, rng)
+    assert ledger.snapshot() == (0, 0)
+    assert rng.bit_generator.state == state
+
+
 class TestRandomLazyGreedy:
     def test_zero_b_always_fails(self, rng):
         f = coverage12()
@@ -610,6 +624,24 @@ class TestCombinedAlgorithm:
         )
         assert result.failed and result.solution == frozenset()
 
+    @pytest.mark.parametrize(
+        "vertices, edges", [(2, [(0, 1)] * 4), (3, [(0, 1), (1, 2), (0, 2), (0, 1)])]
+    )
+    def test_partition_path_refused_before_any_query(self, vertices, edges):
+        # rank 1 takes the single-element shortcut and rank 2 scans for the
+        # rank; neither may run before the refusal
+        from submax import GraphicMatroid
+
+        ledger = QueryLedger()
+        f = ModularOracle([1.0, 2.0, 3.0, 4.0], ledger)
+        M = GraphicMatroid(vertices, edges, ledger)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match="^partition fast path needs a partition"):
+            combined_algorithm(f, M, 0.25, 1.0, rng, use_partition=True)
+        assert ledger.snapshot() == (0, 0)
+        assert rng.bit_generator.state == state
+
     def test_nan_b_override_rejected(self, rng):
         with pytest.raises(InvalidInputError, match="^B must be non-negative"):
             combined_algorithm(
@@ -712,6 +744,11 @@ class TestChooseLambda:
         # threshold ~ 8.2e4 for n=1e6, eps=0.5, far above k=10
         assert choose_lambda(10 ** 6, 10, 0.5) == 10.0
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_constant_size_ground_set_refused(self, n):
+        with pytest.raises(InvalidInputError, match="^n must be at least 3$"):
+            choose_lambda(n, 1, 0.5)
+
     def test_large_rank_takes_threshold_value(self):
         n, eps = 100, 0.5
         threshold = math.sqrt(n * eps ** -5) * math.log(n / eps)
@@ -740,3 +777,7 @@ class TestGeometricLevels:
                     expected += 1
                     w *= 1.0 - delta
                 assert geometric_level_count(delta, ratio) == expected
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0])
+    def test_no_level_lies_above_a_ratio_of_one_or_more(self, ratio):
+        assert geometric_level_count(0.5, ratio) == 0

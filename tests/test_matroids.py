@@ -132,10 +132,16 @@ def test_non_integer_id_is_named(handle):
         (lambda: ContractedMatroid(UniformMatroid(3, 3), [3]), "element id 3 outside ground set of size 3"),
         (lambda: PartitionMatroid([[0, "a"]], [1]), "blocks[0] must be a list of integer element ids"),
         (lambda: PartitionMatroid([[1], 5], [1, 1]), "blocks[1] must be a list of integer element ids"),
+        (lambda: PartitionMatroid([[0], [1]], [1]), "capacities must hold one capacity per block"),
+        (lambda: PartitionMatroid([[0], [2]], [1, 1]), "blocks must partition {0, ..., n-1}"),
+        (lambda: GraphicMatroid(2, [(0, 1), (1, 2)]), "edges[1] endpoint out of range"),
+        (lambda: ExplicitMatroid(17, []), "explicit matroids are meant for n <= 16"),
+        (lambda: ExplicitMatroid(2, [[], [5]]), "independent[1] outside ground set of size 2"),
     ],
     ids=[
         "cap_float", "cap_nan", "cap_str", "cap_negative", "contract_str", "contract_float",
-        "contract_out_of_range", "block_str_id", "block_not_a_list",
+        "contract_out_of_range", "block_str_id", "block_not_a_list", "capacities_short",
+        "blocks_gap", "edge_endpoint", "explicit_n", "explicit_set_outside",
     ],
 )
 def test_malformed_constructor_argument_is_named(build, message):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from submax import (
     CoverageOracle,
     DirectedCutOracle,
+    ExplicitMatroid,
     FractionalPoint,
     GraphicMatroid,
     InvalidInputError,
@@ -749,6 +750,18 @@ class TestSwapRound:
         M = UniformMatroid(3, 1)
         point = FractionalPoint(n=3, weights=[1.0], bases=[frozenset({0, 1})])
         with pytest.raises(InvalidInputError):
+            swap_round(M, point, rng)
+
+    def test_empty_or_inconsistent_decomposition_refused(self, rng):
+        point = FractionalPoint(n=3, weights=[0.0], bases=[frozenset({0})])
+        with pytest.raises(InvalidInputError, match="^decomposition must be non-empty$"):
+            swap_round(UniformMatroid(3, 1), point, rng)
+        # no matroid: {0, 1} and {2, 3} are bases, and no exchange keeps both independent
+        M = ExplicitMatroid(4, [[], [0], [1], [2], [3], [0, 1], [2, 3]])
+        point = FractionalPoint(
+            n=4, weights=[0.5, 0.5], bases=[frozenset({0, 1}), frozenset({2, 3})]
+        )
+        with pytest.raises(InvalidInputError, match="^no feasible exchange"):
             swap_round(M, point, rng)
 
     def test_partition_path_checks_bases_without_calling_the_oracle(self, rng):

@@ -103,6 +103,27 @@ class TestMarginal:
         assert ledger.value_queries == before + 2
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CoverageOracle([[0], [1, 4]], 4), "sets[1] item 4 out of range"),
+        (lambda: CoverageOracle([[0]], 2, weights=[1.0]),
+         "weights must hold one weight per universe item"),
+        (lambda: DirectedCutOracle(2, [(0, 1, 1.0), (2, 0, 1.0)]), "arcs[1] endpoint out of range"),
+        (lambda: FacilityLocationOracle([1.0, 2.0]),
+         "facility values must be a clients x facilities matrix"),
+        (lambda: TableOracle(17, {}), "table oracles are meant for n <= 16"),
+        (lambda: TableOracle(1, {frozenset(): 0.0}), "entries must define every subset"),
+        (lambda: TableOracle(1, {frozenset(): 0.0, frozenset({1}): 1.0}),
+         "entries[1] outside ground set of size 1"),
+    ],
+    ids=["sets_item", "weights", "arcs", "facility_shape", "table_n", "entries", "entries_id"],
+)
+def test_malformed_constructor_argument_is_named(build, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        build()
+
+
 class TestConstructors:
     def test_modular_two_elements(self):
         assert ModularOracle((1.0, 1.0)).evaluate({0, 1}) == 2.0

@@ -104,3 +104,9 @@ def test_ledger_ticks_take_no_count():
 def test_lazy_greedy_state_keeps_no_event_counters():
     state = LazyGreedyState([0, 1], 1.0, 0.5, 1)
     assert [name for name in ("adds", "decays") if hasattr(state, name)] == []
+
+
+def test_the_pool_works_out_its_own_top_weight():
+    # W is the best singleton value, asked by the pool; bar() is its one threshold
+    assert list(inspect.signature(submax.FillState).parameters) == ["f", "k", "delta"]
+    assert not hasattr(submax.FillState, "current_w")
