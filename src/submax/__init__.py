@@ -5,7 +5,6 @@ from .cardinality import (
     draw_rank,
     lazy_greedy_improved,
     lazy_greedy_simple,
-    nonmonotone_regime_threshold,
     random_greedy,
     random_sampling,
     random_sampling_monotone,

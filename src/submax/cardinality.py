@@ -120,8 +120,8 @@ def random_sampling(
     for _ in range(k):
         sample = _sample_without_replacement(n, sample_size, rng)
         gains = _ranked_gains(f, sample, solution, ordered, current)
-        rank = min(draw_rank(s, rng), len(gains))
-        gain, u = gains[rank - 1]
+        # draw_rank gives at most ceil(s) <= ceil(pn) = len(gains)
+        gain, u = gains[draw_rank(s, rng) - 1]
         if gain >= 0.0 and u not in solution:
             solution.add(u)
             ordered.append(u)
@@ -157,50 +157,29 @@ def random_sampling_monotone(
     return random_sampling(f, k, p, 1.0, rng)
 
 
-def nonmonotone_regime_threshold(k: int) -> float:
-    """The delta > 0 with 8 delta^-2 ln(2 / delta) = k, found by bisection.
-
-    The map is strictly decreasing on (0, 2), so the root is unique; below it
-    the sampling parameterization is invalid and random greedy takes over.
-    """
-    k = checked_int(k, "k", least=1)
-
-    def g(x: float) -> float:
-        return 8.0 * x ** -2 * math.log(2.0 / x) - k
-
-    lo, hi = 1e-9, 2.0 - 1e-12
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return (lo + hi) / 2.0
-
-
 def random_sampling_nonmonotone(
     f: ValueOracle, k: int, eps: float, rng: np.random.Generator
 ) -> set[int]:
     """Sampling algorithm for general objectives: (1/e - eps) OPT in expectation.
 
-    With s = k ceil(pn) / n and p = 8 ln(2/eps) / (k eps^2); below the regime
-    threshold (where that p would exceed one) random greedy is used instead,
-    and eps at or above 1/e is clamped just below it.
+    With p = 8 ln(2/eps) / (k eps^2) and s = k ceil(pn) / n. Where
+    8 ln(2/eps) >= k eps^2 that p would reach one, and random greedy runs
+    instead; the test does not divide, as k eps^2 underflows to zero for eps
+    below about 1e-162. Eps at or above 1/e is clamped just below it.
     """
     eps = checked_real(eps, "eps", 0.0, open_low=True)
     _validate_k(f, k)
     if eps >= 1.0 / math.e:
         eps = 1.0 / math.e - 1e-6
-    if eps <= nonmonotone_regime_threshold(k):
+    numerator = 8.0 * math.log(2.0 / eps)
+    denominator = k * eps * eps
+    if numerator >= denominator:
         return random_greedy(f, k, rng)
     n = f.n
-    p = min(1.0, 8.0 * math.log(2.0 / eps) / (k * eps * eps))
+    p = numerator / denominator
     sample_size = math.ceil(p * n)
-    s = k * sample_size / n
-    s = min(max(s, 1.0), float(sample_size))
-    return random_sampling(f, k, p, s, rng)
+    # p < 1, and k <= n puts s in [8 ln(2/eps) / eps^2, ceil(pn)], above 100
+    return random_sampling(f, k, p, k * sample_size / n, rng)
 
 
 class FillState:

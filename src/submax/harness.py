@@ -61,22 +61,6 @@ from .oracles import (
     ValueOracle,
 )
 
-CSV_COLUMNS = [
-    "algo",
-    "n",
-    "k",
-    "epsilon",
-    "lambda",
-    "seed",
-    "trial",
-    "f_value",
-    "opt_value",
-    "value_queries",
-    "independence_queries",
-    "failed",
-    "wall_ms",
-]
-
 
 # ---------------------------------------------------------------------------
 # instance (de)serialization and generation
@@ -379,9 +363,10 @@ class RunRecord:
         return [fmt(getattr(self, field.name)) for field in fields(self)]
 
 
-def _resolve(spec: Union[str, Path, dict, None]) -> Optional[dict]:
-    if spec is None:
-        return None
+CSV_COLUMNS = ["lambda" if field.name == "lam" else field.name for field in fields(RunRecord)]
+
+
+def _resolve(spec: Union[str, Path, dict]) -> dict:
     if isinstance(spec, (str, Path)):
         return load_json(spec)
     return spec

@@ -306,6 +306,8 @@ def combined_algorithm(
         raise InvalidInputError("combined algorithm requires a monotone objective")
     eps = checked_real(eps, "eps", 0.0, 1.0 - 1.0 / math.e, open_low=True, open_high=True)
     sample_scale = checked_real(sample_scale, "sample_scale", 0.0, open_low=True)
+    lam = checked_real(lam, "lam", 1.0)
+    B = None if B_override is None else checked_real(B_override, "B", 0.0)
     if use_partition and M.partition_structure() is None:
         raise InvalidInputError("partition fast path needs a partition matroid")
     check_same_ground(f, M)
@@ -325,9 +327,8 @@ def combined_algorithm(
         return CombinedResult(sol, False, 0, frozenset(), None)
 
     params = combined_parameters(k, eps, lam)
-    B = params.B if B_override is None else checked_real(B_override, "B", 0.0)
     outcome = random_lazy_greedy(
-        f, M, params.delta, B, params.I, rng, use_partition=use_partition
+        f, M, params.delta, params.B if B is None else B, params.I, rng, use_partition=use_partition
     )
     if outcome.failed:
         return CombinedResult(frozenset(), True, outcome.iterations, frozenset(), params)
@@ -353,5 +354,5 @@ def choose_lambda(n: int, k: int, eps: float) -> float:
     eps = checked_real(eps, "eps", 0.0, 1.0, open_low=True, open_high=True)
     k = checked_int(k, "k", least=1)
     threshold = math.sqrt(n * eps ** -5) * math.log(n / eps)
-    lam = float(k) if k <= threshold else threshold
-    return min(max(1.0, lam), float(k))
+    # n >= 3 and eps < 1 put the threshold above 1.9, so the choice lies in [1, k]
+    return float(k) if k <= threshold else threshold

@@ -19,7 +19,6 @@ from submax import (
     draw_rank,
     lazy_greedy_improved,
     lazy_greedy_simple,
-    nonmonotone_regime_threshold,
     random_greedy,
     random_sampling,
     random_sampling_monotone,
@@ -246,20 +245,6 @@ class TestRandomSamplingMonotone:
 
 
 class TestRandomSamplingNonmonotone:
-    def test_regime_threshold_solves_the_fixed_point(self):
-        # independent bisection oracle over the same strictly monotone map
-        for k in (4, 8, 150):
-            delta = nonmonotone_regime_threshold(k)
-            assert 8.0 * delta ** -2 * math.log(2.0 / delta) == pytest.approx(k, rel=1e-6)
-            lo, hi = 1e-9, 2.0
-            for _ in range(100):
-                mid = (lo + hi) / 2
-                if 8.0 * mid ** -2 * math.log(2.0 / mid) > k:
-                    lo = mid
-                else:
-                    hi = mid
-            assert delta == pytest.approx((lo + hi) / 2, abs=1e-6)
-
     def test_small_eps_delegates_to_random_greedy(self):
         f = cut14()
         for seed in (0, 1, 2):
@@ -270,6 +255,23 @@ class TestRandomSamplingNonmonotone:
     def test_nan_eps_rejected(self, rng):
         with pytest.raises(InvalidInputError, match="eps must be positive, got nan"):
             random_sampling_nonmonotone(cut14(), 4, float("nan"), rng)
+
+    @pytest.mark.parametrize(
+        "k, eps",
+        [
+            # 8 ln(2/eps) exceeds 101 eps^2 by about 1e-12 (relative): p would
+            # reach one, and sampling every element is the greedy
+            (101, 0.3665905859718576),
+            # k eps^2 underflows to zero, so the regime test must not divide
+            (20, 1e-200),
+        ],
+    )
+    def test_regime_boundary_runs_random_greedy(self, k, eps):
+        f = ModularOracle([1 + i % 7 for i in range(120)])
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = random_sampling_nonmonotone(f, k, eps, got_rng)
+        assert got == random_greedy(f, k, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_nan_eps_rejected_by_run_experiment(self):
         config = RunConfig(
@@ -286,8 +288,7 @@ class TestRandomSamplingNonmonotone:
         n = 200
         weights = [float(1 + (i % 7)) for i in range(n)]
         f = ModularOracle(weights)
-        threshold = nonmonotone_regime_threshold(150)
-        assert threshold < 1.0 / math.e
+        assert 8.0 * math.log(2.0 / 0.35) < 150 * 0.35 ** 2
         S = random_sampling_nonmonotone(f, 150, 0.35, rng)
         assert len(S) <= 150
         assert f.uncounted().evaluate(S) > 0

@@ -1291,6 +1291,21 @@ class TestCli:
         assert err.startswith("submax: error: ") and str(missing) in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_nan_lambda_on_rank_zero_is_one_line_error(self, tmp_path, capsys):
+        inst, mat, out = tmp_path / "inst.json", tmp_path / "mat.json", tmp_path / "r.csv"
+        assert cli_main([
+            "gen", "--family", "modular", "--n", "0", "--out", str(inst),
+            "--matroid-kind", "uniform", "--k", "0", "--matroid-out", str(mat),
+        ]) == 0
+        capsys.readouterr()
+        assert cli_main([
+            "run", "--algo", "combined", "--instance", str(inst), "--matroid", str(mat),
+            "--epsilon", "0.25", "--lambda", "nan", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("submax: error: lam") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_matroid_over_another_ground_set_is_one_line_error(self, tmp_path, capsys):
         inst, mat = tmp_path / "inst.json", tmp_path / "mat.json"
         save_json(COV4_SPEC, inst)

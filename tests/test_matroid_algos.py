@@ -26,6 +26,7 @@ from submax import (
     random_lazy_greedy,
     thresholding_greedy,
 )
+from submax.harness import generate_matroid, matroid_from_dict
 from submax.matroid_algos import _thresholding_greedy_value, geometric_level_count
 from submax.matroids import independence_test
 
@@ -642,6 +643,40 @@ class TestCombinedAlgorithm:
         assert ledger.snapshot() == (0, 0)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("graphic", [False, True], ids=["uniform", "graphic"])
+    def test_nan_lam_refused_on_rank_zero_before_any_query(self, graphic):
+        # the graphic matroid's three self-loops would cost a 3-query rank scan
+        ledger = QueryLedger()
+        if graphic:
+            f = ModularOracle([1.0, 2.0, 3.0], ledger)
+            M = matroid_from_dict(generate_matroid("graphic", 3, 0, 1), ledger)
+        else:
+            f, M = ModularOracle([], ledger), UniformMatroid(0, 0, ledger)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match="^lam must be "):
+            combined_algorithm(f, M, 0.25, float("nan"), rng)
+        assert ledger.snapshot() == (0, 0)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_bad_b_override_refused_on_rank_one_before_any_query(self, bad):
+        ledger = QueryLedger()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match="^B must be non-negative"):
+            combined_algorithm(
+                ModularOracle([2.0, 7.0], ledger), UniformMatroid(2, 1, ledger), 0.25, 1.0, rng,
+                B_override=bad,
+            )
+        assert ledger.snapshot() == (0, 0)
+        assert rng.bit_generator.state == state
+
+    def test_rank_zero_returns_empty_for_any_valid_lam(self, rng):
+        # lam = 5 exceeds the rank, but a rank-0 matroid has nothing to trade
+        result = combined_algorithm(ModularOracle([]), UniformMatroid(0, 0), 0.25, 5.0, rng)
+        assert result.solution == frozenset() and not result.failed
+
     def test_nan_b_override_rejected(self, rng):
         with pytest.raises(InvalidInputError, match="^B must be non-negative"):
             combined_algorithm(
@@ -761,6 +796,8 @@ class TestChooseLambda:
         k=st.integers(min_value=1, max_value=10 ** 7),
         eps=st.floats(min_value=1e-3, max_value=0.99),
     )
+    # the smallest threshold, about 1.97, still at least 1
+    @example(n=3, k=10 ** 7, eps=0.99)
     def test_always_in_valid_range(self, n, k, eps):
         lam = choose_lambda(n, k, eps)
         assert 1.0 <= lam <= k

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import submax
-from submax import matroids, oracles
+from submax import cardinality, matroids, oracles
 from submax.ledger import QueryLedger
 from submax.matroid_algos import LazyGreedyState
 from submax.multilinear import FractionalPoint
@@ -110,3 +110,9 @@ def test_the_pool_works_out_its_own_top_weight():
     # W is the best singleton value, asked by the pool; bar() is its one threshold
     assert list(inspect.signature(submax.FillState).parameters) == ["f", "k", "delta"]
     assert not hasattr(submax.FillState, "current_w")
+
+
+def test_the_sampling_regime_is_tested_not_solved_for():
+    # random_sampling_nonmonotone tests 8 ln(2/eps) >= k eps^2 in place of a bisection root
+    for owner in (submax, cardinality):
+        assert not hasattr(owner, "nonmonotone_regime_threshold")
