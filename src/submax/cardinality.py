@@ -343,3 +343,5 @@ def _validate_k(f: ValueOracle, k: int) -> None:
 def _validate_lazy_params(f: ValueOracle, k: int, delta: float) -> None:
     _validate_k(f, k)
     checked_real(delta, "delta", 0.0, 1.0 / math.e, open_low=True, open_high=True)
+    # at delta <= 2**-54, 1 - delta rounds to 1 and the thresholds never fall
+    checked_real(delta, "delta", 2.0 ** -54, open_low=True)

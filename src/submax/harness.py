@@ -411,6 +411,8 @@ def _random_lazy_greedy(c: RunConfig, f, M, rng):
 def _continuous_greedy(c: RunConfig, f, M, rng):
     # checked here, so an error names the field the config sets, not delta
     epsilon = checked_real(c.epsilon, "epsilon", 0.0, 1.0, open_low=True, open_high=True)
+    # continuous greedy's delta; at or below 2**-54 its threshold never falls
+    checked_real(c.epsilon, "epsilon", 2.0 ** -54, open_low=True)
     point = continuous_greedy(f, M, c=2.0, delta=epsilon, rng=rng, sample_scale=c.sample_scale)
     return swap_round(M, point, rng), False
 

@@ -67,6 +67,8 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
     if not f.monotone:
         raise InvalidInputError("thresholding greedy requires a monotone objective")
     eps = checked_real(eps, "eps", 0.0, 1.0, open_low=True, open_high=True)
+    # at eps <= 2**-54, 1 - eps rounds to 1 and the threshold never falls
+    checked_real(eps, "eps", 2.0 ** -54, open_low=True)
     check_same_ground(f, M)
     ground = list(M.ground())
     current = f.evaluate([])
@@ -83,7 +85,7 @@ def _thresholding_greedy_value(f: ValueOracle, M: Matroid, eps: float) -> tuple[
             return True
         return False
 
-    taken = threshold_sweep(M, ground, rank, w_max, eps * w_max / rank, 1.0 - eps, clears, {})
+    taken = threshold_sweep(M, ground, rank, w_max, eps * w_max / rank, 1.0 - eps, clears, ({}, {}))
     return set(taken), current
 
 
@@ -198,6 +200,8 @@ def random_lazy_greedy(
     if not f.monotone:
         raise InvalidInputError("random lazy greedy requires a monotone objective")
     delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
+    # at delta <= 2**-54, 1 - delta rounds to 1 and the weight levels never fall
+    checked_real(delta, "delta", 2.0 ** -54, open_low=True)
     B = checked_real(B, "B", 0.0)
     I = checked_int(I, "iteration bound")
     if use_partition and M.partition_structure() is None:
@@ -257,10 +261,12 @@ def combined_parameters(k: int, eps: float, lam: float) -> CombinedParams:
     """The prescribed parameters of :func:`combined_algorithm` for rank ``k``.
 
     Raises :class:`InvalidInputError` naming the field unless k is a positive
-    integer, eps is in (0, 1 - 1/e) and lam >= 1.
+    integer, eps is in (2**-52, 1 - 1/e) and lam >= 1.
     """
     k = checked_int(k, "k", least=1)
     eps = checked_real(eps, "eps", 0.0, 1.0 - 1.0 / math.e, open_low=True, open_high=True)
+    # continuous greedy's delta is eps/4, which must exceed 2**-54
+    checked_real(eps, "eps", 2.0 ** -52, open_low=True)
     lam = checked_real(lam, "lam", 1.0)
     return CombinedParams(
         delta=0.5,
@@ -305,6 +311,8 @@ def combined_algorithm(
     if not f.monotone:
         raise InvalidInputError("combined algorithm requires a monotone objective")
     eps = checked_real(eps, "eps", 0.0, 1.0 - 1.0 / math.e, open_low=True, open_high=True)
+    # continuous greedy's delta is eps/4, which must exceed 2**-54
+    checked_real(eps, "eps", 2.0 ** -52, open_low=True)
     sample_scale = checked_real(sample_scale, "sample_scale", 0.0, open_low=True)
     lam = checked_real(lam, "lam", 1.0)
     B = None if B_override is None else checked_real(B_override, "B", 0.0)

@@ -411,6 +411,12 @@ def _block_counts(M: Matroid) -> Optional[tuple[int, Callable[[Iterable[int]], b
     return sum(min(c, len(blk)) for blk, c in zip(blocks, caps)), M._indep
 
 
+# A node of a sweep's answer tree (see threshold_sweep): the answers about
+# taken + [u] at one prefix taken, keyed by u, and the node of each
+# prefix taken + [u] that a sweep grew from it.
+AnswerNode = tuple[dict[int, bool], dict[int, "AnswerNode"]]
+
+
 def threshold_sweep(
     M: Matroid,
     ground: Sequence[int],
@@ -419,7 +425,7 @@ def threshold_sweep(
     floor: float,
     shrink: float,
     clears: Callable[[list[int], int, float], bool],
-    singles: dict[int, bool],
+    known: AnswerNode,
 ) -> list[int]:
     """Decreasing-threshold greedy scan; returns the ids taken, in order.
 
@@ -427,40 +433,37 @@ def threshold_sweep(
     ``ground`` not yet taken joins when ``taken + [u]`` is independent and
     ``clears(taken, u, w)`` says so. An independence query is made only when
     its answer is unknown: an id found dependent stays dependent while
-    ``taken`` grows, an independent answer holds until ``taken`` grows, and
-    once ``taken`` reaches ``rank`` every answer is dependent and the scan
-    stops. The questions go through :func:`independence_test`, so a handle
-    that reports its blocks is asked none. ``singles`` is the caller's table
-    of answers about ``[u]``: a question with ``taken`` empty is looked up
-    there first and its answer stored there, so a caller that sweeps one
-    matroid several times asks each of them once.
+    ``taken`` grows, and once ``taken`` reaches ``rank`` every answer is
+    dependent and the scan stops. The questions go through
+    :func:`independence_test`, so a handle that reports its blocks is asked
+    none. ``known`` is the root of the caller's answer tree, which has one
+    node per ``taken`` prefix: the node's answers about ``taken + [u]``,
+    keyed by u, and below it the node of each ``taken + [u]``. The sweep
+    reads a question's answer there first and stores it there after asking,
+    so a caller that sweeps one matroid several times with one tree asks
+    each question once.
     """
     independent = independence_test(M)
     taken: list[int] = []
     # ids never asked about again: the taken ones and those found dependent
     blocked: set[int] = set()
-    # free_at[u]: len(taken) at u's last independent answer
-    free_at: dict[int, int] = {}
+    answers, below = known
     while w > floor and len(taken) < rank:
         for u in ground:
             if u in blocked:
                 continue
-            if free_at.get(u) != len(taken):
-                if taken:
-                    taken.append(u)
-                    free = independent(taken)
-                    taken.pop()
-                else:
-                    free = singles.get(u)
-                    if free is None:
-                        free = singles[u] = independent([u])
-                if not free:
-                    blocked.add(u)
-                    continue
-                free_at[u] = len(taken)
+            free = answers.get(u)
+            if free is None:
+                taken.append(u)
+                free = answers[u] = independent(taken)
+                taken.pop()
+            if not free:
+                blocked.add(u)
+                continue
             if clears(taken, u, w):
                 taken.append(u)
                 blocked.add(u)
+                answers, below = below.setdefault(u, ({}, {}))
                 if len(taken) >= rank:
                     break
         w *= shrink

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .ledger import checked_int, checked_real
 from .matroids import (
-    Matroid, check_same_ground, independence_test, matroid_rank, threshold_sweep,
+    AnswerNode, Matroid, check_same_ground, independence_test, matroid_rank, threshold_sweep,
 )
 from .oracles import ValueOracle
 
@@ -41,10 +41,23 @@ class FractionalPoint:
     weights: list[float] = field(default_factory=list)
     bases: list[frozenset[int]] = field(default_factory=list)
 
+    def _checked_weights(self) -> list[float]:
+        """The weights as floats, one per base; InvalidInputError names a bad one.
+
+        A weight must be finite and non-negative, and there must be as many
+        weights as bases.
+        """
+        if len(self.weights) != len(self.bases):
+            raise InvalidInputError(
+                f"decomposition holds {len(self.weights)} weights for {len(self.bases)} bases"
+            )
+        return [checked_real(w, f"weights[{i}]", 0.0) for i, w in enumerate(self.weights)]
+
     def coords(self) -> np.ndarray:
-        """x as a vector; InvalidInputError names a base holding an id outside ``[0, n)``."""
+        """x as a vector; InvalidInputError names a bad weight or a base holding
+        an id outside ``[0, n)``."""
         x = np.zeros(self.n)
-        for i, (w, base) in enumerate(zip(self.weights, self.bases)):
+        for i, (w, base) in enumerate(zip(self._checked_weights(), self.bases)):
             for u in base:
                 try:
                     v = operator.index(u)
@@ -213,11 +226,13 @@ def estimator_sample_count(c: float, n: int, delta: float, sample_scale: float =
     """m = ceil(scale * c * ln(n) / delta^2), floored at one sample.
 
     Raises :class:`InvalidInputError` naming the field unless c >= 1, n is a
-    non-negative integer, delta is in (0, 1) and sample_scale is positive.
+    non-negative integer, delta is in (2**-54, 1) and sample_scale is positive.
     """
     c = checked_real(c, "c", 1.0)
     n_eff = max(checked_int(n, "n"), 2)
     delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
+    # continuous greedy's bound; below about 1e-162, delta ** 2 underflows to zero
+    checked_real(delta, "delta", 2.0 ** -54, open_low=True)
     sample_scale = checked_real(sample_scale, "sample_scale", 0.0, open_low=True)
     return max(1, math.ceil(sample_scale * c * math.log(n_eff) / delta ** 2))
 
@@ -246,16 +261,20 @@ def continuous_greedy(
     estimator draw. The run keeps two tables, which live across its steps
     and no longer: the values of f on sets of at most one id, which its
     estimates ask only on first use (see ``_estimate``), and the sweep's
-    answers about one-id sets. Both change only the query bill, never an
-    estimate, an output or a draw. The estimates of one step draw their
-    sample rows in blocks (see ``BLOCK_DOUBLES``); at the step's end the
-    generator is rewound to just past the rows used, so ``rng`` advances
-    exactly as with one draw per estimate over the support of x (see
-    :func:`estimate_marginal_F`). ``sample_scale`` rescales the
+    answer tree, so a step that retraces an earlier step's picks reads the
+    answers asked there instead of asking again. Both change only the query
+    bill, never an estimate, an output or a draw. The estimates of one step
+    draw their sample rows in blocks (see ``BLOCK_DOUBLES``); at the step's
+    end the generator is rewound to just past the rows used, so ``rng``
+    advances exactly as with one draw per estimate over the support of x
+    (see :func:`estimate_marginal_F`). ``sample_scale`` rescales the
     per-estimate sample budget; 1.0 is the analysis-faithful count, which is
-    far beyond interactive budgets on all but tiny instances.
+    far beyond interactive budgets on all but tiny instances. Delta must
+    exceed 2**-54: at or below it, ``1 - delta`` rounds to 1.
     """
     delta = checked_real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
+    # at delta <= 2**-54, 1 - delta rounds to 1 and the sweep's threshold never falls
+    checked_real(delta, "delta", 2.0 ** -54, open_low=True)
     c = checked_real(c, "c", 1.0)
     sample_scale = checked_real(sample_scale, "sample_scale", 0.0, open_low=True)
     if not f.monotone:
@@ -272,7 +291,7 @@ def continuous_greedy(
     point = FractionalPoint(n=f.n)
     # f and M are fixed for the run, so these answers hold across its steps
     values: dict[tuple[int, ...], float] = {}
-    singles: dict[int, bool] = {}
+    answers: AnswerNode = ({}, {})
     for t in range(steps):
         step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
         # x is fixed within a step, and only its estimates draw from rng
@@ -283,7 +302,7 @@ def continuous_greedy(
             # every threshold is positive, so a raw estimate clears it iff its clamp does
             base = threshold_sweep(
                 M, ground_ids, rank, d_max, delta * d_max / n_eff, 1.0 - delta,
-                lambda taken, u, w: _estimate(f, rows, u, m, values) >= w, singles,
+                lambda taken, u, w: _estimate(f, rows, u, m, values) >= w, answers,
             )
         point.weights.append(step_weight)
         point.bases.append(frozenset(base))
@@ -295,15 +314,17 @@ def continuous_greedy(
 def swap_round(M: Matroid, x: FractionalPoint, rng: np.random.Generator) -> set[int]:
     """Round a convex combination of independent sets to a single one.
 
-    Every base id is first checked as an integer id of M's ground set. Bases
-    are then padded to the rank by greedy completion in id order and merged
-    pairwise: elements of the symmetric difference are exchanged with
-    probability proportional to the accumulated weights, and each exchange
-    is the first one that keeps both bases independent. No value oracle
-    queries are made. One loop serves every matroid; its independence
-    questions go through :func:`~submax.matroids.independence_test`.
+    The weights are first checked (one finite, non-negative weight per base;
+    a zero weight's base is dropped), then every base id as an integer id of
+    M's ground set. Bases are then padded to the rank by greedy completion
+    in id order and merged pairwise: elements of the symmetric difference
+    are exchanged with probability proportional to the accumulated weights,
+    and each exchange is the first one that keeps both bases independent.
+    No value oracle queries are made. One loop serves every matroid; its
+    independence questions go through
+    :func:`~submax.matroids.independence_test`.
     """
-    pairs = [(float(w), set(b)) for w, b in zip(x.weights, x.bases) if w > 0.0]
+    pairs = [(w, set(b)) for w, b in zip(x._checked_weights(), x.bases) if w > 0.0]
     if not pairs:
         raise InvalidInputError("decomposition must be non-empty")
     independent = independence_test(M)

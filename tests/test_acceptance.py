@@ -215,8 +215,12 @@ def test_criterion_4_value_query_tradeoff(lambda_sweep_records):
         "and contributes a lambda-independent number of independence queries. "
         "The lambda-dependent term I n/delta ln(k/delta) of the bound is real "
         "only once k >= 2B, i.e. ranks in the hundreds. The residual "
-        "independence counts come from the continuous-greedy scans, whose "
-        "trajectory noise has no upward lambda trend."
+        "independence counts come from the continuous-greedy sweeps, which "
+        "read repeated questions from one answer tree per run, and they may "
+        "rise with lambda for another reason: a larger lambda buys fewer "
+        "samples, so noisier estimates and steps that retrace fewer earlier "
+        "prefixes (medians 18,667 / 20,384 / 21,048 at lambda 1 / 5 / 20 "
+        "over this fixture's 25 trials)."
     ),
 )
 def test_criterion_4_independence_query_tradeoff(lambda_sweep_records):

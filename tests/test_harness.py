@@ -423,6 +423,43 @@ class TestRealParameters:
         assert f.ledger.snapshot() == (0, 0)
         assert rng.bit_generator.state == state
 
+    # at or below these, 1 - delta rounds to 1 and a threshold never falls;
+    # the combined algorithm's continuous-greedy delta is eps/4
+    @pytest.mark.parametrize(
+        "entry, name, bound",
+        [
+            ("thresholding_greedy", "eps", 2.0 ** -54),
+            ("random_lazy_greedy", "delta", 2.0 ** -54),
+            ("lazy_greedy_simple", "delta", 2.0 ** -54),
+            ("lazy_greedy_improved", "delta", 2.0 ** -54),
+            ("continuous_greedy", "delta", 2.0 ** -54),
+            ("estimator_sample_count", "delta", 2.0 ** -54),
+            ("combined_algorithm", "eps", 2.0 ** -52),
+            ("combined_parameters", "eps", 2.0 ** -52),
+        ],
+    )
+    def test_a_value_too_small_to_lower_a_threshold_is_named_before_any_query(
+        self, entry, name, bound
+    ):
+        call, valid = _REAL_PARAMETER_CALLS[entry]
+        for bad in (bound, 1e-17, 1e-200):
+            f = coverage12()
+            M = partition12(f.ledger)
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            with pytest.raises(InvalidInputError, match=rf"^{name} must be above "):
+                call(f, M, rng, {**valid, name: bad})
+            assert f.ledger.snapshot() == (0, 0)
+            assert rng.bit_generator.state == state
+
+    def test_a_finite_but_astronomically_long_run_is_accepted(self):
+        params = matroid_algos.combined_parameters(10, 1e-15, 2.0)
+        assert params.cg_delta == 2.5e-16
+        assert multilinear.estimator_sample_count(params.c, 10, params.cg_delta) > 10 ** 30
+        # nothing is worth taking, so the run ends after its singleton values
+        f = oracles.ModularOracle([0.0] * 3)
+        assert matroid_algos.thresholding_greedy(f, matroids.UniformMatroid(3, 1), 1e-15) == set()
+
     @pytest.mark.parametrize(
         "call, message",
         [
@@ -615,24 +652,24 @@ GOLDEN_CSV = {
     "combined-partition": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
         "bf7e702ac79c3cc8ab87970940fd667eb4bef160de803c847f45db2b342048ab",
-        [(15037, 1316), (15104, 1260)],
+        [(15037, 317), (15104, 408)],
     ),
     "combined-partition-contracted": (
         _golden("combined", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
                 sample_scale=1e-6),
         "f1da8d55b406328ed5df8cb48db6ef9c0112b597a5701221e9c48b236b85a4b4",
-        [(3678, 1077), (3640, 1128)],
+        [(3678, 412), (3640, 570)],
     ),
     "combined-graphic": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=2.0, trials=2, sample_scale=1e-6),
         "bf7e702ac79c3cc8ab87970940fd667eb4bef160de803c847f45db2b342048ab",
-        [(22219, 1486), (20217, 1461)],
+        [(22219, 647), (20217, 669)],
     ),
     "combined-graphic-contracted": (
         _golden("combined", _GOLDEN_GRAPHIC, epsilon=0.25, lam=6.0, B=0.25, trials=2,
                 sample_scale=1e-6),
         "8cc78e5e8621641737bf520c7085388cc6c4ab71fec4499889d4601dc306c1ff",
-        [(6203, 1303), (5229, 1189)],
+        [(6203, 584), (5229, 518)],
     ),
     "combined_partition-residual": (
         _golden("combined_partition", _GOLDEN_PART, epsilon=0.25, lam=6.0, B=0.3, trials=2,
@@ -648,7 +685,7 @@ GOLDEN_CSV = {
     "continuous_greedy-graphic": (
         _golden("continuous_greedy", _GOLDEN_GRAPHIC, epsilon=0.25, sample_scale=0.05),
         "2d4986a4d153b12774431acdf384c77f2f13d9786e319c4f33c21dc784c83ad5",
-        [(3075, 285)],
+        [(3075, 214)],
     ),
     "thresholding_greedy": (
         _golden("thresholding_greedy", _GOLDEN_GRAPHIC, epsilon=0.25),
@@ -743,13 +780,13 @@ GOLDEN_CSV = {
         _golden("combined", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, epsilon=0.25, lam=8.0,
                 B=0.15, seed=2, sample_scale=1e-6, trials=2),
         "0a4c19500f17c19f78a503ae476ad55b1a5d63da58c7888c7cf1d4416c658931",
-        [(11538, 463), (11575, 463)],
+        [(11538, 178), (11575, 178)],
     ),
     "combined_partition-dummy-residual": (
         _golden("combined_partition", _GOLDEN_PADDED_PART, instance=_GOLDEN_PADDED, epsilon=0.25,
                 lam=8.0, B=0.15, seed=2, sample_scale=1e-6, trials=2),
         "c660ad5c8be64912519e77229c2d3074f70372bea6469164b7572904760ee123",
-        [(11538, 417), (11575, 417)],
+        [(11538, 132), (11575, 132)],
     ),
     # rank 1 takes the combined algorithm's single-element shortcut
     "combined-rank1": (
@@ -1461,6 +1498,29 @@ class TestCli:
                 "--epsilon", "0.25", "--lambdas", lambdas, "--out", str(tmp_path / "s.csv"),
             ]) == 2
             self._one_line_error(capsys, "--lambdas")
+
+    @pytest.mark.parametrize(
+        "algo, flags, field",
+        [
+            ("thresholding_greedy", ["--epsilon", "1e-17"], "eps"),
+            ("combined", ["--epsilon", "1e-17", "--lambda", "1"], "eps"),
+            ("random_lazy_greedy", ["--delta", "1e-17", "--B", "0", "--I", "1"], "delta"),
+            ("lazy_greedy_simple", ["--delta", "1e-17", "--k", "2"], "delta"),
+            ("continuous_greedy", ["--epsilon", "1e-200"], "epsilon"),
+        ],
+    )
+    def test_a_value_too_small_to_lower_a_threshold_is_one_line_error(
+        self, tmp_path, capsys, algo, flags, field
+    ):
+        inst, mat, out = tmp_path / "inst.json", tmp_path / "mat.json", tmp_path / "r.csv"
+        save_json(COV4_SPEC, inst)
+        save_json({"kind": "uniform", "n": 4, "k": 2}, mat)
+        matroid = [] if algo == "lazy_greedy_simple" else ["--matroid", str(mat)]
+        assert cli_main([
+            "run", "--algo", algo, "--instance", str(inst), *matroid, *flags, "--out", str(out),
+        ]) == 2
+        self._one_line_error(capsys, f"{field} must be ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("epsilon", ["1.5", "0", "nan"])
     def test_continuous_greedy_names_its_epsilon(self, tmp_path, capsys, epsilon):

@@ -39,12 +39,14 @@ from .conftest import (
     coverage12,
     draw_coverage,
     draw_independent,
+    enumerate_independent,
     exact_marginal_F,
     exact_multilinear,
     mean_and_se,
     partition12,
     reference_estimate,
     small_base_matroids,
+    small_multigraphs,
     small_partitions,
     small_value_oracles,
     zoo_matroids,
@@ -567,19 +569,24 @@ class _RecordingPartition(PartitionMatroid):
         return answer
 
 
-def test_sweep_never_asks_again_about_an_element_found_dependent():
-    # distinct modular weights: every step takes the top element first, so a
-    # step's first query is the only one whose prefix shrinks
+def test_sweep_never_asks_again_about_an_element_found_dependent(monkeypatch):
+    # a step's questions are those its sweep asks; a step that retraces an
+    # earlier step's prefixes reads their answers from the run's tree
     f = ModularOracle([float(w) for w in (9, 4, 7, 1, 8, 2, 6, 3, 5)])
     M = _RecordingPartition([[0, 1, 2], [3, 4, 5], [6, 7, 8]], [1, 1, 2])
     matroid_rank(M)
     M.queries.clear()
-    continuous_greedy(f, M, c=2.0, delta=0.25, rng=np.random.default_rng(3), sample_scale=0.05)
     steps: list[list] = []
-    for prefix, u, answer in M.queries:
-        if not steps or len(prefix) < len(steps[-1][-1][0]):
-            steps.append([])
-        steps[-1].append((prefix, u, answer))
+    sweep = multilinear.threshold_sweep
+
+    def recorded_sweep(*args):
+        start = len(M.queries)
+        taken = sweep(*args)
+        steps.append(M.queries[start:])
+        return taken
+
+    monkeypatch.setattr(multilinear, "threshold_sweep", recorded_sweep)
+    continuous_greedy(f, M, c=2.0, delta=0.25, rng=np.random.default_rng(3), sample_scale=0.05)
     assert len(steps) == math.ceil(1 / 0.25)
     dependent = 0
     for queries in steps:
@@ -626,6 +633,66 @@ def test_a_run_asks_each_one_id_independence_question_once(seed):
     singles = [(u, answer) for prefix, u, answer in M.queries if not prefix]
     assert sorted(u for u, _ in singles) == list(range(M.n))
     assert [u for u, answer in singles if not answer] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("objective", ["modular", "coverage12"])
+def test_a_run_asks_each_independence_question_once(objective, seed):
+    # the fixtures of the one-id test above, and a coverage objective
+    if objective == "modular":
+        f = ModularOracle([float(w) for w in (5, 6, 7, 1, 2, 3, 4, 8, 9, 10, 11, 12)])
+    else:
+        f = coverage12()
+    M = _RecordingPartition([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]], [0, 1, 1, 2])
+    matroid_rank(M)
+    M.queries.clear()
+    _one_run_of_continuous_greedy(f, M, seed)
+    asked = [(tuple(prefix), u) for prefix, u, _ in M.queries]
+    assert len(asked) > M.n
+    assert len(asked) == len(set(asked))
+
+
+@st.composite
+def _matroids_the_sweep_asks(draw):
+    """A small matroid that reports no blocks, so every sweep question reaches it."""
+    kind = draw(st.sampled_from(["partition", "graphic", "explicit"]))
+    if kind == "partition":
+        return _RecordingPartition(*draw(small_partitions()))
+    if kind == "graphic":
+        return GraphicMatroid(*draw(small_multigraphs(max_edges=7)))
+    base = draw(small_base_matroids())
+    return ExplicitMatroid(base.n, enumerate_independent(base))
+
+
+@settings(max_examples=80, deadline=None)
+@given(M=_matroids_the_sweep_asks(), data=st.data())
+def test_sweeps_sharing_one_answer_tree_take_what_fresh_sweeps_take(M, data):
+    rank = matroid_rank(M)
+    choices: dict[tuple, bool] = {}
+
+    def clears(taken, u, w):
+        # each sweep draws its own choices, and its fresh twin repeats them
+        key = (sweep, tuple(taken), u, w)
+        if key not in choices:
+            choices[key] = data.draw(st.booleans())
+        return choices[key]
+
+    sweeps = data.draw(st.lists(
+        st.tuples(st.permutations(range(M.n)), st.integers(min_value=1, max_value=4)),
+        min_size=2, max_size=4,
+    ))
+    known: matroids.AnswerNode = ({}, {})
+    shared = fresh = 0
+    for sweep, (ground, levels) in enumerate(sweeps):
+        # thresholds 1, 1/2, ...: exactly `levels` of them above the floor
+        args = (M, ground, rank, 1.0, 0.5 ** levels, 0.5, clears)
+        before = M.ledger.independence_queries
+        taken = matroids.threshold_sweep(*args, known)
+        middle = M.ledger.independence_queries
+        assert taken == matroids.threshold_sweep(*args, ({}, {}))
+        shared += middle - before
+        fresh += M.ledger.independence_queries - middle
+    assert shared <= fresh
 
 
 @settings(max_examples=40, deadline=None)
@@ -763,6 +830,33 @@ class TestSwapRound:
         )
         with pytest.raises(InvalidInputError, match="^no feasible exchange"):
             swap_round(M, point, rng)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0], "decomposition holds 1 weights for 2 bases"),
+            ([0.5, 0.5, 0.5], "decomposition holds 3 weights for 2 bases"),
+            ([math.inf, 1.0], "weights[0] must be finite, got inf"),
+            ([1.0, math.nan], "weights[1] must be non-negative, got nan"),
+            ([1.0, -0.5], "weights[1] must be non-negative, got -0.5"),
+            ([1.0, "0.5"], "weights[1] must be a real number, got '0.5'"),
+        ],
+    )
+    def test_malformed_decomposition_refused_by_name_before_any_query(self, rng, weights, message):
+        point = FractionalPoint(n=4, weights=weights, bases=[frozenset({0}), frozenset({2})])
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            point.coords()
+        M = _RecordingPartition([[0, 1], [2, 3]], [1, 1])
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            swap_round(M, point, rng)
+        assert M.queries == [] and M.ledger.snapshot() == (0, 0)
+        assert rng.bit_generator.state == state
+
+    def test_zero_weight_base_is_still_dropped(self, rng):
+        point = FractionalPoint(n=4, weights=[0.0, 1.0], bases=[frozenset({0}), frozenset({1})])
+        assert point.coords().tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert swap_round(UniformMatroid(4, 1), point, rng) == {1}
 
     def test_partition_path_checks_bases_without_calling_the_oracle(self, rng):
         calls: list[list[int]] = []

@@ -116,3 +116,10 @@ def test_the_sampling_regime_is_tested_not_solved_for():
     # random_sampling_nonmonotone tests 8 ln(2/eps) >= k eps^2 in place of a bisection root
     for owner in (submax, cardinality):
         assert not hasattr(owner, "nonmonotone_regime_threshold")
+
+
+def test_the_sweep_reads_one_answer_tree():
+    # the caller's tree of answers took the place of free_at and the one-id table
+    assert "known" in inspect.signature(matroids.threshold_sweep).parameters
+    sources = [path.read_text(encoding="utf-8") for path in (ROOT / "src" / "submax").glob("*.py")]
+    assert [source for source in sources if "free_at" in source] == []
