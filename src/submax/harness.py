@@ -384,12 +384,16 @@ class Algorithm:
 
     ``run(config, f, M, rng)`` returns ``(solution, failed)``. Entries look
     their function up in its module at call time, so patching the module
-    (as tracing does) reaches the harness too.
+    (as tracing does) reaches the harness too. ``epsilon`` is
+    ``(floor, high)`` for an entry that requires one: the config is refused,
+    under the name ``epsilon``, when its value is outside (0, high), or at
+    or below floor, where the algorithm's threshold would never fall.
     """
 
     requires: tuple[str, ...]
     matroid: bool
     run: Runner
+    epsilon: tuple[float, float] = (0.0, math.inf)
 
 
 def _combined(use_partition: bool) -> Runner:
@@ -409,13 +413,13 @@ def _random_lazy_greedy(c: RunConfig, f, M, rng):
 
 
 def _continuous_greedy(c: RunConfig, f, M, rng):
-    # checked here, so an error names the field the config sets, not delta
-    epsilon = checked_real(c.epsilon, "epsilon", 0.0, 1.0, open_low=True, open_high=True)
-    # continuous greedy's delta; at or below 2**-54 its threshold never falls
-    checked_real(c.epsilon, "epsilon", 2.0 ** -54, open_low=True)
-    point = continuous_greedy(f, M, c=2.0, delta=epsilon, rng=rng, sample_scale=c.sample_scale)
+    point = continuous_greedy(f, M, c=2.0, delta=c.epsilon, rng=rng, sample_scale=c.sample_scale)
     return swap_round(M, point, rng), False
 
+
+# 1 - x rounds to 1 for x <= 2**-54; the combined algorithm's continuous greedy runs at eps/4
+_THRESHOLD_EPSILON = (2.0 ** -54, 1.0)
+_COMBINED_EPSILON = (2.0 ** -52, 1.0 - 1.0 / math.e)
 
 ALGORITHMS: dict[str, Algorithm] = {
     "standard_greedy": Algorithm(
@@ -431,6 +435,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     "random_sampling_monotone": Algorithm(
         ("k", "epsilon"), False,
         lambda c, f, M, rng: (card.random_sampling_monotone(f, c.k, c.epsilon, rng), False),
+        (0.0, 1.0),
     ),
     "random_sampling_nonmonotone": Algorithm(
         ("k", "epsilon"), False,
@@ -447,11 +452,16 @@ ALGORITHMS: dict[str, Algorithm] = {
     "thresholding_greedy": Algorithm(
         ("epsilon",), True,
         lambda c, f, M, rng: (malg.thresholding_greedy(f, M, c.epsilon), False),
+        _THRESHOLD_EPSILON,
     ),
     "random_lazy_greedy": Algorithm(("delta", "B", "I"), True, _random_lazy_greedy),
-    "combined": Algorithm(("epsilon", "lam"), True, _combined(use_partition=False)),
-    "combined_partition": Algorithm(("epsilon", "lam"), True, _combined(use_partition=True)),
-    "continuous_greedy": Algorithm(("epsilon",), True, _continuous_greedy),
+    "combined": Algorithm(
+        ("epsilon", "lam"), True, _combined(use_partition=False), _COMBINED_EPSILON
+    ),
+    "combined_partition": Algorithm(
+        ("epsilon", "lam"), True, _combined(use_partition=True), _COMBINED_EPSILON
+    ),
+    "continuous_greedy": Algorithm(("epsilon",), True, _continuous_greedy, _THRESHOLD_EPSILON),
 }
 
 
@@ -467,6 +477,10 @@ def _check_config(config: RunConfig) -> Algorithm:
         raise InvalidInputError(f"algorithm {config.algo!r} needs a matroid")
     if not algorithm.matroid and config.matroid is not None:
         raise InvalidInputError(f"algorithm {config.algo!r} takes no matroid")
+    if "epsilon" in algorithm.requires:
+        floor, high = algorithm.epsilon
+        checked_real(config.epsilon, "epsilon", 0.0, high, open_low=True, open_high=True)
+        checked_real(config.epsilon, "epsilon", floor, open_low=True)
     if config.k is not None:
         checked_int(config.k, "k", least=1)
     checked_int(config.trials, "trials", least=1)

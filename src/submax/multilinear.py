@@ -2,12 +2,14 @@
 
 Sampling estimator for directional derivatives of F(x) = E[f(R(x))], the
 decreasing-threshold continuous greedy that consumes it, and randomized swap
-rounding of the resulting convex combination of bases. A sample row of R(x)
-draws one uniform for each coordinate with x_j > 0, in id order, and none
-for the others, which can never join R(x). Swap rounding never
-touches the value oracle, and asks its independence questions through
-:func:`~submax.matroids.independence_test`, so a handle that reports its
-blocks is asked none.
+rounding of the resulting convex combination of bases. The m sample rows
+of R(x) that a set of estimates shares are drawn with one
+``rng.random((m, len(support)))`` call: one uniform for each coordinate
+with x_j > 0, in id order, and none for the others, which can never join
+R(x). Continuous greedy draws one such set per prefix of a step's picks.
+Swap rounding never touches the value oracle, and asks its independence
+questions through :func:`~submax.matroids.independence_test`, so a handle
+that reports its blocks is asked none.
 """
 
 from __future__ import annotations
@@ -81,13 +83,13 @@ def estimate_marginal_F(
     """Paired-sample estimate of the derivative of F at x along coordinate u.
 
     Averages f(R + u) - f(R - u) over m draws of R(x); costs exactly 2m value
-    queries. The draws are the rows of one ``rng.random((m, len(support)))``
-    call over the support of x (its ids with x_j > 0, in id order): element
-    j is in a row when its uniform is below x_j. At x = 0 nothing is drawn.
-    The rows come in blocks of at most ``BLOCK_DOUBLES // n`` rows, and
-    ``rng`` ends where that one call would have left it. The raw
-    (unclamped) mean is returned so the estimator stays unbiased; callers
-    that rely on monotonicity clamp at zero themselves.
+    queries: f(R) for each row first, then f(R + u), or f(R - u) when u is
+    in R, for each row. The draws are the rows of one
+    ``rng.random((m, len(support)))`` call over the support of x (its ids
+    with x_j > 0, in id order): element j is in a row when its uniform is
+    below x_j. At x = 0 nothing is drawn. The raw (unclamped) mean is
+    returned so the estimator stays unbiased; callers that rely on
+    monotonicity clamp at zero themselves.
     Raises :class:`InvalidInputError` before any draw or query when ``m`` is
     not a positive integer, ``u`` is not an id of f's ground set or ``x`` is
     not a point of ``[0, 1]^n``.
@@ -110,116 +112,68 @@ def estimate_marginal_F(
     # NaN fails both comparisons
     if not ((x_vec >= 0.0) & (x_vec <= 1.0)).all():
         raise InvalidInputError("x entries must be finite and in [0, 1]")
-    with _SampleRows(x_vec, rng) as rows:
-        return _estimate(f, rows, u, m)
+    return _PrefixSample(f, x_vec, m, rng).estimate(u)
 
 
-# One block of sample rows holds at most BLOCK_DOUBLES // n rows, so at most
-# 256 KB of uniforms whatever the support of x (a row draws one per x_j > 0).
-BLOCK_DOUBLES = 32_768
+class _PrefixSample:
+    """The m sample rows R of R(x) that one prefix's estimates share.
 
-
-class _SampleRows:
-    """The sample sets R(x) of the estimates made at one point x.
-
-    Each row is one draw of R(x). It takes one uniform for each coordinate
-    with x[j] > 0, in id order, and element j is in it when its uniform is
-    below x[j]; an element with x[j] = 0 never is, so it takes none. Rows
-    are drawn in blocks with one ``rng.random`` call each, which gives the
-    numbers that one ``rng.random((m, len(support)))`` call per estimate
-    would give, in the same order. The first block holds the rows its first
-    request needs and each later one twice as many as the last, up to
-    ``BLOCK_DOUBLES // n`` rows. At x = 0 every row is empty and nothing is
-    drawn. Leaving the ``with`` block, also on an error, sets the generator
-    back to the state saved before the last block and draws only the rows
-    handed out of it, so ``rng`` ends where per-estimate draws would have
-    left it, for any bit generator. Every row handed out is a list of its
-    own: the caller may change it, and the views forward it to the base
-    uncopied (no handle keeps it).
+    The rows are drawn when the sample is made, with one
+    ``rng.random((m, len(support)))`` call over the support of x (its ids
+    with x_j > 0, ascending): element j is in a row when its uniform is
+    below x_j, and at x = 0 nothing is drawn. f(R) is then asked once per
+    row, in row order. ``estimate(u)`` is the mean over the rows of
+    f(R + u) - f(R), or of f(R) - f(R - u) when u is in R, the rows in
+    order and the floats subtracted and summed in that order; it is made on
+    the first call for u and kept. ``known`` is a run's table of the values
+    of sets of at most one id, keyed by their id tuples: with it, such a set
+    is asked only on its first use and later taken from the table.
     """
 
-    def __init__(self, x: np.ndarray, rng: np.random.Generator):
-        self.cols = np.flatnonzero(x)  # the support of x, ascending
-        self.p = x[self.cols]
-        self.rng = rng
-        self.n = x.shape[0]
-        self.size = 0  # rows in the current block
-        self.next = 0  # rows of it handed out
-        self.ids: list[int] = []  # ids of the block's members, row after row
-        self.ends: list[int] = [0]  # row r holds ids[ends[r]:ends[r + 1]]
-        self.saved: Optional[dict] = None
-
-    def __enter__(self) -> "_SampleRows":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.next < self.size:
-            self.rng.bit_generator.state = self.saved
-            self.rng.random((self.next, len(self.cols)))
-
-    def take(self, m: int) -> list[list[int]]:
-        """The next m rows, each a fresh ascending id list."""
-        if not self.cols.size:
-            return [[] for _ in range(m)]
-        rows = []
-        for left in range(m, 0, -1):
-            if self.next == self.size:
-                self._draw(left)
-            r = self.next
-            rows.append(self.ids[self.ends[r]:self.ends[r + 1]])
-            self.next = r + 1
-        return rows
-
-    def _draw(self, need: int) -> None:
-        width = len(self.cols)
-        size = min(max(1, BLOCK_DOUBLES // self.n), max(need, 2 * self.size))
-        self.saved = self.rng.bit_generator.state
-        # one flat scan: 2-D nonzero costs more than it saves
-        hits = np.flatnonzero(self.rng.random((size, width)) < self.p)
-        self.ends = np.searchsorted(hits, np.arange(0, (size + 1) * width, width)).tolist()
-        self.ids = self.cols[hits % width].tolist()
-        self.size, self.next = size, 0
-
-
-def _estimate(
-    f: ValueOracle, rows: _SampleRows, u: int, m: int, known: Optional[dict] = None
-) -> float:
-    """The paired-sample loop of :func:`estimate_marginal_F`, without its checks.
-
-    Takes the estimate's m rows before its first query and drops u from
-    each. Each pair asks f(R + u) first, then f(R). The second query is the
-    first one's members-but-last, so a prefix-cached oracle answers it from
-    the cache the first one left. ``known`` is a run's table of the values
-    of sets of at most one id, keyed by their id tuples: with it, such a
-    set is asked only on its first use, in the pair's order, and later
-    taken from the table. A row ``[v]`` still asks f({v, u}); an empty row
-    asks nothing once f({u}) and f(∅) are known. Without it, every pair
-    costs two queries.
-    """
-    total = 0.0
-    evaluate = f.evaluate
-    for ids in rows.take(m):
-        i = bisect_left(ids, u)
-        if i < len(ids) and ids[i] == u:
-            del ids[i]
-        small = known is not None and len(ids) < 2
-        if small and not ids:
-            with_u = _known_value(known, evaluate, [u])
+    def __init__(
+        self, f: ValueOracle, x: np.ndarray, m: int, rng: np.random.Generator,
+        known: Optional[dict] = None,
+    ):
+        self.evaluate = f.evaluate
+        self.known = known
+        cols = np.flatnonzero(x)
+        width = len(cols)
+        if width:
+            # one flat scan: 2-D nonzero costs more than it saves
+            hits = np.flatnonzero(rng.random((m, width)) < x[cols])
+            ends = np.searchsorted(hits, np.arange(0, (m + 1) * width, width)).tolist()
+            ids = cols[hits % width].tolist()
+            self.rows = [ids[a:b] for a, b in zip(ends, ends[1:])]
         else:
-            ids.append(u)
-            with_u = evaluate(ids)
-            ids.pop()
-        total += with_u - (_known_value(known, evaluate, ids) if small else evaluate(ids))
-    return total / m
+            self.rows = [[] for _ in range(m)]
+        self.values = [self._value(R) for R in self.rows]
+        self.estimates: dict[int, float] = {}
 
+    def _value(self, ids: list[int]) -> float:
+        known = self.known
+        if known is None or len(ids) > 1:
+            return self.evaluate(ids)
+        key = tuple(ids)
+        value = known.get(key)
+        if value is None:
+            value = known[key] = self.evaluate(ids)
+        return value
 
-def _known_value(known: dict, evaluate: Callable[[list[int]], float], ids: list[int]) -> float:
-    """f(ids) from the table ``known``, asked and stored on its first use."""
-    key = tuple(ids)
-    value = known.get(key)
-    if value is None:
-        value = known[key] = evaluate(ids)
-    return value
+    def estimate(self, u: int) -> float:
+        estimate = self.estimates.get(u)
+        if estimate is None:
+            total = 0.0
+            for R, f_R in zip(self.rows, self.values):
+                i = bisect_left(R, u)
+                if i < len(R) and R[i] == u:
+                    total += f_R - self._value(R[:i] + R[i + 1:])
+                else:
+                    # no handle keeps a caller's list, so R is lent and restored
+                    R.append(u)
+                    total += self._value(R) - f_R
+                    R.pop()
+            estimate = self.estimates[u] = total / len(self.rows)
+        return estimate
 
 
 def estimator_sample_count(c: float, n: int, delta: float, sample_scale: float = 1.0) -> int:
@@ -253,21 +207,24 @@ def continuous_greedy(
     steps. Each step estimates every candidate's derivative, then sweeps a
     threshold geometrically (factor 1 - delta) from the largest estimate
     down to delta/n of it, n the number of candidates (at least 2), adding
-    elements whose fresh estimate clears the threshold while independence
-    allows. The sweep is
-    :func:`~submax.matroids.threshold_sweep`, which asks an independence
-    question only while its answer is unknown and stops once the step's set
-    reaches the matroid rank; neither shortcut changes an output or an
-    estimator draw. The run keeps two tables, which live across its steps
-    and no longer: the values of f on sets of at most one id, which its
-    estimates ask only on first use (see ``_estimate``), and the sweep's
-    answer tree, so a step that retraces an earlier step's picks reads the
-    answers asked there instead of asking again. Both change only the query
-    bill, never an estimate, an output or a draw. The estimates of one step
-    draw their sample rows in blocks (see ``BLOCK_DOUBLES``); at the step's
-    end the generator is rewound to just past the rows used, so ``rng``
-    advances exactly as with one draw per estimate over the support of x
-    (see :func:`estimate_marginal_F`). ``sample_scale`` rescales the
+    elements whose estimate clears the threshold while independence
+    allows. The estimates share one sample per prefix of the step's picks:
+    the empty prefix's sample serves the largest-estimate pass and the
+    sweep until its first pick, and each pick starts a new sample, drawn at
+    the new prefix's first estimate. A sample draws its m rows of R(x),
+    x the step's starting point, with one ``rng.random((m, len(support)))``
+    call (none at x = 0), asks f(R) once per row and makes each
+    candidate's estimate once; the sweep compares that estimate with every
+    threshold level until the prefix grows (see ``_PrefixSample``). The
+    sweep is :func:`~submax.matroids.threshold_sweep`, which asks an
+    independence question only while its answer is unknown and stops once
+    the step's set reaches the matroid rank; neither shortcut changes an
+    output or a draw. The run keeps two tables, which live across its
+    steps and no longer: the values of f on sets of at most one id, which
+    its samples ask only on first use, and the sweep's answer tree, so a
+    step that retraces an earlier step's picks reads the answers asked
+    there instead of asking again. Both change only the query bill, never
+    an estimate, an output or a draw. ``sample_scale`` rescales the
     per-estimate sample budget; 1.0 is the analysis-faithful count, which is
     far beyond interactive budgets on all but tiny instances. Delta must
     exceed 2**-54: at or below it, ``1 - delta`` rounds to 1.
@@ -292,18 +249,23 @@ def continuous_greedy(
     # f and M are fixed for the run, so these answers hold across its steps
     values: dict[tuple[int, ...], float] = {}
     answers: AnswerNode = ({}, {})
+    sample, held = None, -1  # the sample of the step's prefix of length ``held``
+
+    def estimate(taken: Sequence[int], u: int) -> float:
+        nonlocal sample, held
+        if held != len(taken):
+            sample, held = _PrefixSample(f, x, m, rng, values), len(taken)
+        return sample.estimate(u)
+
     for t in range(steps):
         step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
-        # x is fixed within a step, and only its estimates draw from rng
-        with _SampleRows(x, rng) as rows:
-            d_max = max(
-                (max(0.0, _estimate(f, rows, u, m, values)) for u in ground_ids), default=0.0
-            )
-            # every threshold is positive, so a raw estimate clears it iff its clamp does
-            base = threshold_sweep(
-                M, ground_ids, rank, d_max, delta * d_max / n_eff, 1.0 - delta,
-                lambda taken, u, w: _estimate(f, rows, u, m, values) >= w, answers,
-            )
+        held = -1  # x moved: no prefix of this step has its rows yet
+        d_max = max((max(0.0, estimate((), u)) for u in ground_ids), default=0.0)
+        # every threshold is positive, so a raw estimate clears it iff its clamp does
+        base = threshold_sweep(
+            M, ground_ids, rank, d_max, delta * d_max / n_eff, 1.0 - delta,
+            lambda taken, u, w: estimate(taken, u) >= w, answers,
+        )
         point.weights.append(step_weight)
         point.bases.append(frozenset(base))
         for u in base:

@@ -290,7 +290,11 @@ class FacilityLocationOracle(PrefixCached, ValueOracle):
 
 
 class ModularOracle(ValueOracle):
-    """Additive function: f(S) = sum of per-element weights."""
+    """Additive function: f(S) = sum of per-element weights.
+
+    The sum is ``math.fsum``'s, correctly rounded, so a value never depends
+    on the order the members are listed in.
+    """
 
     monotone = True
 
@@ -302,13 +306,13 @@ class ModularOracle(ValueOracle):
     def _value(self, members: Iterable[int]) -> float:
         n = self.n
         weights = self._weights
-        total = 0.0
+        terms = []
         for u in members:
             # a plain int in range skips the call: anything else meets the id rule
             if u.__class__ is not int or not 0 <= u < n:
                 u = self._check_id(u)
-            total += weights[u]
-        return total
+            terms.append(weights[u])
+        return math.fsum(terms)
 
 
 class TableOracle(ValueOracle):
@@ -349,7 +353,7 @@ class ResidualOracle(View, ValueOracle):
     Each evaluation delegates one query to the wrapped oracle (the f(S) term
     is cached at construction, costing a single query there). The query
     lists the sorted anchor S first, then the members in their order, so
-    the estimator's pair, R + u then R, reaches the base as a query and its
+    the estimator's queries R + u then R + v reach the base with one
     members-but-last, which the base's prefix cache answers. With an empty
     anchor the caller's members are forwarded as given, uncopied: no
     handle keeps a caller's list (a prefix cache stores its own copy).

@@ -137,29 +137,17 @@ def exact_marginal_F(f, x, u):
     return exact_multilinear(f, hi) - exact_multilinear(f, lo)
 
 
-def reference_estimate(f, x_vec, u, m, rng, known=None):
+def reference_estimate(f, x_vec, u, m, rng):
     """The paired-sample estimator loop, one ``rng.random`` call per estimate
     over the support of x and one ``nonzero`` per row; the estimator must
-    match it bit for bit.
-
-    ``known`` models continuous greedy's run table: a dict from the id
-    tuple of each set of at most one id to its value. A set found in it is
-    not asked; a set not yet in it is asked and stored."""
+    match it bit for bit."""
     cols = np.flatnonzero(x_vec)
     inclusion = rng.random((m, len(cols))) < x_vec[cols]
-
-    def value(ids):
-        if known is None or len(ids) > 1:
-            return f.evaluate(ids)
-        if tuple(ids) not in known:
-            known[tuple(ids)] = f.evaluate(ids)
-        return known[tuple(ids)]
-
     total = 0.0
     for row in inclusion:
         ids = [j for j in cols[np.flatnonzero(row)].tolist() if j != u]
-        without_u = value(ids)
-        total += value(ids + [u]) - without_u
+        without_u = f.evaluate(ids)
+        total += f.evaluate(ids + [u]) - without_u
     return total / m
 
 

@@ -219,7 +219,7 @@ def test_criterion_4_value_query_tradeoff(lambda_sweep_records):
         "read repeated questions from one answer tree per run, and they may "
         "rise with lambda for another reason: a larger lambda buys fewer "
         "samples, so noisier estimates and steps that retrace fewer earlier "
-        "prefixes (medians 18,667 / 20,384 / 21,048 at lambda 1 / 5 / 20 "
+        "prefixes (medians 18,220 / 19,817 / 20,354 at lambda 1 / 5 / 20 "
         "over this fixture's 25 trials)."
     ),
 )

@@ -280,7 +280,8 @@ class TestRandomSamplingNonmonotone:
             k=4,
             epsilon=float("nan"),
         )
-        with pytest.raises(InvalidInputError, match="eps must be positive, got nan"):
+        # the harness names the config's field
+        with pytest.raises(InvalidInputError, match="^epsilon must be positive, got nan$"):
             run_experiment(config)
 
     def test_sampling_regime_runs_for_large_k(self, rng):

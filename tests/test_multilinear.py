@@ -73,19 +73,26 @@ class TestEstimateMarginalF:
         estimate_marginal_F(f, np.array([0.5, 0.2, 0.1, 0.9]), 1, 13, rng)
         assert ledger.value_queries == 26
 
-    def test_pair_asks_the_query_then_its_prefix(self):
-        """f(R + u) first, then f(R): the coverage cache rebuilds at most once per pair."""
+    def test_rows_ask_f_of_R_first_then_one_query_each(self):
+        """f(R) for every row first, then f(R + u), or f(R - u) when u is in R, row by row."""
         m, u = 60, 5
         x = np.linspace(0.05, 0.95, 12)
         base = coverage12()
+        asked = []
+        evaluate = base.evaluate
+        base.evaluate = lambda members: asked.append(list(members)) or evaluate(members)
         view = ResidualOracle(base, [0, 3])
-        rebuild = base._cache
-        rebuilds = []
-        base._cache = lambda prefix: rebuilds.append(len(prefix)) or rebuild(prefix)
         ref = ResidualOracle(coverage12(), [0, 3])
         got = estimate_marginal_F(view, x, u, m, np.random.default_rng(4))
         assert view.ledger.value_queries == 1 + 2 * m
-        assert 0 < len(rebuilds) <= m
+        anchor, rows, paired = asked[0], asked[1 : 1 + m], asked[1 + m :]
+        assert anchor == [0, 3] and len(paired) == m
+        assert any(u in R[2:] for R in rows) and not all(u in R[2:] for R in rows)
+        for R, query in zip(rows, paired):
+            assert R[:2] == query[:2] == [0, 3]
+            R = R[2:]
+            assert R == sorted(R)
+            assert query[2:] == ([v for v in R if v != u] if u in R else R + [u])
         assert got == reference_estimate(ref, x, u, m, np.random.default_rng(4))
 
     def test_unbiased_against_enumeration(self, rng):
@@ -303,8 +310,12 @@ class TestContinuousGreedyInputContract:
 def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale, table=True):
     """The sweep without known answers: one query per non-member per level.
 
-    Its estimates share one value table per run, as continuous greedy's do;
-    with ``table`` False every pair is asked, as ``estimate_marginal_F`` asks.
+    Its estimates follow the per-prefix rule. At the first estimate of each
+    prefix of a step's picks, the prefix draws its m rows with one
+    ``rng.random((m, len(support)))`` call and one ``nonzero`` per row, and
+    asks f(R) of each row. Each id's estimate is made once per prefix. The
+    prefixes share one value table per run, as continuous greedy's do; with
+    ``table`` False every set is asked, as ``estimate_marginal_F`` asks.
     """
     ground_ids = list(M.ground())
     n_eff = max(len(ground_ids), 2)
@@ -314,11 +325,37 @@ def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale, table=True):
     x = np.zeros(f.n)
     point = FractionalPoint(n=f.n)
     known = {} if table else None
+
+    def value(ids):
+        if known is None or len(ids) > 1:
+            return f.evaluate(ids)
+        if tuple(ids) not in known:
+            known[tuple(ids)] = f.evaluate(ids)
+        return known[tuple(ids)]
+
     for t in range(steps):
         step_weight = delta if t < steps - 1 else 1.0 - delta * (steps - 1)
+        samples = {}  # prefix length -> (rows, f(R) per row, estimates)
+
+        def estimate(length, u):
+            if length not in samples:
+                cols = np.flatnonzero(x)
+                inclusion = rng.random((m, len(cols))) < x[cols]
+                rows = [cols[np.flatnonzero(row)].tolist() for row in inclusion]
+                samples[length] = (rows, [value(R) for R in rows], {})
+            rows, f_rows, estimates = samples[length]
+            if u not in estimates:
+                total = 0.0
+                for R, f_R in zip(rows, f_rows):
+                    if u in R:
+                        total += f_R - value([v for v in R if v != u])
+                    else:
+                        total += value(R + [u]) - f_R
+                estimates[u] = max(0.0, total / m)
+            return estimates[u]
+
         base: set[int] = set()
-        estimates = {u: max(0.0, reference_estimate(f, x, u, m, rng, known)) for u in ground_ids}
-        d_max = max(estimates.values(), default=0.0)
+        d_max = max((estimate(0, u) for u in ground_ids), default=0.0)
         if d_max > 0.0 and rank > 0:
             floor = delta * d_max / n_eff
             w = d_max
@@ -334,7 +371,7 @@ def _reference_continuous_greedy(f, M, c, delta, rng, sample_scale, table=True):
                         members.pop()
                         continue
                     members.pop()
-                    if max(0.0, reference_estimate(f, x, u, m, rng, known)) >= w:
+                    if estimate(len(base), u) >= w:
                         base.add(u)
                         members.append(u)
                 w *= 1.0 - delta
@@ -382,171 +419,33 @@ def _state(rng):
     return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    base=small_base_matroids(),
-    bit_generator=st.sampled_from(BIT_GENERATORS),
-    delta=st.sampled_from([0.2, 0.35, 0.6]),
-    sample_scale=st.sampled_from([0.05, 1.0]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    data=st.data(),
-)
-def test_block_rows_leave_every_bit_generator_where_per_estimate_draws_do(
-    base, bit_generator, delta, sample_scale, seed, data
-):
-    """Point, value bill, final generator state and the next draw all match."""
-    f = draw_coverage(data, base.n)
-    runs = []
-    for algorithm in (_reference_continuous_greedy, continuous_greedy):
-        ledger = QueryLedger()
-        rng = _generator(bit_generator, seed)
-        point = algorithm(
-            f.with_ledger(ledger), base.with_ledger(ledger), 2.0, delta, rng,
-            sample_scale=sample_scale,
-        )
-        runs.append((point, ledger.value_queries, _state(rng), rng.random()))
-    assert runs[1] == runs[0]
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_estimate_at_zero_leaves_the_generator_untouched(bit_generator):
+    f = coverage4()
+    rng = _generator(bit_generator, 8)
+    state = _state(rng)
+    probe = f.uncounted()
+    for u in range(4):
+        assert estimate_marginal_F(f, np.zeros(4), u, 9, rng) == probe.evaluate([u])
+    assert _state(rng) == state
+    assert f.ledger.value_queries == 4 * 2 * 9
 
 
-class TestSampleRows:
-    """The row source against one ``rng.random((m, len(support)))`` call per estimate."""
-
-    N = 128  # a power of two, so a full block holds BLOCK_DOUBLES // N rows
-
-    def _check(self, bit_generator, estimates, m):
-        x = np.linspace(0.0, 1.0, self.N)  # x[0] = 0: the support leaves id 0 out
-        cols = np.flatnonzero(x)
-        rng, ref_rng = _generator(bit_generator, 9), _generator(bit_generator, 9)
-        with multilinear._SampleRows(x, rng) as rows:
-            for _ in range(estimates):
-                ref = ref_rng.random((m, len(cols))) < x[cols]
-                assert rows.take(m) == [cols[np.flatnonzero(row)].tolist() for row in ref]
-        assert _state(rng) == _state(ref_rng)
-        assert rng.random() == ref_rng.random()
-        return rows
-
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    def test_estimate_counts_around_block_ends(self, bit_generator):
-        block = multilinear.BLOCK_DOUBLES // self.N
-        # blocks of 1, 2, 4, ... rows, then full blocks: the first full one
-        # ends after 2 * block - 1 one-row estimates
-        first_full_end = 2 * block - 1
-        for estimates in (0, 1, first_full_end - 1, first_full_end, first_full_end + 1):
-            rows = self._check(bit_generator, estimates, 1)
-            if estimates == first_full_end:
-                assert (rows.size, rows.next) == (block, block)
-            if estimates == first_full_end + 1:
-                assert (rows.size, rows.next) == (block, 1)
-
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    def test_estimate_larger_than_one_block(self, bit_generator):
-        block = multilinear.BLOCK_DOUBLES // self.N
-        m = block + block // 2
-        assert m * self.N > multilinear.BLOCK_DOUBLES
-        self._check(bit_generator, 3, m)
-
-    # estimates of 1 to 80 rows across block ends, and one of 1.5 full blocks
-    ROW_COUNTS = [1, 3, 2, 7, 1, 50, 80, 33] * 3 + [384, 5, 1, 200, 9]
-
-    def test_every_row_handed_out_is_a_list_of_its_own(self):
-        block = multilinear.BLOCK_DOUBLES // self.N
-        assert max(self.ROW_COUNTS) > block
-        x = np.linspace(0.0, 1.0, self.N)
-        taken = []
-        with multilinear._SampleRows(x, np.random.default_rng(4)) as rows:
-            for m in self.ROW_COUNTS:
-                taken.extend(rows.take(m))
-        assert len(taken) == sum(self.ROW_COUNTS)
-        assert len({id(row) for row in taken}) == len(taken)
-        assert all(type(row) is list for row in taken)
-
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    def test_changing_a_taken_row_leaves_the_later_rows_and_the_generator(self, bit_generator):
-        x = np.linspace(0.0, 1.0, self.N)
-        runs = []
-        for change in (False, True):
-            rng = _generator(bit_generator, 3)
-            drawn = []
-            with multilinear._SampleRows(x, rng) as rows:
-                for m in self.ROW_COUNTS:
-                    taken = rows.take(m)
-                    drawn.append([list(row) for row in taken])
-                    if change:
-                        # as the estimator does: drop an id, append one, pop it
-                        for row in taken:
-                            if row:
-                                del row[len(row) // 2]
-                            row.append(self.N)
-                            row.append(self.N + 1)
-                            row.pop()
-            runs.append((drawn, _state(rng), rng.random()))
-        assert runs[1] == runs[0]
-
-    def test_zero_coordinates_never_join_a_row(self):
-        x = np.zeros(40)
-        x[1::3] = 0.5
-        x[[4, 22]] = 1e-3
-        x[[7, 31]] = 1.0
-        with multilinear._SampleRows(x, np.random.default_rng(6)) as rows:
-            drawn = rows.take(3000)
-        seen = set().union(*drawn)
-        assert seen == set(np.flatnonzero(x).tolist())
-        assert all(row == sorted(row) for row in drawn)
-
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    def test_estimate_at_zero_leaves_the_generator_untouched(self, bit_generator):
-        f = coverage4()
-        rng = _generator(bit_generator, 8)
-        state = _state(rng)
-        probe = f.uncounted()
-        for u in range(4):
-            assert estimate_marginal_F(f, np.zeros(4), u, 9, rng) == probe.evaluate([u])
-        assert _state(rng) == state
-        assert f.ledger.value_queries == 4 * 2 * 9
-        with multilinear._SampleRows(np.zeros(4), rng) as rows:
-            drawn = rows.take(5)
-        assert drawn == [[]] * 5 and len({id(row) for row in drawn}) == 5
-        assert _state(rng) == state
-
-    def test_inclusion_frequencies_match_x(self):
-        """Over 24,000 rows of seed 10, taken in estimates of 1 to 50 rows
-        across block ends, each frequency is within 4.5 binomial standard
-        errors of x_j (exactly 0 or 1 at x_j = 0 or 1)."""
-        x = np.array([0.0, 0.01, 0.1, 0.25, 0.5, 0.0, 0.75, 0.9, 0.99, 1.0, 0.33, 0.0])
-        counts = np.zeros(x.shape[0])
-        total = 0
-        with multilinear._SampleRows(x, np.random.default_rng(10)) as rows:
-            while total < 24_000:
-                m = 1 + total % 50
-                for row in rows.take(m):
-                    counts[row] += 1
-                total += m
-        freq = counts / total
-        tolerance = 4.5 * np.sqrt(x * (1.0 - x) / total)
-        assert (np.abs(freq - x) <= tolerance).all(), (freq, x)
-
-    def test_oracle_error_leaves_the_generator_past_the_failed_estimate(self):
-        """As one draw per estimate would: all m rows of the failed estimate are used."""
-
-        class Failing(ModularOracle):
-            def evaluate(self, members):
-                self.asked = getattr(self, "asked", 0) + 1
-                # step 0 asks only f(∅) and the four f({v}) that fill the
-                # run's table; call 27 is the third of the six asked by the
-                # sweep's second estimate of step 1 (u = 1, 9 rows over {2, 3})
-                if self.asked == 27:
-                    raise RuntimeError("oracle down")
-                return super().evaluate(members)
-
-        runs = []
-        for algorithm in (_reference_continuous_greedy, continuous_greedy):
-            rng = np.random.default_rng(2)
-            with pytest.raises(RuntimeError):
-                algorithm(Failing((1.0, 2.0, 3.0, 4.0)), UniformMatroid(4, 2), 2.0, 0.25, rng,
-                          sample_scale=0.2)
-            runs.append((_state(rng), rng.random()))
-        assert estimator_sample_count(2.0, 4, 0.25, 0.2) == 9
-        assert runs[1] == runs[0]
+def test_sample_rows_hold_each_id_at_its_coordinate():
+    """Over 24,000 rows of seed 10, each row is ascending, an id with x_j = 0
+    never joins one, and each frequency is within 4.5 binomial standard
+    errors of x_j (exactly 0 or 1 at x_j = 0 or 1)."""
+    x = np.array([0.0, 0.01, 0.1, 0.25, 0.5, 0.0, 0.75, 0.9, 0.99, 1.0, 0.33, 0.0])
+    m = 24_000
+    rows = multilinear._PrefixSample(ModularOracle([1.0] * x.shape[0]), x, m,
+                                     np.random.default_rng(10)).rows
+    assert len(rows) == m and all(R == sorted(R) for R in rows)
+    counts = np.zeros(x.shape[0])
+    for R in rows:
+        counts[R] += 1
+    freq = counts / m
+    tolerance = 4.5 * np.sqrt(x * (1.0 - x) / m)
+    assert (np.abs(freq - x) <= tolerance).all(), (freq, x)
 
 
 class _RecordingPartition(PartitionMatroid):
@@ -724,6 +623,53 @@ def test_the_run_table_changes_only_the_value_bill(base, bit_generator, delta, s
     assert tabled == free
     # a contraction may leave no id in the ground set
     assert bill < free_bill if list(M.ground()) else bill == free_bill == 0
+
+
+_SHARING_VIEWS = {
+    # S = {0, 4} fills block 1, so ids 5-7 are loops of the contraction
+    "contraction": lambda: matroids.ContractedMatroid(partition12(), [0, 4]),
+    "rank_cap": lambda: matroids.RankCappedMatroid(
+        GraphicMatroid(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (0, 3),
+                           (1, 4), (2, 5), (0, 5), (1, 3)]), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("view", sorted(_SHARING_VIEWS))
+def test_a_run_bills_at_most_m_per_prefix_and_per_estimate(monkeypatch, view, seed):
+    """The value bill is at most m * (prefixes drawn + distinct (step, prefix, id) estimates).
+
+    A recording sweep notes each (taken, u) its ``clears`` is asked; the
+    largest-estimate pass before it estimates every candidate at the empty
+    prefix. Each prefix asks f(R) of its m rows once, and each of its ids
+    costs m more queries once, however many threshold levels compare it.
+    """
+    f, M = coverage12(), _SHARING_VIEWS[view]()
+    ground = list(M.ground())
+    steps: list[set] = []
+    sweep = multilinear.threshold_sweep
+
+    def recorded_sweep(M, ground_ids, rank, w, floor, shrink, clears, known):
+        asked = {((), u) for u in ground_ids}
+        steps.append(asked)
+
+        def recording(taken, u, w):
+            asked.add((tuple(taken), u))
+            return clears(taken, u, w)
+
+        return sweep(M, ground_ids, rank, w, floor, shrink, recording, known)
+
+    monkeypatch.setattr(multilinear, "threshold_sweep", recorded_sweep)
+    ledger = QueryLedger()
+    c, delta, scale = 3.0, 0.2, 0.05
+    continuous_greedy(f.with_ledger(ledger), M.with_ledger(ledger), c, delta,
+                      np.random.default_rng(seed), sample_scale=scale)
+    m = estimator_sample_count(c, max(len(ground), 2), delta, scale)
+    prefixes = sum(len({prefix for prefix, _ in asked}) for asked in steps)
+    estimates = sum(len(asked) for asked in steps)
+    assert len(steps) == 5 and m > 1 and prefixes > len(steps)
+    assert 0 < ledger.value_queries <= m * (prefixes + estimates)
 
 
 class TestSwapRound:

@@ -350,6 +350,15 @@ def test_modular_oracle_is_additive(weights, data):
     assert math.isclose(
         f.uncounted().evaluate(members), sum(weights[u] for u in members), abs_tol=1e-9
     )
+    # the correctly rounded sum, whichever order the members come in
+    order = data.draw(st.permutations(sorted(members)))
+    assert f.uncounted().evaluate(order) == math.fsum(weights[u] for u in members)
+
+
+def test_modular_value_does_not_depend_on_member_order():
+    # a float sum in member order rounds (w0 + w2) + w3 and (w0 + w3) + w2 apart
+    f = ModularOracle([1.6653876389264268, 0.0, 5.0, 9.415393577280053])
+    assert f.evaluate([0, 2, 3]) == f.evaluate([0, 3, 2]) == f.evaluate([3, 2, 0])
 
 
 # ---------------------------------------------------------------------------
